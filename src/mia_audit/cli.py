@@ -68,7 +68,8 @@ def render_report(outdir: str) -> str:
     One row per attack (canonical order), columns TPR@<level>%FPR ascending,
     then AUC and BalancedAcc; every value is the JSON value rounded half-even
     to 4 decimals. Raises ValueError when artifacts are missing or mix
-    config digests.
+    config digests, or when manifest.json does not record a finished run of
+    the same config, so a failed rerun cannot pass off stale metrics.
     """
     paths = sorted(glob.glob(os.path.join(outdir, "metrics_*.json")))
     if not paths:
@@ -84,6 +85,18 @@ def render_report(outdir: str) -> str:
         levels.update(float(level) for level in payload["tpr_at_fpr"])
     if len(digests) > 1:
         raise ValueError(f"refusing to merge artifacts with mismatched config digests: {sorted(digests)}")
+    (digest,) = digests
+    manifest_path = os.path.join(outdir, "manifest.json")
+    if not os.path.exists(manifest_path):
+        raise ValueError(f"no manifest.json in {outdir}")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if manifest.get("status") != "ok":
+        raise ValueError(f"last run in {outdir} did not finish: manifest status "
+                         f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
+    if manifest.get("config_digest") != digest:
+        raise ValueError(f"stale metrics in {outdir}: digest {digest} "
+                         f"but manifest.json names {manifest.get('config_digest')}")
 
     level_list = sorted(levels)
     header = ["attack"] + [_format_level(lv) for lv in level_list] + ["AUC", "BalancedAcc"]

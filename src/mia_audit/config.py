@@ -1,14 +1,20 @@
 """Experiment configuration: a flat INI-style file, one key = value per line,
-with one section per pipeline stage. Unset keys take the documented defaults;
-two configs that resolve to the same values share the same digest.
+with one section per pipeline stage. Each key sets one dataclass field, whose
+annotation gives the key's type; unset keys keep the dataclass defaults, so
+the defaults live in one place. Two configs that resolve to the same values
+share the same digest.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .nn import DPConfig, TrainingConfig
@@ -41,24 +47,25 @@ class SyntheticSource:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise ConfigError("[data] num_classes: need at least 2 classes")
+            raise ValueError("num_classes: need at least 2 classes")
         if self.feature_dim < 1:
-            raise ConfigError("[data] feature_dim: must be positive")
+            raise ValueError("feature_dim: must be positive")
         if self.class_separation <= 0:
-            raise ConfigError("[data] class_separation: must be positive")
+            raise ValueError("class_separation: must be positive")
         if self.cov_scale <= 0:
-            raise ConfigError("[data] cov_scale: must be positive")
-        if self.n_samples < 6:
-            raise ConfigError("[data] n_samples: need at least 6 samples to split")
+            raise ValueError("cov_scale: must be positive")
+        if self.n_samples < max(6, self.num_classes):
+            raise ValueError("n_samples: need at least 6 samples to split, "
+                             "and one per class")
 
 
 @dataclass(frozen=True)
 class CsvSource:
-    path: str
+    path: str = ""
 
     def __post_init__(self):
         if not self.path:
-            raise ConfigError("[data] path: required when source = csv")
+            raise ValueError("path: required when source = csv")
 
 
 @dataclass(frozen=True)
@@ -142,84 +149,107 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _convert(section: str, key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
+_SOURCES = {"synthetic": SyntheticSource, "csv": CsvSource}
+
+
+def _keys(owner, skip=()) -> dict:
+    return {f.name: (owner, f.name) for f in dataclasses.fields(owner) if f.name not in skip}
+
+
+_SOURCE_KEYS = {"source": (None, "source"), **_keys(CsvSource), **_keys(SyntheticSource)}
+_TRAINING_KEYS = _keys(TrainingConfig, skip=("seed", "dp"))
+
+# [section] key -> (dataclass, field). The field's annotation gives the key's
+# type; an unset key keeps the value of the dataclass the section is built
+# from. The `source` key has no field: it picks the dataclass from _SOURCES.
+SECTIONS = {
+    "data": _SOURCE_KEYS,
+    "attacker_data": _SOURCE_KEYS,
+    "model": {"hidden_sizes": (ExperimentConfig, "hidden_sizes")},
+    "train.target": _TRAINING_KEYS,
+    "train.shadow": _TRAINING_KEYS,
+    "train.reference": _TRAINING_KEYS,
+    "dp": {**_keys(DPConfig), "apply_to": (ExperimentConfig, "dp_apply_to")},
+    "signal": {"kind": (ExperimentConfig, "signal_kind"),
+               "logit_scaling": (ExperimentConfig, "logit_scaling"),
+               "num_queries": (ExperimentConfig, "num_queries"),
+               "augmentation_noise_std": (ExperimentConfig, "augmentation_noise_std")},
+    "reference": {"count": (ExperimentConfig, "num_reference_models"),
+                  "sampling": (ExperimentConfig, "reference_sampling_mode"),
+                  "sample_fraction": (ExperimentConfig, "reference_sample_fraction")},
+    "attacks": {"enabled": (ExperimentConfig, "attacks")},
+    "scoring": {"hidden_sizes": (ExperimentConfig, "scoring_hidden_sizes"), **_TRAINING_KEYS},
+    "eval": {"fpr_levels": (ExperimentConfig, "fpr_levels")},
+    "experiment": {"master_seed": (ExperimentConfig, "master_seed"),
+                   "split_seed": (ExperimentConfig, "split_seed")},
+}
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _scalar(kind: type, text: str):
+    if kind is bool:
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ValueError("not a boolean")
-        if kind == "int_list":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if kind == "float_list":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if kind == "str_list":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        return raw.strip()
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if issubclass(kind, enum.Enum) and text not in {m.value for m in kind}:
+        raise ValueError(f"expected one of {[m.value for m in kind]}")
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _convert(section: str, key: str, raw: str, kind):
+    """Read `raw` as a value of annotation `kind`: `X | None` reads as X and
+    `tuple[X, ...]` as a comma-separated list of X."""
+    if type(None) in typing.get_args(kind):
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
+    try:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(_scalar(item, v.strip()) for v in raw.split(",") if v.strip())
+        return _scalar(kind, raw.strip())
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind} ({exc})") from None
+        name = kind.__name__ if isinstance(kind, type) else str(kind)
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {name} ({exc})") from None
 
 
-class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self._parser = parser
-        self._name = name
-        self._seen = set()
-
-    def get(self, key: str, kind: str, default):
-        self._seen.add(key)
-        if not self._parser.has_option(self._name, key):
-            return default
-        return _convert(self._name, key, self._parser.get(self._name, key), kind)
-
-    def check_unknown(self):
-        if not self._parser.has_section(self._name):
-            return
-        for key in self._parser.options(self._name):
-            if key not in self._seen:
-                raise ConfigError(f"[{self._name}] {key}: unknown key")
+def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
+    """The keys set in `section`, converted, as {dataclass: {field: value}}."""
+    table = SECTIONS[section]
+    values: dict = {}
+    if not parser.has_section(section):
+        return values
+    for key, raw in parser.items(section):
+        if key not in table:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        owner, name = table[key]
+        kind = str if owner is None else _field_types(owner)[name]
+        values.setdefault(owner, {})[name] = _convert(section, key, raw, kind)
+    return values
 
 
-def _parse_source(reader: _SectionReader, section: str):
-    source = reader.get("source", "str", "synthetic")
-    if source not in ("synthetic", "csv"):
-        raise ConfigError(f"[{section}] source: expected 'synthetic' or 'csv', got {source!r}")
-    path = reader.get("path", "str", "")
-    num_classes = reader.get("num_classes", "int", 2)
-    feature_dim = reader.get("feature_dim", "int", 16)
-    class_separation = reader.get("class_separation", "float", 0.35)
-    cov_scale = reader.get("cov_scale", "float", 1.0)
-    n_samples = reader.get("n_samples", "int", 6000)
-    seed = reader.get("seed", "int", None)
-    reader.check_unknown()
-    if source == "csv":
-        return CsvSource(path=path)
-    return SyntheticSource(num_classes=num_classes, feature_dim=feature_dim,
-                           class_separation=class_separation, cov_scale=cov_scale,
-                           n_samples=n_samples, seed=seed)
+def _build(section: str, make, values: dict):
+    """`make(**values)`, with any invalid value reported under `section`."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _parse_training(reader: _SectionReader, base: TrainingConfig) -> TrainingConfig:
-    cfg = TrainingConfig(
-        learning_rate=reader.get("learning_rate", "float", base.learning_rate),
-        momentum=reader.get("momentum", "float", base.momentum),
-        weight_decay=reader.get("weight_decay", "float", base.weight_decay),
-        batch_size=reader.get("batch_size", "int", base.batch_size),
-        epochs=reader.get("epochs", "int", base.epochs),
-        cosine_schedule=reader.get("cosine_schedule", "bool", base.cosine_schedule),
-    )
-    reader.check_unknown()
-    return cfg
+def _source(section: str, values: dict, default) -> SyntheticSource | CsvSource:
+    name = values.get(None, {}).get(
+        "source", next(n for n, cls in _SOURCES.items() if isinstance(default, cls)))
+    if name not in _SOURCES:
+        raise ConfigError(f"[{section}] source: expected one of {list(_SOURCES)}, got {name!r}")
+    return _build(section, _SOURCES[name], values.get(_SOURCES[name], {}))
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file; unset keys keep the
+    defaults of the config dataclasses."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, encoding="utf-8") as fh:
@@ -228,109 +258,27 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
-
-    known_sections = {"data", "attacker_data", "model", "train.target", "train.shadow",
-                      "train.reference", "dp", "signal", "reference", "attacks",
-                      "scoring", "eval", "experiment"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    data = _parse_source(_SectionReader(parser, "data"), "data")
-    attacker_data = None
+    given = {section: _section_values(parser, section) for section in SECTIONS}
+    top = {}
+    for values in given.values():
+        top.update(values.pop(ExperimentConfig, {}))
+    defaults = ExperimentConfig()
+
+    def training(section: str, base: TrainingConfig) -> TrainingConfig:
+        return _build(section, functools.partial(dataclasses.replace, base),
+                      given[section].get(TrainingConfig, {}))
+
+    top["data"] = _source("data", given["data"], defaults.data)
     if parser.has_section("attacker_data"):
-        attacker_data = _parse_source(_SectionReader(parser, "attacker_data"), "attacker_data")
-
-    model = _SectionReader(parser, "model")
-    hidden_sizes = model.get("hidden_sizes", "int_list", (64,))
-    model.check_unknown()
-
-    base = TrainingConfig()
-    target_train = _parse_training(_SectionReader(parser, "train.target"), base)
-    shadow_train = _parse_training(_SectionReader(parser, "train.shadow"), target_train)
-    reference_train = _parse_training(_SectionReader(parser, "train.reference"), target_train)
-
-    dp = None
-    dp_apply_to = ("target",)
+        top["attacker_data"] = _source("attacker_data", given["attacker_data"], defaults.data)
+    top["target_train"] = training("train.target", defaults.target_train)
+    top["shadow_train"] = training("train.shadow", top["target_train"])
+    top["reference_train"] = training("train.reference", top["target_train"])
+    top["scoring_train"] = training("scoring", defaults.scoring_train)
     if parser.has_section("dp"):
-        reader = _SectionReader(parser, "dp")
-        clip = reader.get("clip_norm", "float", 10.0)
-        sigma = reader.get("noise_multiplier", "float", 0.0)
-        dp_apply_to = reader.get("apply_to", "str_list", ("target",))
-        reader.check_unknown()
-        try:
-            dp = DPConfig(clip_norm=clip, noise_multiplier=sigma)
-        except ValueError as exc:
-            raise ConfigError(f"[dp]: {exc}") from None
-
-    sig = _SectionReader(parser, "signal")
-    kind_raw = sig.get("kind", "str", "loss")
-    try:
-        signal_kind = SignalKind(kind_raw)
-    except ValueError:
-        raise ConfigError(f"[signal] kind: unknown signal {kind_raw!r}; expected "
-                          f"{[k.value for k in SignalKind]}") from None
-    logit_scaling = sig.get("logit_scaling", "bool", False)
-    num_queries = sig.get("num_queries", "int", 8)
-    noise_std = sig.get("augmentation_noise_std", "float", 0.1)
-    sig.check_unknown()
-
-    ref = _SectionReader(parser, "reference")
-    num_reference_models = ref.get("count", "int", 4)
-    sampling_mode = ref.get("sampling", "str", "fixed")
-    sample_fraction = ref.get("sample_fraction", "float", 0.5)
-    ref.check_unknown()
-
-    att = _SectionReader(parser, "attacks")
-    attacks = att.get("enabled", "str_list", KNOWN_ATTACKS)
-    att.check_unknown()
-
-    scoring = _SectionReader(parser, "scoring")
-    scoring_hidden = scoring.get("hidden_sizes", "int_list", (64, 64, 64))
-    scoring_train = TrainingConfig(
-        learning_rate=scoring.get("learning_rate", "float", 0.05),
-        momentum=scoring.get("momentum", "float", 0.9),
-        weight_decay=scoring.get("weight_decay", "float", 0.0),
-        batch_size=scoring.get("batch_size", "int", 64),
-        epochs=scoring.get("epochs", "int", 100),
-        cosine_schedule=scoring.get("cosine_schedule", "bool", True),
-    )
-    scoring.check_unknown()
-
-    ev = _SectionReader(parser, "eval")
-    fpr_levels = ev.get("fpr_levels", "float_list", (0.001, 0.01, 0.1))
-    ev.check_unknown()
-
-    exp = _SectionReader(parser, "experiment")
-    master_seed = exp.get("master_seed", "int", 0)
-    split_seed = exp.get("split_seed", "int", None)
-    exp.check_unknown()
-
-    try:
-        return ExperimentConfig(
-            data=data,
-            attacker_data=attacker_data,
-            hidden_sizes=hidden_sizes,
-            target_train=target_train,
-            shadow_train=shadow_train,
-            reference_train=reference_train,
-            dp=dp,
-            dp_apply_to=dp_apply_to,
-            signal_kind=signal_kind,
-            logit_scaling=logit_scaling,
-            num_queries=num_queries,
-            augmentation_noise_std=noise_std,
-            num_reference_models=num_reference_models,
-            reference_sampling_mode=sampling_mode,
-            reference_sample_fraction=sample_fraction,
-            attacks=attacks,
-            fpr_levels=fpr_levels,
-            scoring_hidden_sizes=scoring_hidden,
-            scoring_train=scoring_train,
-            master_seed=master_seed,
-            split_seed=split_seed,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+        top["dp"] = _build("dp", DPConfig, given["dp"].get(DPConfig, {}))
+    return dataclasses.replace(defaults, **top)

@@ -23,8 +23,8 @@ from .seeding import derive_rng, derive_seed
 class DPConfig:
     """Per-example clipping norm and Gaussian noise multiplier."""
 
-    clip_norm: float
-    noise_multiplier: float
+    clip_norm: float = 10.0
+    noise_multiplier: float = 0.0
 
     def __post_init__(self):
         if self.clip_norm <= 0:

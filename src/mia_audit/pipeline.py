@@ -13,41 +13,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attacks as atk
 from . import evaluation, nn
-from .config import CsvSource, ExperimentConfig, SyntheticSource
+from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource
 from .dataset import (DistributionSpec, SplitPlan, TabularDataset, generate_synthetic,
                       load_csv, make_split, random_means, sample_reference_subset)
 from .seeding import derive_seed
 from .signals import QueryConfig, ScoreTable, averaged_signal_batch, perturbed_queries
 
-PARALLELISM_ENV = "MIA_AUDIT_PARALLELISM"
-
 _REFERENCE_ATTACKS = {"calibration", "lira_offline", "rapid", "shortcut_lira"}
 _SCORING_ATTACKS = {"rapid", "shortcut_lira"}
 _LIRA_ATTACKS = {"lira_offline", "shortcut_lira"}
-
-
-def parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return 1
-
-
-def _map_ordered(fn, items):
-    """Map preserving input order; bounded threads when parallelism > 1."""
-    items = list(items)
-    workers = parallelism()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
@@ -120,6 +100,10 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
     target_plan = make_split(target_ds, split_seed)
     if config.attacker_data is not None:
         attacker_ds = resolve_dataset(config.attacker_data, master, "attacker-data")
+        for key in ("feature_dim", "num_classes"):
+            if getattr(attacker_ds, key) != getattr(target_ds, key):
+                raise ConfigError(f"[attacker_data] {key}: {getattr(attacker_ds, key)} "
+                                  f"differs from [data] {key} {getattr(target_ds, key)}")
         attacker_plan = make_split(attacker_ds, derive_seed(master, "attacker-split"))
     shadow_ds = attacker_ds if attacker_ds is not None else target_ds
     shadow_plan = attacker_plan if attacker_plan is not None else target_plan
@@ -136,7 +120,7 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
                 idx = shadow_plan.reference_pool
             return _train_stage(shadow_ds, idx, config, "reference", ("ref", i))
 
-        reference_models = _map_ordered(train_reference, range(config.num_reference_models))
+        reference_models = [train_reference(i) for i in range(config.num_reference_models)]
 
     shadow_model = None
     if needs_shadow:
@@ -160,8 +144,7 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
         table = ScoreTable(ids=ids, is_member=member, raw=raw)
         ref_matrix = None
         if include_refs and reference_models:
-            columns = _map_ordered(raw_for, reference_models)
-            ref_matrix = np.column_stack(columns)
+            ref_matrix = np.column_stack([raw_for(m) for m in reference_models])
             table = table.with_columns(calibrated=atk.calibrate(raw, ref_matrix))
         return table, ref_matrix
 
@@ -207,12 +190,9 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
         outputs["shortcut_lira"] = atk.attack_shortcut_lira(target_table.raw, target_lira,
                                                             shortcut_model, digest)
 
-    def metrics_for(name: str):
-        return evaluation.compute_metrics(outputs[name].scores, target_table.is_member,
-                                          config.fpr_levels)
-
-    ordered = [name for name in config.attacks if name in outputs]
-    metrics = dict(zip(ordered, _map_ordered(metrics_for, ordered)))
+    metrics = {name: evaluation.compute_metrics(outputs[name].scores, target_table.is_member,
+                                                config.fpr_levels)
+               for name in config.attacks if name in outputs}
 
     bucket_report = None
     if target_table.calibrated is not None:

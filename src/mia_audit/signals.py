@@ -125,14 +125,13 @@ class ScoreTable:
     """Per-sample scores with membership ground truth.
 
     raw holds the (possibly query-averaged) signal from one model; calibrated
-    and final stay None until an attack fills them.
+    stays None until the reference models fill it.
     """
 
     ids: list
     is_member: np.ndarray
     raw: np.ndarray
     calibrated: np.ndarray | None = None
-    final: np.ndarray | None = None
 
     def __post_init__(self):
         self.ids = list(self.ids)
@@ -141,7 +140,7 @@ class ScoreTable:
         self.is_member = np.asarray(self.is_member, dtype=bool)
         self.raw = np.asarray(self.raw, dtype=np.float64)
         n = len(self.ids)
-        for name in ("is_member", "raw", "calibrated", "final"):
+        for name in ("is_member", "raw", "calibrated"):
             col = getattr(self, name)
             if col is None:
                 continue
@@ -154,52 +153,48 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def with_columns(self, calibrated=None, final=None) -> "ScoreTable":
+    def with_columns(self, calibrated=None) -> "ScoreTable":
         return ScoreTable(
             ids=self.ids,
             is_member=self.is_member,
             raw=self.raw,
             calibrated=self.calibrated if calibrated is None else np.asarray(calibrated, dtype=np.float64),
-            final=self.final if final is None else np.asarray(final, dtype=np.float64),
         )
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
-        """Columns id,is_member,raw,calibrated,final; empty cells for absent scores."""
+        """Columns id,is_member,raw,calibrated; empty cells when calibrated is absent."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if config_digest is not None:
                 fh.write(f"# config_digest={config_digest}\n")
             writer = csv.writer(fh)
-            writer.writerow(["id", "is_member", "raw", "calibrated", "final"])
+            writer.writerow(["id", "is_member", "raw", "calibrated"])
             for i in range(len(self.ids)):
                 writer.writerow([
                     self.ids[i],
                     int(self.is_member[i]),
                     repr(float(self.raw[i])),
                     "" if self.calibrated is None else repr(float(self.calibrated[i])),
-                    "" if self.final is None else repr(float(self.final[i])),
                 ])
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        ids, member, raw, calibrated, final = [], [], [], [], []
+        ids, member, raw, calibrated = [], [], [], []
         with open(path, newline="", encoding="utf-8") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
         reader = csv.reader(lines)
         header = next(reader)
-        if header != ["id", "is_member", "raw", "calibrated", "final"]:
+        if header != ["id", "is_member", "raw", "calibrated"]:
             raise ValueError(f"{path}: unexpected score table header {header}")
         for record in reader:
             ids.append(record[0])
             member.append(bool(int(record[1])))
             raw.append(float(record[2]))
             calibrated.append(float(record[3]) if record[3] else None)
-            final.append(float(record[4]) if record[4] else None)
         return cls(
             ids=ids,
             is_member=np.array(member),
             raw=np.array(raw),
             calibrated=None if any(v is None for v in calibrated) else np.array(calibrated),
-            final=None if any(v is None for v in final) else np.array(final),
         )
 
 

@@ -1,13 +1,16 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
 from mia_audit.cli import main, render_report
-from mia_audit.config import ExperimentConfig, SyntheticSource
+from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
 from mia_audit.evaluation import sweep
-from mia_audit.nn import TrainingConfig
+from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.signals import SignalKind
 
 FAST_TRAIN = TrainingConfig(epochs=3, batch_size=32)
@@ -135,6 +138,50 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
 
+    def test_empty_file_gives_dataclass_defaults(self, tmp_path):
+        cfg = load_config(self.write(tmp_path, ""))
+        assert cfg.digest() == ExperimentConfig().digest()
+
+    def test_readme_quickstart_spells_out_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        cfg = load_config(self.write(tmp_path, block))
+        assert cfg.digest() == ExperimentConfig().digest()
+
+    def test_every_field_has_exactly_one_key(self):
+        nested = {"data", "attacker_data", "target_train", "shadow_train", "reference_train",
+                  "dp", "scoring_train"}  # built from whole sections, not from one key
+        for owner, skip in ((ExperimentConfig, nested), (SyntheticSource, ()), (CsvSource, ()),
+                            (DPConfig, ()), (TrainingConfig, ("seed", "dp"))):
+            wanted = sorted(f.name for f in dataclasses.fields(owner) if f.name not in skip)
+            per_section = [sorted(name for target, name in table.values() if target is owner)
+                           for table in SECTIONS.values()]
+            if owner is ExperimentConfig:
+                assert sorted(sum(per_section, [])) == wanted
+            else:
+                assert wanted in per_section, owner.__name__
+                assert all(fields in ([], wanted) for fields in per_section), owner.__name__
+
+    @pytest.mark.parametrize("section, text", [
+        ("data", "n_samples = 3"),
+        ("attacker_data", "cov_scale = 0"),
+        ("model", "hidden_sizes = 0"),
+        ("train.target", "learning_rate = -1"),
+        ("train.shadow", "momentum = 1.0"),
+        ("train.reference", "epochs = -1"),
+        ("dp", "noise_multiplier = -0.5"),
+        ("signal", "augmentation_noise_std = inf"),
+        ("reference", "sample_fraction = 0"),
+        ("attacks", "enabled ="),
+        ("scoring", "batch_size = 0"),
+        ("eval", "fpr_levels = 0.1,1"),
+        ("experiment", "master_seed = seven"),
+    ])
+    def test_invalid_value_names_section(self, tmp_path, capsys, section, text):
+        path = self.write(tmp_path, f"[{section}]\n{text}\n")
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert f"[{section}] {text.split()[0]}" in capsys.readouterr().err
+
     def test_digest_changes_with_values(self):
         assert fast_config().digest() != fast_config(master_seed=6).digest()
         assert fast_config().digest() == fast_config().digest()
@@ -230,14 +277,10 @@ class TestPipeline:
             for wa, wb in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(wa, wb)
 
-    def test_parallelism_does_not_change_results(self, monkeypatch):
-        cfg = fast_config()
-        serial = run_pipeline(cfg)
-        monkeypatch.setenv("MIA_AUDIT_PARALLELISM", "4")
-        parallel = run_pipeline(cfg)
-        for name in cfg.attacks:
-            assert np.array_equal(serial.outputs[name].scores,
-                                  parallel.outputs[name].scores)
+    def test_attacker_data_shape_must_match(self):
+        cfg = fast_config(attacker_data=SyntheticSource(feature_dim=6, n_samples=300, seed=1))
+        with pytest.raises(ConfigError, match=r"\[attacker_data\] feature_dim"):
+            run_pipeline(cfg)
 
 
 class TestArtifacts:
@@ -327,6 +370,29 @@ class TestCli:
                        "balanced_accuracy": 0.5, "auc": 0.5, "tpr_at_fpr": {}}
             (outdir / f"metrics_a{i}.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="mismatched"):
+            render_report(str(outdir))
+
+    def test_report_refuses_stale_metrics_after_failed_rerun(self, tmp_path, capsys):
+        outdir = str(tmp_path / "out")
+        assert main(["run", self.write_config(tmp_path), "-o", outdir]) == 0
+        missing = SAMPLE_INI.replace("source = synthetic",
+                                     f"source = csv\npath = {tmp_path / 'missing.csv'}")
+        assert main(["run", self.write_config(tmp_path, missing), "-o", outdir]) == 1
+        capsys.readouterr()
+        assert main(["report", outdir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'failed'" in captured.err
+        with pytest.raises(ValueError, match="did not finish"):
+            render_report(outdir)
+
+    def test_report_refuses_metrics_of_another_config(self, tmp_path):
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest["config_digest"] = "0" * 16
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="stale metrics"):
             render_report(str(outdir))
 
     def test_invalid_config_exit_code_and_message(self, tmp_path, capsys):

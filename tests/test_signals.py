@@ -126,7 +126,7 @@ class TestScoreTable:
                                   QueryConfig())
         assert len(table) == 4
         assert np.all(np.isfinite(table.raw))
-        assert table.calibrated is None and table.final is None
+        assert table.calibrated is None
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -174,13 +174,12 @@ class TestScoreTable:
         back = ScoreTable.from_csv(path)
         assert back.ids == ["a", "b"]
         assert np.array_equal(back.raw, table.raw)
-        assert back.calibrated is None and back.final is None
+        assert back.calibrated is None
 
     def test_csv_round_trip_full_columns(self, tmp_path):
         table = ScoreTable(ids=[0, 1], is_member=[True, False], raw=[-0.1, -2.0],
-                           calibrated=[0.4, -1.5], final=[0.9, 0.1])
+                           calibrated=[0.4, -1.5])
         path = tmp_path / "scores.csv"
         table.to_csv(path)
         back = ScoreTable.from_csv(path)
         assert np.array_equal(back.calibrated, table.calibrated)
-        assert np.array_equal(back.final, table.final)
