@@ -7,23 +7,20 @@ over small from-scratch MLP classifiers on tabular or synthetic data.
 """
 
 from .attacks import (AttackOutput, GaussianFit, GaussianPair, ScoringModel,
-                      attack_calibration, attack_lira_offline, attack_loss,
-                      attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
-                      gaussian_difference, train_scoring_model)
+                      attack_calibration, attack_loss, attack_rapid, attack_shortcut_lira,
+                      calibrate, fit_gaussian, gaussian_difference, train_scoring_model)
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                       generate_synthetic, load_csv, make_split, random_means,
                       sample_reference_subset, write_csv)
-from .evaluation import (GameRound, LossBucketReport, MetricsReport, RocCurve, TprAtFpr,
-                         balanced_accuracy, best_balanced_accuracy, calibrate_threshold,
-                         compute_metrics, loss_bucket_report, roc, run_security_game,
-                         sweep, tpr_at_fpr)
+from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr,
+                         balanced_accuracy, best_balanced_accuracy, compute_metrics,
+                         loss_bucket_report, roc, run_security_game, sweep, tpr_at_fpr)
 from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward,
-                 cross_entropy, dp_sgd_step, forward, init_classifier,
-                 per_example_gradients, per_sample_loss, sgd_step, softmax, train)
+                 cross_entropy, forward, init_classifier, per_sample_loss, sgd_step,
+                 softmax, train)
 from .pipeline import RunResult, run_pipeline, write_artifacts
 from .seeding import derive_rng, derive_seed
-from .signals import (QueryConfig, ScoreTable, SignalKind, averaged_signal,
-                      build_score_table, signal)
+from .signals import QueryConfig, ScoreTable, SignalKind
 
 __version__ = "0.1.0"

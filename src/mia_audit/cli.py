@@ -32,20 +32,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_values(axis: str, raw: str):
-    values = [v.strip() for v in raw.split(",") if v.strip()]
-    if axis == "reference_sampling_mode":
-        return values
+def _parse_ints(flag: str, raw: str) -> list[int]:
     try:
-        return [int(v) for v in values]
+        return [int(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"--values: axis {axis} takes integers, got {raw!r}") from None
+        raise ConfigError(f"{flag} takes comma-separated integers, got {raw!r}") from None
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = _parse_values(args.axis, args.values)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    if args.axis == "reference_sampling_mode":
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
+    else:
+        values = _parse_ints(f"--values: axis {args.axis}", args.values)
+    seeds = _parse_ints("--seeds:", args.seeds) if args.seeds else None
     try:
         result = evaluation.sweep(cfg, args.axis, values, seeds=seeds)
     except Exception as exc:
@@ -71,6 +71,10 @@ def render_report(outdir: str) -> str:
     config digests, or when manifest.json does not record a finished run of
     the same config, so a failed rerun cannot pass off stale metrics.
     """
+    manifest = pipeline.read_manifest(outdir)
+    if manifest is not None and manifest.get("status") != "ok":
+        raise ValueError(f"last run in {outdir} did not finish: manifest status "
+                         f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
     paths = sorted(glob.glob(os.path.join(outdir, "metrics_*.json")))
     if not paths:
         raise ValueError(f"no metrics artifacts (metrics_*.json) in {outdir}")
@@ -86,14 +90,8 @@ def render_report(outdir: str) -> str:
     if len(digests) > 1:
         raise ValueError(f"refusing to merge artifacts with mismatched config digests: {sorted(digests)}")
     (digest,) = digests
-    manifest_path = os.path.join(outdir, "manifest.json")
-    if not os.path.exists(manifest_path):
+    if manifest is None:
         raise ValueError(f"no manifest.json in {outdir}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("status") != "ok":
-        raise ValueError(f"last run in {outdir} did not finish: manifest status "
-                         f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
     if manifest.get("config_digest") != digest:
         raise ValueError(f"stale metrics in {outdir}: digest {digest} "
                          f"but manifest.json names {manifest.get('config_digest')}")

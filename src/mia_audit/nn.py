@@ -4,8 +4,8 @@ Hidden layers use tanh (keeps finite-difference gradient checks
 well-conditioned); the output layer is identity, with softmax applied inside
 the loss. Training is plain SGD with momentum, L2 weight decay added to the
 gradient, an optional per-step cosine learning-rate schedule annealing to
-zero, and an optional differentially-private step (per-example clipping plus
-Gaussian noise).
+zero, and an optional differentially-private step (per-example clipping by
+ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 """
 
 from __future__ import annotations
@@ -232,8 +232,35 @@ def _output_delta(model, acts, y, loss: str) -> tuple[np.ndarray, float]:
     return delta, mean_loss
 
 
-def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce"):
+def _layer_errors(model: MLPClassifier, acts: list[np.ndarray], delta: np.ndarray):
+    """Yield (l, error at layer l's output), last layer first: the one backprop recurrence."""
+    for l in range(len(model.weights) - 1, -1, -1):
+        yield l, delta
+        if l > 0:
+            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+
+
+def _sq_norms(model: MLPClassifier, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row's full gradient, from output errors `delta`.
+
+    Uses ||outer(d, a)||_F^2 = |d|^2 |a|^2 per layer (plus |d|^2 for the
+    bias), so nothing is materialized per example.
+    """
+    norms = np.zeros(delta.shape[0])
+    for l, d in _layer_errors(model, acts, delta):
+        d2 = (d**2).sum(axis=1)
+        norms += d2 * (acts[l] ** 2).sum(axis=1) + d2
+    return norms
+
+
+def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce",
+             clip_norm: float | None = None):
     """Mean-over-batch gradients of the loss w.r.t. every parameter.
+
+    With clip_norm set, each example's gradient is first rescaled to L2 norm
+    at most clip_norm (the DP-SGD clipped mean) by ghost clipping: norms from
+    _sq_norms, then one ordinary pass on reweighted output errors. An example
+    within the bound keeps its gradient bit for bit.
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
@@ -245,52 +272,27 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
         raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     acts = _forward_cached(model, batch)
     delta, mean_loss = _output_delta(model, acts, y, loss)
+    if clip_norm is not None:
+        if not clip_norm > 0:
+            raise ValueError("clip_norm must be positive")
+        norms = np.sqrt(_sq_norms(model, acts, delta))
+        delta = delta * (clip_norm / np.maximum(norms, clip_norm))[:, None]
     delta = delta / batch.shape[0]
     grads: list[np.ndarray] = []
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads.append(delta.sum(axis=0))            # bias
-        grads.append(delta.T @ acts[l])            # weight
-        if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
-    grads.reverse()
-    return grads, mean_loss
-
-
-def per_example_gradients(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce"):
-    """Per-example gradients stacked on a leading batch axis, plus the mean loss."""
-    batch, _ = _as_batch(model, np.atleast_2d(x))
-    y = np.atleast_1d(np.asarray(y))
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    acts = _forward_cached(model, batch)
-    delta, mean_loss = _output_delta(model, acts, y, loss)
-    grads: list[np.ndarray] = []
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads.append(delta.copy())                               # bias, (n, out)
-        grads.append(np.einsum("no,ni->noi", delta, acts[l]))    # weight, (n, out, in)
-        if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+    for l, d in _layer_errors(model, acts, delta):
+        grads.append(d.sum(axis=0))                # bias
+        grads.append(d.T @ acts[l])                # weight
     grads.reverse()
     return grads, mean_loss
 
 
 def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of each sample's full cross-entropy gradient.
-
-    Uses ||outer(d, a)||_F^2 = |d|^2 |a|^2 per layer, so nothing is
-    materialized per example.
-    """
+    """Squared L2 norm of each sample's full cross-entropy gradient."""
     batch, _ = _as_batch(model, np.atleast_2d(x))
     y = np.atleast_1d(np.asarray(y))
     acts = _forward_cached(model, batch)
     delta, _ = _output_delta(model, acts, y, "ce")
-    norms = np.zeros(batch.shape[0])
-    for l in range(len(model.weights) - 1, -1, -1):
-        d2 = (delta**2).sum(axis=1)
-        norms += d2 * (acts[l] ** 2).sum(axis=1) + d2
-        if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
-    return norms
+    return _sq_norms(model, acts, delta)
 
 
 def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:
@@ -331,36 +333,20 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
     return model.with_parameters(new_params), new_velocity
 
 
-def clip_per_example(per_grads: list[np.ndarray], clip_norm: float) -> list[np.ndarray]:
-    """Rescale each example's flattened gradient to norm at most clip_norm."""
-    n = per_grads[0].shape[0]
-    sq = np.zeros(n)
-    for g in per_grads:
-        sq += (g.reshape(n, -1) ** 2).sum(axis=1)
-    norms = np.sqrt(sq)
-    scale = np.where(norms > clip_norm, np.divide(clip_norm, norms, out=np.ones(n), where=norms > 0), 1.0)
-    return [g * scale.reshape((n,) + (1,) * (g.ndim - 1)) for g in per_grads]
-
-
-def dp_sgd_step(model, per_grads, config: TrainingConfig, rng: np.random.Generator,
-                velocity=None, step: int = 0, total_steps: int = 1):
-    """Clip per-example gradients, average, add Gaussian noise, then update.
+def dp_noise(gradients: list[np.ndarray], config: TrainingConfig, batch_size: int,
+             rng: np.random.Generator) -> list[np.ndarray]:
+    """Add DP-SGD Gaussian noise to an already-clipped mean gradient.
 
     Noise has per-coordinate standard deviation noise_multiplier * clip_norm /
-    batch_size. With noise_multiplier 0 and no clipping active this reduces
-    exactly to sgd_step on the mean gradient (no rng draw is made).
+    batch_size, drawn parameter by parameter in parameters() order. With
+    noise_multiplier 0 the gradients come back unchanged and no rng draw is made.
     """
     if config.dp is None:
-        raise ValueError("dp_sgd_step requires a TrainingConfig with dp set")
-    if per_grads[0].shape[0] == 0:
-        raise ValueError("empty batch")
-    n = per_grads[0].shape[0]
-    clipped = clip_per_example(per_grads, config.dp.clip_norm)
-    mean = [g.mean(axis=0) for g in clipped]
-    if config.dp.noise_multiplier > 0:
-        std = config.dp.noise_multiplier * config.dp.clip_norm / n
-        mean = [g + rng.normal(0.0, std, size=g.shape) for g in mean]
-    return sgd_step(model, mean, config, velocity, step, total_steps)
+        raise ValueError("dp_noise requires a TrainingConfig with dp set")
+    if config.dp.noise_multiplier == 0:
+        return gradients
+    std = config.dp.noise_multiplier * config.dp.clip_norm / batch_size
+    return [g + rng.normal(0.0, std, size=g.shape) for g in gradients]
 
 
 def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
@@ -383,6 +369,7 @@ def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
     total_steps = config.epochs * steps_per_epoch
     shuffle_rng = derive_rng(config.seed, "batch-order")
     noise_rng = derive_rng(config.seed, "dp-noise") if config.dp is not None else None
+    clip_norm = config.dp.clip_norm if config.dp is not None else None
     velocity = zero_velocity(model)
     history: list[float] = []
     step = 0
@@ -392,13 +379,10 @@ def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             bx, by = x[idx], y[idx]
+            grads, batch_loss = backward(model, bx, by, loss, clip_norm)
             if config.dp is not None:
-                per_grads, batch_loss = per_example_gradients(model, bx, by, loss)
-                model, velocity = dp_sgd_step(model, per_grads, config, noise_rng,
-                                              velocity, step, total_steps)
-            else:
-                grads, batch_loss = backward(model, bx, by, loss)
-                model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
+                grads = dp_noise(grads, config, len(idx), noise_rng)
+            model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
             epoch_loss += batch_loss * len(idx)
             step += 1
         history.append(epoch_loss / n)

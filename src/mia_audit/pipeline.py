@@ -278,9 +278,27 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     return written
 
 
+def read_manifest(outdir) -> dict | None:
+    """The manifest.json of a run directory, or None when there is none."""
+    path = os.path.join(outdir, "manifest.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def mark_failed(outdir, digest: str, error: str) -> None:
-    """Leave a clearly-marked manifest when a stage fails after partial output."""
+    """Leave a clearly-marked manifest when a stage fails after partial output,
+    first deleting the artifacts the previous manifest lists (no other file)."""
     os.makedirs(outdir, exist_ok=True)
+    try:
+        listed = (read_manifest(outdir) or {}).get("artifacts", [])
+    except ValueError:  # a truncated manifest lists nothing
+        listed = []
+    for name in listed:
+        path = os.path.join(outdir, name)
+        if name != "manifest.json" and os.path.basename(name) == name and os.path.isfile(path):
+            os.remove(path)
     _write_json(os.path.join(outdir, "manifest.json"), {
         "config_digest": digest,
         "status": "failed",

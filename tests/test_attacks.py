@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from mia_audit import (AttackOutput, GaussianFit, GaussianPair, ScoreTable,
-                       ScoringModel, TrainingConfig, attack_calibration,
-                       attack_lira_offline, attack_loss, attack_rapid,
-                       attack_shortcut_lira, calibrate, fit_gaussian,
+                       ScoringModel, TrainingConfig, attack_calibration, attack_loss,
+                       attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
                        gaussian_difference, roc, train_scoring_model)
-from mia_audit.attacks import VARIANCE_FLOOR, lira_offline_scores
+from mia_audit.attacks import VARIANCE_FLOOR, attack_lira_offline, lira_offline_scores
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 

@@ -385,6 +385,7 @@ class TestCli:
         assert "'failed'" in captured.err
         with pytest.raises(ValueError, match="did not finish"):
             render_report(outdir)
+        assert not list((tmp_path / "out").glob("metrics_*.json"))
 
     def test_report_refuses_metrics_of_another_config(self, tmp_path):
         outdir = tmp_path / "out"
@@ -424,6 +425,27 @@ class TestCli:
         assert lines[1] == "axis,value,seed,metric,result"
         # 2 values x 2 seeds x 1 attack x 3 metrics (auc, bal, one fpr level)
         assert len(lines) == 2 + 2 * 2 * 3
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--values"])
+    def test_sweep_non_integer_list_names_flag(self, tmp_path, capsys, flag):
+        args = {"--values": "1", "--seeds": "1", flag: "a"}
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", self.write_config(tmp_path), "--axis", "num_queries",
+                     *(t for kv in args.items() for t in kv), "-o", str(outdir)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_failed_rerun_removes_only_listed_artifacts(self, tmp_path):
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert len(listed) > 10
+        (outdir / "notes.txt").write_text("kept")
+        missing = SAMPLE_INI.replace("source = synthetic",
+                                     f"source = csv\npath = {tmp_path / 'missing.csv'}")
+        assert main(["run", self.write_config(tmp_path, missing), "-o", str(outdir)]) == 1
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "notes.txt"]
+        assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
 
     def test_gen_data_round_trips(self, tmp_path):
         from mia_audit import load_csv

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mia_audit import (balanced_accuracy, best_balanced_accuracy, calibrate_threshold,
-                       compute_metrics, loss_bucket_report, roc, run_security_game,
-                       tpr_at_fpr)
-from mia_audit.evaluation import SWEEP_AXES, bucket_of_loss, sweep
+from mia_audit import (balanced_accuracy, best_balanced_accuracy, compute_metrics,
+                       loss_bucket_report, roc, run_security_game, tpr_at_fpr)
+from mia_audit.evaluation import SWEEP_AXES, bucket_of_loss, calibrate_threshold, sweep
 from mia_audit.seeding import derive_rng
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from mia_audit import (DPConfig, DistributionSpec, MLPClassifier, TrainingConfig,
-                       accuracy, backward, cross_entropy, derive_seed, dp_sgd_step,
-                       forward, generate_synthetic, init_classifier,
-                       per_example_gradients, sgd_step, softmax, train)
-from mia_audit.nn import per_sample_loss, schedule_lr
+                       accuracy, backward, cross_entropy, derive_seed, forward,
+                       generate_synthetic, init_classifier, sgd_step, softmax, train)
+from mia_audit.nn import _forward_cached, _output_delta, dp_noise, per_sample_loss, schedule_lr
 from mia_audit.seeding import derive_rng
 
 # -log(e^3 / (e^1 + e^2 + e^3)), frozen from a 50-digit mpmath evaluation
@@ -30,6 +29,32 @@ def finite_difference_grads(model, x, y, step=1e-5):
             flat[j] /= 2 * step
         grads.append(g)
     return grads
+
+
+def per_example_gradients(model, x, y, loss="ce"):
+    """Reference: every example's gradient materialized by einsum, (n, out, in) per weight."""
+    acts = _forward_cached(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    delta, mean_loss = _output_delta(model, acts, np.atleast_1d(y), loss)
+    grads = []
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads.append(delta.copy())                               # bias, (n, out)
+        grads.append(np.einsum("no,ni->noi", delta, acts[l]))    # weight, (n, out, in)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+    grads.reverse()
+    return grads, mean_loss
+
+
+def per_example_norms(per_grads):
+    n = per_grads[0].shape[0]
+    return np.sqrt(sum((g.reshape(n, -1) ** 2).sum(axis=1) for g in per_grads))
+
+
+def clipped_mean_reference(per_grads, clip_norm):
+    """Mean of per-example gradients, each rescaled to norm at most clip_norm."""
+    norms = per_example_norms(per_grads)
+    scale = np.where(norms > clip_norm, clip_norm / np.maximum(norms, 1e-300), 1.0)
+    return [(g * scale.reshape((-1,) + (1,) * (g.ndim - 1))).mean(axis=0) for g in per_grads]
 
 
 def random_model(rng, sizes):
@@ -225,46 +250,73 @@ class TestDpSgdStep:
         return TrainingConfig(**defaults)
 
     def test_clipping_rescales_to_norm(self):
-        model = init_classifier([2, 1], 0)
-        # single example with gradient norm 20 against clip 10
-        per = [np.array([[[12.0, 16.0]]]), np.zeros((1, 1))]
-        cfg = self.cfg(clip=10.0, learning_rate=1.0)
-        updated, _ = dp_sgd_step(model, per, cfg, derive_rng(0))
-        step_taken = model.weights[0] - updated.weights[0]
-        assert np.linalg.norm(step_taken) == pytest.approx(10.0, abs=1e-12)
-        assert np.allclose(step_taken, [[6.0, 8.0]])
+        # zero bce model: output error 0.5, gradient 0.5 * (x, 1) with |(x, 1)| = 5
+        model = init_classifier([3, 1], 0).with_parameters([np.zeros((1, 3)), np.zeros(1)])
+        x, y = np.array([[2.0, 2.0, 4.0]]), np.array([0])
+        grads, _ = backward(model, x, y, "bce", clip_norm=1.0)
+        norm = math.sqrt(sum(float((g**2).sum()) for g in grads))
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(grads[0], [[0.4, 0.4, 0.8]], atol=1e-12)
+        assert np.allclose(grads[1], [0.2], atol=1e-12)
 
-    def test_sigma_zero_degenerates_to_sgd_bitwise(self):
+    @pytest.mark.parametrize("sizes,loss", [([3, 4, 2], "ce"), ([4, 6, 5, 3], "ce"),
+                                            ([16, 32, 2], "ce"), ([2, 64, 64, 64, 1], "bce")])
+    def test_clipped_mean_matches_per_example_reference(self, sizes, loss):
+        rng = np.random.default_rng(sum(sizes))
+        model = random_model(rng, sizes)
+        x = rng.normal(size=(16, sizes[0]))
+        y = rng.integers(0, max(sizes[-1], 2), size=16)
+        per_grads, _ = per_example_gradients(model, x, y, loss)
+        norms = per_example_norms(per_grads)
+        for clip in (norms.min() / 2, float(np.median(norms)), norms.max() * 2):
+            expected = clipped_mean_reference(per_grads, clip)
+            grads, _ = backward(model, x, y, loss, clip_norm=clip)
+            for g, e in zip(grads, expected):
+                assert g.shape == e.shape
+                assert np.max(np.abs(g - e)) < 1e-12
+
+    @pytest.mark.parametrize("loss", ["ce", "bce"])
+    def test_clip_above_every_norm_is_plain_backward_bitwise(self, loss):
         rng = np.random.default_rng(3)
-        model = random_model(rng, [3, 4, 2])
+        sizes = [3, 4, 2] if loss == "ce" else [3, 4, 1]
+        model = random_model(rng, sizes)
         x = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, size=8)
-        per_grads, _ = per_example_gradients(model, x, y)
-        cfg = self.cfg(clip=1e6, sigma=0.0, momentum=0.9)
-        a, _ = dp_sgd_step(model, per_grads, cfg, derive_rng(0))
-        mean_grads = [g.mean(axis=0) for g in per_grads]
-        b, _ = sgd_step(model, mean_grads, cfg)
-        for wa, wb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(wa, wb)
+        per_grads, _ = per_example_gradients(model, x, y, loss)
+        plain, plain_loss = backward(model, x, y, loss)
+        for clip in (float(per_example_norms(per_grads).max()) * (1 + 1e-9), 1e6):
+            clipped, clipped_loss = backward(model, x, y, loss, clip_norm=clip)
+            assert clipped_loss == plain_loss
+            for a, b in zip(clipped, plain):
+                assert np.array_equal(a, b)
+
+    def test_nonpositive_clip_norm_rejected(self):
+        model = init_classifier([2, 2], 0)
+        with pytest.raises(ValueError):
+            backward(model, np.zeros((1, 2)), np.array([0]), clip_norm=0.0)
 
     def test_noise_std_matches_monte_carlo(self):
         # sigma=0.1, C=10, |B|=32 -> per-coordinate update-noise std 0.03125
         model = init_classifier([5, 5], 0)
         cfg = self.cfg(clip=10.0, sigma=0.1, learning_rate=1.0)
-        per = [np.zeros((32, 5, 5)), np.zeros((32, 5))]
+        zero = [np.zeros((5, 5)), np.zeros(5)]
         rng = derive_rng(123)
         draws = []
         for _ in range(10000 // 25):  # 400 steps x 25 weight coords
-            updated, _ = dp_sgd_step(model, per, cfg, rng)
+            updated, _ = sgd_step(model, dp_noise(zero, cfg, 32, rng), cfg)
             draws.append((model.weights[0] - updated.weights[0]).reshape(-1))
         std = float(np.std(np.concatenate(draws)))
         assert std == pytest.approx(0.03125, rel=0.05)
 
+    def test_sigma_zero_draws_no_noise(self):
+        grads = [np.ones((2, 2)), np.ones(2)]
+        rng = derive_rng(0)
+        assert dp_noise(grads, self.cfg(sigma=0.0), 8, rng) is grads
+        assert rng.normal() == derive_rng(0).normal()
+
     def test_missing_dp_config_rejected(self):
-        model = init_classifier([2, 2], 0)
-        per = [np.zeros((1, 2, 2)), np.zeros((1, 2))]
         with pytest.raises(ValueError):
-            dp_sgd_step(model, per, TrainingConfig(), derive_rng(0))
+            dp_noise([np.zeros((2, 2)), np.zeros(2)], TrainingConfig(), 1, derive_rng(0))
 
 
 class TestTrain:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mia_audit import (DistributionSpec, QueryConfig, ScoreTable, SignalKind,
-                       TrainingConfig, averaged_signal, build_score_table,
-                       generate_synthetic, init_classifier, signal, train)
-from mia_audit.signals import signal_batch
+                       TrainingConfig, generate_synthetic, init_classifier, train)
+from mia_audit.signals import averaged_signal, build_score_table, signal, signal_batch
+from test_nn import per_example_gradients, per_example_norms
 
 LN2 = 0.6931471805599453
 
@@ -45,16 +45,14 @@ class TestSignal:
         assert converged > untrained  # scores are negated norms: higher = member-like
 
     def test_gradnorm_matches_explicit_per_example_gradient(self):
-        from mia_audit import per_example_gradients
         rng = np.random.default_rng(3)
         model = init_classifier([3, 5, 2], 4)
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4)
         scores = signal_batch(model, x, y, SignalKind.GRADNORM)
-        per, _ = per_example_gradients(model, x, y)
+        norms = per_example_norms(per_example_gradients(model, x, y)[0])
         for i in range(4):
-            norm = np.sqrt(sum(float((g[i] ** 2).sum()) for g in per))
-            assert -scores[i] == pytest.approx(norm, rel=1e-9)
+            assert -scores[i] == pytest.approx(norms[i], rel=1e-9)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
