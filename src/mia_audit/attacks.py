@@ -17,9 +17,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import nn
+from .dataset import read_rows, write_columns
 from .signals import ScoreTable
 
 VARIANCE_FLOOR = 1e-8
+SCORES_HEADER = ("id", "score")
 
 SCORING_HIDDEN_SIZES = (64, 64, 64)
 
@@ -59,12 +61,7 @@ class AttackOutput:
         if ids is None:
             ids = list(range(len(self.scores)))
         digest = self.config_digest if config_digest is None else config_digest
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest={digest}\n")
-            fh.write("id,score\n")
-            for i, s in zip(ids, self.scores):
-                fh.write(f"{i},{repr(float(s))}\n")
+        write_columns(path, SCORES_HEADER, [ids, self.scores], digest or None)
 
     def sidecar(self, seed: int) -> str:
         return json.dumps(
@@ -75,18 +72,8 @@ class AttackOutput:
 
 def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """(ids, scores) from an attack-output CSV, skipping digest comments."""
-    ids: list[str] = []
-    scores: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    header, *rows = [ln.rstrip("\n") for ln in lines]
-    if header != "id,score":
-        raise ValueError(f"{path}: unexpected header {header!r}")
-    for row in rows:
-        i, s = row.split(",", 1)
-        ids.append(i)
-        scores.append(float(s))
-    return ids, np.array(scores)
+    rows = read_rows(path, SCORES_HEADER)
+    return [r[0] for r in rows], np.array([float(r[1]) for r in rows])
 
 
 def fit_gaussian(samples) -> GaussianFit:

@@ -46,13 +46,15 @@ def cmd_sweep(args) -> int:
     else:
         values = _parse_ints(f"--values: axis {args.axis}", args.values)
     seeds = _parse_ints("--seeds:", args.seeds) if args.seeds else None
+    path = os.path.join(args.output, "sweep.csv")
     try:
         result = evaluation.sweep(cfg, args.axis, values, seeds=seeds)
     except Exception as exc:
+        if os.path.isfile(path):  # an earlier config's table must not outlive this failure
+            os.remove(path)
         print(f"error: sweep failed: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "sweep.csv")
     result.write_csv(path, cfg.digest())
     print(f"wrote {path} ({len(result.rows)} rows, config {cfg.digest()})")
     return 0

@@ -198,11 +198,54 @@ def load_csv(path) -> TabularDataset:
 
 def write_csv(path, dataset: TabularDataset) -> None:
     """Emit a dataset in the load_csv format with round-trip float formatting."""
+    header = [f"x{i}" for i in range(dataset.feature_dim)] + ["label"]
+    write_columns(path, header, [*dataset.features.T, dataset.labels])
+
+
+def write_columns(path, header, columns, config_digest: str | None = None) -> None:
+    """Write the one CSV format of every file this package emits.
+
+    An optional comment line naming the config digest, the header, then one
+    row per index of the equal-length columns, LF line endings. A float column
+    is rendered in round-trip repr, once per column; any other cell as str,
+    which must not hold a comma, a quote or a line break.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: {len(columns)} columns for header {list(header)}")
+    cells = []
+    for name, column in zip(header, columns):
+        column = np.asarray(column)
+        is_float = column.dtype.kind == "f"
+        rendered = list(map(repr if is_float else str, column.tolist()))
+        joined = "" if is_float else "".join(rendered)
+        if any(c in joined for c in ',"\r\n'):
+            raise ValueError(f"{path}: column {name!r} holds a comma, quote or line break")
+        cells.append(rendered)
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"{path}: columns differ in length: {[len(c) for c in cells]}")
+    lines = [] if config_digest is None else [f"# config_digest={config_digest}"]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.feature_dim)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_rows(path, header) -> list[list[str]]:
+    """Data rows of a CSV in the write_columns format, skipping `#` lines.
+
+    Raises ValueError naming the path when the header is missing or differs
+    from `header`, or when a row's cell count differs from the header's.
+    """
+    header = list(header)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    if not rows or rows[0] != header:
+        found = rows[0] if rows else "none"
+        raise ValueError(f"{path}: unexpected header {found}, expected {header}")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
+    return rows[1:]
 
 
 @dataclass(frozen=True)

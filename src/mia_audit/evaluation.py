@@ -8,14 +8,16 @@ not exceed the target and report the achieved FPR next to it).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import read_rows, write_columns
 from .seeding import derive_rng
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
+ROC_HEADER = ("threshold", "fpr", "tpr")
+BUCKET_HEADER = ("bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
 
 
 @dataclass(frozen=True)
@@ -40,32 +42,14 @@ class RocCurve:
             raise ValueError(f"auc out of range: {self.auc}")
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_digest is not None:
-                fh.write(f"# config_digest={config_digest}\n")
-            fh.write("threshold,fpr,tpr\n")
-            for t, f, tp in zip(self.thresholds, self.fpr, self.tpr):
-                fh.write(f"{repr(float(t))},{repr(float(f))},{repr(float(tp))}\n")
+        write_columns(path, ROC_HEADER, [self.thresholds, self.fpr, self.tpr], config_digest)
 
     @classmethod
     def from_csv(cls, path) -> "RocCurve":
-        rows = _read_csv_rows(path, ["threshold", "fpr", "tpr"])
-        thresholds = np.array([float(r[0]) for r in rows])
-        fpr = np.array([float(r[1]) for r in rows])
-        tpr = np.array([float(r[2]) for r in rows])
+        rows = read_rows(path, ROC_HEADER)
+        thresholds, fpr, tpr = np.array(rows, dtype=np.float64).reshape(-1, 3).T
         auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
         return cls(thresholds, fpr, tpr, auc)
-
-
-def _read_csv_rows(path, expected_header: list[str]) -> list[list[str]]:
-    """Rows of one of this package's CSV artifacts, skipping digest comments."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    if header != expected_header:
-        raise ValueError(f"{path}: unexpected header {header}, expected {expected_header}")
-    return list(reader)
 
 
 def _check_classes(scores, is_member):
@@ -214,17 +198,14 @@ class LossBucketReport:
     buckets: tuple[LossBucket, ...]
 
     def _write(self, path, which: str, config_digest: str | None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_digest is not None:
-                fh.write(f"# config_digest={config_digest}\n")
-            fh.write("bucket,bin_lo,bin_hi,member_count,nonmember_count\n")
-            for bucket in self.buckets:
-                hist = getattr(bucket, which)
-                for k in range(len(hist.member_counts)):
-                    fh.write(
-                        f"{bucket.name},{repr(float(hist.edges[k]))},{repr(float(hist.edges[k + 1]))},"
-                        f"{int(hist.member_counts[k])},{int(hist.nonmember_counts[k])}\n"
-                    )
+        hists = [getattr(bucket, which) for bucket in self.buckets]
+        write_columns(path, BUCKET_HEADER, [
+            [b.name for b, h in zip(self.buckets, hists) for _ in h.member_counts],
+            np.concatenate([h.edges[:-1] for h in hists]),
+            np.concatenate([h.edges[1:] for h in hists]),
+            np.concatenate([h.member_counts for h in hists]),
+            np.concatenate([h.nonmember_counts for h in hists]),
+        ], config_digest)
 
     def write_raw_csv(self, path, config_digest=None) -> None:
         self._write(path, "raw_hist", config_digest)
@@ -235,7 +216,7 @@ class LossBucketReport:
 
 def read_bucket_csv(path) -> list[dict]:
     """Rows of a loss-bucket histogram CSV as dicts."""
-    rows = _read_csv_rows(path, ["bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count"])
+    rows = read_rows(path, BUCKET_HEADER)
     return [{"bucket": r[0], "bin_lo": float(r[1]), "bin_hi": float(r[2]),
              "member_count": int(r[3]), "nonmember_count": int(r[4])} for r in rows]
 
@@ -342,14 +323,9 @@ class SweepResult:
     rows: tuple[dict, ...]  # keys: axis, value, seed, metric, result
 
     def write_csv(self, path, config_digest: str | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_digest is not None:
-                fh.write(f"# config_digest={config_digest}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["axis", "value", "seed", "metric", "result"])
-            for row in self.rows:
-                writer.writerow([row["axis"], row["value"], row["seed"],
-                                 row["metric"], repr(float(row["result"]))])
+        header = ("axis", "value", "seed", "metric", "result")
+        write_columns(path, header, [[row[key] for row in self.rows] for key in header],
+                      config_digest)
 
     def metric_by_value(self, metric: str) -> dict:
         """value -> mean of a metric over seeds."""

@@ -10,14 +10,16 @@ particular model parameters.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .dataset import read_rows, write_columns
 from .seeding import derive_rng
+
+SCORE_TABLE_HEADER = ("id", "is_member", "raw", "calibrated")
 
 
 class SignalKind(str, enum.Enum):
@@ -139,12 +141,13 @@ class ScoreTable:
             raise ValueError("sample ids must be unique")
         self.is_member = np.asarray(self.is_member, dtype=bool)
         self.raw = np.asarray(self.raw, dtype=np.float64)
+        if self.calibrated is not None:
+            self.calibrated = np.asarray(self.calibrated, dtype=np.float64)
         n = len(self.ids)
         for name in ("is_member", "raw", "calibrated"):
             col = getattr(self, name)
             if col is None:
                 continue
-            col = np.asarray(col)
             if col.shape != (n,):
                 raise ValueError(f"{name} has shape {col.shape}, expected ({n},)")
             if col.dtype.kind == "f" and not np.isfinite(col).all():
@@ -158,44 +161,22 @@ class ScoreTable:
             ids=self.ids,
             is_member=self.is_member,
             raw=self.raw,
-            calibrated=self.calibrated if calibrated is None else np.asarray(calibrated, dtype=np.float64),
+            calibrated=self.calibrated if calibrated is None else calibrated,
         )
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
         """Columns id,is_member,raw,calibrated; empty cells when calibrated is absent."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if config_digest is not None:
-                fh.write(f"# config_digest={config_digest}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["id", "is_member", "raw", "calibrated"])
-            for i in range(len(self.ids)):
-                writer.writerow([
-                    self.ids[i],
-                    int(self.is_member[i]),
-                    repr(float(self.raw[i])),
-                    "" if self.calibrated is None else repr(float(self.calibrated[i])),
-                ])
+        calibrated = [""] * len(self) if self.calibrated is None else self.calibrated
+        columns = [self.ids, self.is_member.astype(np.int64), self.raw, calibrated]
+        write_columns(path, SCORE_TABLE_HEADER, columns, config_digest)
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        ids, member, raw, calibrated = [], [], [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        reader = csv.reader(lines)
-        header = next(reader)
-        if header != ["id", "is_member", "raw", "calibrated"]:
-            raise ValueError(f"{path}: unexpected score table header {header}")
-        for record in reader:
-            ids.append(record[0])
-            member.append(bool(int(record[1])))
-            raw.append(float(record[2]))
-            calibrated.append(float(record[3]) if record[3] else None)
-        return cls(
-            ids=ids,
-            is_member=np.array(member),
-            raw=np.array(raw),
-            calibrated=None if any(v is None for v in calibrated) else np.array(calibrated),
-        )
+        rows = read_rows(path, SCORE_TABLE_HEADER)
+        calibrated = [r[3] for r in rows]
+        return cls(ids=[r[0] for r in rows], is_member=[int(r[1]) for r in rows],
+                   raw=[float(r[2]) for r in rows],
+                   calibrated=None if "" in calibrated else [float(v) for v in calibrated])
 
 
 def build_score_table(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,

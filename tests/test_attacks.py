@@ -5,7 +5,8 @@ from mia_audit import (AttackOutput, GaussianFit, GaussianPair, ScoreTable,
                        ScoringModel, TrainingConfig, attack_calibration, attack_loss,
                        attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
                        gaussian_difference, roc, train_scoring_model)
-from mia_audit.attacks import VARIANCE_FLOOR, attack_lira_offline, lira_offline_scores
+from mia_audit.attacks import (VARIANCE_FLOOR, attack_lira_offline, lira_offline_scores,
+                               read_attack_scores_csv)
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 
@@ -327,6 +328,9 @@ class TestAttackOutput:
         text = path.read_text()
         assert "# config_digest=abc123" in text
         assert "s1,-0.5" in text
+        ids, scores = read_attack_scores_csv(path)
+        assert ids == ["s1", "s2"]
+        assert np.array_equal(scores, out.scores)
         sidecar = out.sidecar(seed=7)
         assert '"attack": "loss"' in sidecar
         assert '"seed": 7' in sidecar

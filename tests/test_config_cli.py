@@ -313,6 +313,7 @@ class TestArtifacts:
             text = (outdir / name).read_text()
             if name.endswith(".csv"):
                 assert text.startswith(f"# config_digest={result.digest}")
+                assert b"\r" not in (outdir / name).read_bytes(), name
             else:
                 assert result.digest in text
 
@@ -423,8 +424,22 @@ class TestCli:
                      "--seeds", "1,2", "-o", str(outdir)]) == 0
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert lines[1] == "axis,value,seed,metric,result"
+        assert b"\r" not in (outdir / "sweep.csv").read_bytes()
         # 2 values x 2 seeds x 1 attack x 3 metrics (auc, bal, one fpr level)
         assert len(lines) == 2 + 2 * 2 * 3
+
+    def test_failed_sweep_removes_stale_sweep_csv(self, tmp_path, capsys):
+        outdir = tmp_path / "sweep"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("kept")
+        args = ["--axis", "num_queries", "--values", "1", "-o", str(outdir)]
+        assert main(["sweep", self.write_config(tmp_path), *args]) == 0
+        assert (outdir / "sweep.csv").exists()
+        missing = SAMPLE_INI.replace("source = synthetic",
+                                     f"source = csv\npath = {tmp_path / 'missing.csv'}")
+        assert main(["sweep", self.write_config(tmp_path, missing), *args]) == 1
+        assert "sweep failed" in capsys.readouterr().err
+        assert sorted(p.name for p in outdir.iterdir()) == ["notes.txt"]
 
     @pytest.mark.parametrize("flag", ["--seeds", "--values"])
     def test_sweep_non_integer_list_names_flag(self, tmp_path, capsys, flag):
@@ -452,6 +467,7 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         out = tmp_path / "data.csv"
         assert main(["gen-data", cfg, "-o", str(out)]) == 0
+        assert b"\r" not in out.read_bytes()
         ds = load_csv(out)
         assert len(ds) == 300
         assert ds.num_classes == 2

@@ -5,6 +5,7 @@ from mia_audit import (CsvParseError, DistributionSpec, SplitPlan, TabularDatase
                        TrainingConfig, accuracy, generate_synthetic, load_csv,
                        make_split, random_means, sample_reference_subset, train,
                        write_csv)
+from mia_audit.dataset import read_rows, write_columns
 
 
 def two_class_spec(seed=7, cov=0.5):
@@ -112,6 +113,36 @@ class TestLoadCsv(object):
         loaded = load_csv(path)
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+
+
+class TestCsvFormat:
+    def test_columns_round_trip_bit_exact_with_lf_lines(self, tmp_path):
+        floats = np.array([0.1, -0.0, 1e-300, np.inf, -np.inf, 2.0 / 3.0])
+        path = tmp_path / "t.csv"
+        write_columns(path, ("id", "x"), [["a", 7, "c", 8, "e", 9], floats], "d1")
+        data = path.read_bytes()
+        assert data.startswith(b"# config_digest=d1\nid,x\na,0.1\n")
+        assert b"\r" not in data
+        rows = read_rows(path, ("id", "x"))
+        assert [r[0] for r in rows] == ["a", "7", "c", "8", "e", "9"]
+        back = np.array([float(r[1]) for r in rows])
+        assert np.array_equal(back, floats)
+        assert np.array_equal(np.signbit(back), np.signbit(floats))
+
+    @pytest.mark.parametrize("columns, match", [
+        ([["a,b"], [1.0]], "comma"),
+        ([["a"], [1.0, 2.0]], "differ in length"),
+        ([["a"]], "1 columns"),
+    ], ids=["separator_in_cell", "ragged", "missing_column"])
+    def test_writer_rejects_what_the_format_cannot_hold(self, tmp_path, columns, match):
+        with pytest.raises(ValueError, match=match):
+            write_columns(tmp_path / "t.csv", ("id", "x"), columns)
+
+    def test_reader_rejects_short_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,x\na,1.0\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="data row 2 has 1 cells"):
+            read_rows(path, ("id", "x"))
 
 
 class TestMakeSplit:

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from mia_audit import (balanced_accuracy, best_balanced_accuracy, compute_metrics,
                        loss_bucket_report, roc, run_security_game, tpr_at_fpr)
-from mia_audit.evaluation import SWEEP_AXES, bucket_of_loss, calibrate_threshold, sweep
+from mia_audit.attacks import read_attack_scores_csv
+from mia_audit.evaluation import (SWEEP_AXES, RocCurve, bucket_of_loss, calibrate_threshold,
+                                  read_bucket_csv, sweep)
 from mia_audit.seeding import derive_rng
+from mia_audit.signals import ScoreTable
 
 
 def mann_whitney_auc(scores, is_member):
@@ -77,6 +82,18 @@ class TestRoc:
         assert lines[0] == "# config_digest=cafe"
         assert lines[1] == "threshold,fpr,tpr"
         assert len(lines) == 2 + len(curve.thresholds)
+
+
+@pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv,
+                                    read_attack_scores_csv, read_bucket_csv],
+                         ids=["roc", "score_table", "attack_scores", "buckets"])
+@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n"],
+                         ids=["empty", "digest_only", "wrong_header"])
+def test_csv_loaders_reject_truncated_or_foreign_files(tmp_path, loader, text):
+    path = tmp_path / "artifact.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        loader(path)
 
 
 class TestTprAtFpr:

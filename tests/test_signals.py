@@ -181,3 +181,10 @@ class TestScoreTable:
         table.to_csv(path)
         back = ScoreTable.from_csv(path)
         assert np.array_equal(back.calibrated, table.calibrated)
+
+    def test_list_calibrated_becomes_float64_array(self):
+        table = ScoreTable(ids=[0, 1], is_member=[True, False], raw=[-0.1, -2.0],
+                           calibrated=[0.4, -1.5])
+        assert isinstance(table.calibrated, np.ndarray)
+        assert table.calibrated.dtype == np.float64
+        assert np.array_equal(table.with_columns(calibrated=[1, 2]).calibrated, [1.0, 2.0])
