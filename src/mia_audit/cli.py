@@ -19,8 +19,18 @@ from .config import KNOWN_ATTACKS, ConfigError, SyntheticSource, load_config
 from .dataset import write_csv
 
 
+def _output_is_file(path: str) -> bool:
+    """Report an `-o` that exists but is no directory, before any work is done."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        print(f"error: -o {path} exists and is not a directory", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    if _output_is_file(args.output):
+        return 1
     try:
         result = pipeline.run_pipeline(cfg)
         written = pipeline.write_artifacts(result, args.output)
@@ -46,6 +56,8 @@ def cmd_sweep(args) -> int:
     else:
         values = _parse_ints(f"--values: axis {args.axis}", args.values)
     seeds = _parse_ints("--seeds:", args.seeds) if args.seeds else None
+    if _output_is_file(args.output):
+        return 1
     path = os.path.join(args.output, "sweep.csv")
     try:
         result = evaluation.sweep(cfg, args.axis, values, seeds=seeds)
@@ -135,7 +147,12 @@ def cmd_gen_data(args) -> int:
         print("error: [data] source is not synthetic; nothing to generate", file=sys.stderr)
         return 1
     dataset = pipeline.resolve_dataset(cfg.data, cfg.master_seed, "data")
-    write_csv(args.output, dataset)
+    try:
+        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
+        write_csv(args.output, dataset)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(dataset)} samples to {args.output}")
     return 0
 

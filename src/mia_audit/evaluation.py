@@ -346,6 +346,11 @@ def sweep(config, axis: str, values, seeds=None) -> SweepResult:
     hashing, changing the number of reference models or queries never
     perturbs the other stages, so differences along the axis reflect the axis
     alone.
+
+    All runs of one call share one `trained` dict (see
+    `pipeline.run_pipeline`), which lives for the call: each distinct
+    (training slice, training config, layer sizes) is trained once and reused
+    by every run that needs it, and every row equals that of a direct run.
     """
     from . import pipeline  # runtime import; pipeline depends on this module
 
@@ -357,10 +362,11 @@ def sweep(config, axis: str, values, seeds=None) -> SweepResult:
     if seeds is None:
         seeds = [config.master_seed]
     rows = []
+    trained: dict = {}
     for value in values:
         for seed in seeds:
             cfg = config.with_overrides(master_seed=seed, **{axis: value})
-            result = pipeline.run_pipeline(cfg)
+            result = pipeline.run_pipeline(cfg, trained)
             for attack in cfg.attacks:
                 report = result.metrics[attack]
                 entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]

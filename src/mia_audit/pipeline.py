@@ -6,11 +6,19 @@ Stages run lazily: a loss-only run trains no shadow or reference models.
 Every stage draws its seed from the master seed by labeled hashing, so adding
 reference models or queries never perturbs earlier stages, and rerunning an
 identical config reproduces every artifact byte for byte.
+
+A trained model is a pure function of its training inputs (the training
+slice, its `TrainingConfig` with derived seed and DP, and the layer sizes), so
+`run_pipeline` takes a `trained` dict mapping those inputs to models. Each
+target, shadow and reference model is looked up there before it is trained;
+the caller decides how long the dict lives (one `evaluation.sweep` call shares
+one across all its runs). Scoring nets are never memoized.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -67,14 +75,17 @@ class RunResult:
 
 
 def _train_stage(dataset: TabularDataset, indices, cfg: ExperimentConfig, role: str,
-                 seed_parts: tuple) -> nn.MLPClassifier:
+                 seed_parts: tuple, trained: dict) -> nn.MLPClassifier:
     x, y = dataset.subset(indices)
     base = {"target": cfg.target_train, "shadow": cfg.shadow_train,
             "reference": cfg.reference_train}[role]
     dp = cfg.dp if (cfg.dp is not None and role in cfg.dp_apply_to) else None
     train_cfg = dataclasses.replace(base, seed=derive_seed(cfg.master_seed, *seed_parts), dp=dp)
     layer_sizes = (dataset.feature_dim, *cfg.hidden_sizes, dataset.num_classes)
-    return nn.train(x, y, train_cfg, layer_sizes)
+    key = (x.shape, hashlib.sha256(x.tobytes() + y.tobytes()).digest(), train_cfg, layer_sizes)
+    if key not in trained:
+        trained[key] = nn.train(x, y, train_cfg, layer_sizes)
+    return trained[key]
 
 
 def _eval_set(dataset: TabularDataset, train_idx, test_idx):
@@ -84,8 +95,15 @@ def _eval_set(dataset: TabularDataset, train_idx, test_idx):
     return ids, x, y, member
 
 
-def run_pipeline(config: ExperimentConfig) -> RunResult:
-    """Execute the configured pipeline in memory; see write_artifacts for disk output."""
+def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunResult:
+    """Execute the configured pipeline in memory; see write_artifacts for disk output.
+
+    `trained` maps training inputs to trained models (see the module
+    docstring); the run reads models from it and adds the ones it trains.
+    Passing the same dict to several runs lets them share models without
+    changing any result; None gives each run a fresh dict.
+    """
+    trained = {} if trained is None else trained
     digest = config.digest()
     master = config.master_seed
     selected = set(config.attacks)
@@ -108,7 +126,8 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
     shadow_ds = attacker_ds if attacker_ds is not None else target_ds
     shadow_plan = attacker_plan if attacker_plan is not None else target_plan
 
-    target_model = _train_stage(target_ds, target_plan.target_train, config, "target", ("target",))
+    target_model = _train_stage(target_ds, target_plan.target_train, config, "target",
+                                ("target",), trained)
 
     reference_models = []
     if needs_refs:
@@ -118,13 +137,14 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
                                               derive_seed(master, "ref-subset", i))
             else:
                 idx = shadow_plan.reference_pool
-            return _train_stage(shadow_ds, idx, config, "reference", ("ref", i))
+            return _train_stage(shadow_ds, idx, config, "reference", ("ref", i), trained)
 
         reference_models = [train_reference(i) for i in range(config.num_reference_models)]
 
     shadow_model = None
     if needs_shadow:
-        shadow_model = _train_stage(shadow_ds, shadow_plan.shadow_train, config, "shadow", ("shadow",))
+        shadow_model = _train_stage(shadow_ds, shadow_plan.shadow_train, config, "shadow",
+                                    ("shadow",), trained)
 
     query_cfg = QueryConfig(
         num_queries=config.num_queries,

@@ -9,7 +9,7 @@ import pytest
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
-from mia_audit.evaluation import sweep
+from mia_audit.evaluation import SWEEP_AXES, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.signals import SignalKind
 
@@ -208,20 +208,50 @@ class TestPipeline:
         member = result.target_table.is_member
         assert member.sum() == (~member).sum()
 
-    def test_sweep_single_value_matches_direct_run(self):
-        cfg = fast_config(attacks=("loss", "calibration"))
-        swept = sweep(cfg, "num_queries", [1])
-        direct = run_pipeline(cfg.with_overrides(num_queries=1))
-        by_metric = {row["metric"]: row["result"] for row in swept.rows}
-        assert by_metric["calibration.auc"] == direct.metrics["calibration"].auc
-        assert by_metric["loss.auc"] == direct.metrics["loss"].auc
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_sweep_matches_direct_runs(self, axis):
+        # the sweep shares trained models across its runs; every row must
+        # still equal the metric of an independent run, bit for bit
+        values = {"num_queries": [1, 2], "num_reference_models": [1, 2],
+                  "reference_sampling_mode": ["fixed", "random"]}[axis]
+        cfg = fast_config()
+        swept = sweep(cfg, axis, values, seeds=[5, 6])
+        expected = {}
+        for value in values:
+            for seed in (5, 6):
+                direct = run_pipeline(cfg.with_overrides(master_seed=seed, **{axis: value}))
+                for attack in cfg.attacks:
+                    report = direct.metrics[attack]
+                    entries = {"auc": report.auc, "balanced_accuracy": report.balanced_accuracy}
+                    entries.update({f"tpr_at_fpr_{level!r}": entry.tpr
+                                    for level, entry in report.tpr_at_fpr.items()})
+                    for metric, res in entries.items():
+                        expected[(value, seed, f"{attack}.{metric}")] = res
+        got = {(row["value"], row["seed"], row["metric"]): row["result"] for row in swept.rows}
+        assert got == expected
 
-    def test_sweep_reference_axis_matches_direct_run(self):
-        cfg = fast_config(attacks=("calibration",))
-        swept = sweep(cfg, "num_reference_models", [1])
-        direct = run_pipeline(cfg.with_overrides(num_reference_models=1))
-        by_metric = {row["metric"]: row["result"] for row in swept.rows}
-        assert by_metric["calibration.auc"] == direct.metrics["calibration"].auc
+    @pytest.mark.parametrize("case, calls", [
+        ("calibration_reference_sweep", 3),  # 1 target + 2 references
+        ("rapid_query_sweep", 5),  # target, 1 reference, shadow, 2 scoring nets
+        ("full_run", 8),  # target, 4 references, shadow, 2 scoring nets
+    ])
+    def test_each_distinct_model_trained_once(self, monkeypatch, case, calls):
+        from mia_audit import nn
+        train_calls = []
+        real_train = nn.train
+
+        def counting_train(*args, **kwargs):
+            train_calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "train", counting_train)
+        if case == "calibration_reference_sweep":
+            sweep(fast_config(attacks=("calibration",)), "num_reference_models", [1, 2])
+        elif case == "rapid_query_sweep":
+            sweep(fast_config(attacks=("rapid",), num_reference_models=1), "num_queries", [1, 2])
+        else:
+            run_pipeline(fast_config(num_reference_models=4))
+        assert len(train_calls) == calls
 
     def test_nested_query_prefix_property(self):
         # with per-(sample, query) rng streams, a 1-query run equals the
@@ -465,12 +495,38 @@ class TestCli:
     def test_gen_data_round_trips(self, tmp_path):
         from mia_audit import load_csv
         cfg = self.write_config(tmp_path)
-        out = tmp_path / "data.csv"
+        out = tmp_path / "nodir" / "data.csv"  # gen-data creates the parent directory
         assert main(["gen-data", cfg, "-o", str(out)]) == 0
         assert b"\r" not in out.read_bytes()
         ds = load_csv(out)
         assert len(ds) == 300
         assert ds.num_classes == 2
+
+    def test_gen_data_unwritable_path_exits_1(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "data.csv"
+        assert main(["gen-data", cfg, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}:" in err
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_that_is_a_file_refused_before_training(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        from mia_audit import nn
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a model before checking -o")
+
+        monkeypatch.setattr(nn, "train", no_training)
+        cfg = self.write_config(tmp_path)
+        extra = ["--axis", "num_queries", "--values", "1"] if command == "sweep" else []
+        assert main([command, cfg, *extra, "-o", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: -o {cfg} exists and is not a directory\n"
+        assert Path(cfg).read_text(encoding="utf-8") == SAMPLE_INI
 
     def test_run_from_csv_source(self, tmp_path):
         cfg = self.write_config(tmp_path)
