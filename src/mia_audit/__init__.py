@@ -8,7 +8,7 @@ over small from-scratch MLP classifiers on tabular or synthetic data.
 
 from .attacks import (AttackOutput, GaussianFit, GaussianPair, ScoringModel,
                       attack_calibration, attack_loss, attack_rapid, attack_shortcut_lira,
-                      calibrate, fit_gaussian, gaussian_difference, train_scoring_model)
+                      calibrate, fit_gaussian, gaussian_difference, train_scoring_models)
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                       generate_synthetic, load_csv, make_split, random_means,

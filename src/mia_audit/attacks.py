@@ -199,27 +199,32 @@ def _score_features(raw, second) -> np.ndarray:
                             np.asarray(second, dtype=np.float64)])
 
 
-def train_scoring_model(table: ScoreTable, config: nn.TrainingConfig,
-                        hidden_sizes=SCORING_HIDDEN_SIZES) -> ScoringModel:
-    """Fit the scoring MLP on shadow (raw, calibrated) pairs with BCE loss.
+def train_scoring_models(tables, configs, hidden_sizes=SCORING_HIDDEN_SIZES) -> list[ScoringModel]:
+    """Fit one scoring MLP per shadow table on its (raw, calibrated) pairs with
+    BCE loss, all in one nn.train_many loop.
 
-    Features are z-scored with statistics computed here and stored in the
-    model; a constant column keeps std 1 so it standardizes to exact zeros.
+    The tables must share their row count and configs[k] goes with tables[k];
+    each net equals one trained alone. Features are z-scored per table with
+    statistics computed here and stored in the model; a constant column keeps
+    std 1 so it standardizes to exact zeros.
     """
-    if table.calibrated is None:
-        raise ValueError("shadow table needs calibrated scores to train the scoring model")
-    members = int(table.is_member.sum())
-    if members == 0 or members == len(table):
-        raise ValueError("shadow table must contain both members and non-members")
-    feats = _score_features(table.raw, table.calibrated)
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    z = (feats - mean) / std
-    targets = table.is_member.astype(np.float64)
-    layer_sizes = (feats.shape[1], *hidden_sizes, 1)
-    mlp = nn.train(z, targets, config, layer_sizes, loss="bce")
-    return ScoringModel(mlp, mean, std)
+    inputs, targets, stats = [], [], []
+    for table in tables:
+        if table.calibrated is None:
+            raise ValueError("shadow table needs calibrated scores to train the scoring model")
+        members = int(table.is_member.sum())
+        if members == 0 or members == len(table):
+            raise ValueError("shadow table must contain both members and non-members")
+        feats = _score_features(table.raw, table.calibrated)
+        mean = feats.mean(axis=0)
+        std = feats.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        inputs.append((feats - mean) / std)
+        targets.append(table.is_member.astype(np.float64))
+        stats.append((mean, std))
+    layer_sizes = (2, *hidden_sizes, 1)
+    mlps = nn.train_many(inputs, targets, configs, layer_sizes, loss="bce")
+    return [ScoringModel(mlp, mean, std) for mlp, (mean, std) in zip(mlps, stats)]
 
 
 def attack_rapid(table: ScoreTable, scoring_model: ScoringModel,

@@ -19,17 +19,22 @@ from .config import KNOWN_ATTACKS, ConfigError, SyntheticSource, load_config
 from .dataset import write_csv
 
 
-def _output_is_file(path: str) -> bool:
-    """Report an `-o` that exists but is no directory, before any work is done."""
+def _make_output_dir(path: str) -> bool:
+    """Create the `-o` directory before any work is done; report why it cannot be."""
     if os.path.exists(path) and not os.path.isdir(path):
         print(f"error: -o {path} exists and is not a directory", file=sys.stderr)
-        return True
-    return False
+        return False
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create -o {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if _output_is_file(args.output):
+    if not _make_output_dir(args.output):
         return 1
     try:
         result = pipeline.run_pipeline(cfg)
@@ -56,7 +61,7 @@ def cmd_sweep(args) -> int:
     else:
         values = _parse_ints(f"--values: axis {args.axis}", args.values)
     seeds = _parse_ints("--seeds:", args.seeds) if args.seeds else None
-    if _output_is_file(args.output):
+    if not _make_output_dir(args.output):
         return 1
     path = os.path.join(args.output, "sweep.csv")
     try:
@@ -66,7 +71,6 @@ def cmd_sweep(args) -> int:
             os.remove(path)
         print(f"error: sweep failed: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(args.output, exist_ok=True)
     result.write_csv(path, cfg.digest())
     print(f"wrote {path} ({len(result.rows)} rows, config {cfg.digest()})")
     return 0

@@ -6,10 +6,16 @@ the loss. Training is plain SGD with momentum, L2 weight decay added to the
 gradient, an optional per-step cosine learning-rate schedule annealing to
 zero, and an optional differentially-private step (per-example clipping by
 ghost clipping, so no per-example gradient is built, plus Gaussian noise).
+
+`train_many` is the one training loop: it trains K models of one shape on raw
+parameter arrays stacked along a leading model axis, updated in place; `train`
+is its one-model case. `backward`, `grad_sq_norms` and `sgd_step` are
+validated wrappers over the same kernels for a single model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -161,13 +167,18 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward_cached(model: MLPClassifier, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer, a[0] = input, a[-1] = logits."""
+def _forward_cached(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer, a[0] = input, a[-1] = logits.
+
+    Works on one model's parameters or on stacked ones: every array may carry
+    a leading model axis K (weights (K, out, in), biases (K, 1, out), x (K, n, in)).
+    """
     acts = [x]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.tanh(z))
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ np.swapaxes(w, -1, -2)
+        z += b
+        acts.append(z if i == last else np.tanh(z, out=z))
     return acts
 
 
@@ -184,13 +195,13 @@ def _as_batch(model: MLPClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
 def forward(model: MLPClassifier, x: np.ndarray) -> np.ndarray:
     """Logits for one feature vector or a (n, d) batch."""
     batch, single = _as_batch(model, x)
-    logits = _forward_cached(model, batch)[-1]
+    logits = _forward_cached(model.weights, model.biases, batch)[-1]
     return logits[0] if single else logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -205,52 +216,78 @@ def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.nd
     """Cross-entropy of each sample under the model, shape (n,)."""
     batch, single = _as_batch(model, x)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    logp = _log_softmax(_forward_cached(model, batch)[-1])
+    logp = _log_softmax(_forward_cached(model.weights, model.biases, batch)[-1])
     out = -logp[np.arange(len(y)), y]
     return out[0] if single else out
 
 
-def _output_delta(model, acts, y, loss: str) -> tuple[np.ndarray, float]:
-    """Gradient of the mean loss w.r.t. logits, and the mean loss itself."""
-    logits = acts[-1]
-    n = logits.shape[0]
+def _targets(y, loss: str, output_dim: int) -> np.ndarray:
+    """Labels as the loss reads them: class indices for ce, 0/1 floats for bce."""
+    y = np.atleast_1d(np.asarray(y))
+    if loss == "ce":
+        if not np.issubdtype(y.dtype, np.integer) or (y.size and not 0 <= y.min() <= y.max() < output_dim):
+            raise ValueError(f"ce labels must be integer classes in [0, {output_dim})")
+        return y
+    if loss == "bce":
+        if output_dim != 1:
+            raise ValueError("bce loss requires a single output unit")
+        return y.astype(np.float64)
+    raise ValueError(f"unknown loss {loss!r}")
+
+
+def _output_delta(logits: np.ndarray, y: np.ndarray, loss: str):
+    """Gradient of the mean loss w.r.t. the logits, and the mean loss itself
+    (one per model when stacked); y comes from _targets."""
     if loss == "ce":
         logp = _log_softmax(logits)
         delta = np.exp(logp)
-        delta[np.arange(n), y] -= 1.0
-        mean_loss = float(-logp[np.arange(n), y].mean())
-    elif loss == "bce":
-        if model.output_dim != 1:
-            raise ValueError("bce loss requires a single output unit")
-        z = logits[:, 0]
-        t = np.asarray(y, dtype=np.float64)
-        # softplus(z) - t*z, stable for large |z|
-        mean_loss = float((np.maximum(z, 0.0) - t * z + np.log1p(np.exp(-np.abs(z)))).mean())
-        delta = (sigmoid(z) - t)[:, None]
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    return delta, mean_loss
+        pick = np.arange(y.size) * logits.shape[-1] + y.reshape(-1)  # flat index of each label
+        delta.reshape(-1)[pick] -= 1.0
+        return delta, -logp.reshape(-1)[pick].reshape(y.shape).mean(axis=-1)
+    z = logits[..., 0]
+    # softplus(z) - t*z, stable for large |z|
+    mean_loss = (np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))).mean(axis=-1)
+    return (sigmoid(z) - y)[..., None], mean_loss
 
 
-def _layer_errors(model: MLPClassifier, acts: list[np.ndarray], delta: np.ndarray):
+def _layer_errors(weights, acts: list[np.ndarray], delta: np.ndarray):
     """Yield (l, error at layer l's output), last layer first: the one backprop recurrence."""
-    for l in range(len(model.weights) - 1, -1, -1):
+    for l in range(len(weights) - 1, -1, -1):
         yield l, delta
         if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+            slope = acts[l] ** 2
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ weights[l]
+            delta *= slope
 
 
-def _sq_norms(model: MLPClassifier, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
+def _sq_norms(weights, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each row's full gradient, from output errors `delta`.
 
     Uses ||outer(d, a)||_F^2 = |d|^2 |a|^2 per layer (plus |d|^2 for the
     bias), so nothing is materialized per example.
     """
-    norms = np.zeros(delta.shape[0])
-    for l, d in _layer_errors(model, acts, delta):
-        d2 = (d**2).sum(axis=1)
-        norms += d2 * (acts[l] ** 2).sum(axis=1) + d2
+    norms = np.zeros(delta.shape[:-1])
+    for l, d in _layer_errors(weights, acts, delta):
+        d2 = (d**2).sum(axis=-1)
+        norms += d2 * (acts[l] ** 2).sum(axis=-1) + d2
     return norms
+
+
+def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_norm: float | None):
+    """Mean gradients in parameters() order and the mean loss; see backward."""
+    acts = _forward_cached(weights, biases, x)
+    delta, mean_loss = _output_delta(acts[-1], y, loss)
+    if clip_norm is not None:
+        norms = np.sqrt(_sq_norms(weights, acts, delta))
+        delta = delta * (clip_norm / np.maximum(norms, clip_norm))[..., None]
+    delta = delta / x.shape[-2]
+    grads: list[np.ndarray] = []
+    for l, d in _layer_errors(weights, acts, delta):
+        grads.append(d.sum(axis=-2).reshape(biases[l].shape))   # bias
+        grads.append(np.swapaxes(d, -1, -2) @ acts[l])          # weight
+    grads.reverse()
+    return grads, mean_loss
 
 
 def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce",
@@ -265,34 +302,23 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
     batch, _ = _as_batch(model, np.atleast_2d(x))
-    y = np.atleast_1d(np.asarray(y))
+    y = _targets(y, loss, model.output_dim)
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     if len(y) != batch.shape[0]:
         raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
-    acts = _forward_cached(model, batch)
-    delta, mean_loss = _output_delta(model, acts, y, loss)
-    if clip_norm is not None:
-        if not clip_norm > 0:
-            raise ValueError("clip_norm must be positive")
-        norms = np.sqrt(_sq_norms(model, acts, delta))
-        delta = delta * (clip_norm / np.maximum(norms, clip_norm))[:, None]
-    delta = delta / batch.shape[0]
-    grads: list[np.ndarray] = []
-    for l, d in _layer_errors(model, acts, delta):
-        grads.append(d.sum(axis=0))                # bias
-        grads.append(d.T @ acts[l])                # weight
-    grads.reverse()
-    return grads, mean_loss
+    if clip_norm is not None and not clip_norm > 0:
+        raise ValueError("clip_norm must be positive")
+    grads, mean_loss = _gradients(model.weights, model.biases, batch, y, loss, clip_norm)
+    return grads, float(mean_loss)
 
 
 def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each sample's full cross-entropy gradient."""
     batch, _ = _as_batch(model, np.atleast_2d(x))
-    y = np.atleast_1d(np.asarray(y))
-    acts = _forward_cached(model, batch)
-    delta, _ = _output_delta(model, acts, y, "ce")
-    return _sq_norms(model, acts, delta)
+    acts = _forward_cached(model.weights, model.biases, batch)
+    delta, _ = _output_delta(acts[-1], _targets(y, "ce", model.output_dim), "ce")
+    return _sq_norms(model.weights, acts, delta)
 
 
 def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:
@@ -304,8 +330,13 @@ def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def zero_velocity(model: MLPClassifier) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in model.parameters()]
+def _momentum_update(params, gradients, velocity, config: TrainingConfig, lr: float) -> None:
+    """In place: v <- momentum * v + (g + weight_decay * p), then p <- p - lr * v."""
+    for p, g, v in zip(params, gradients, velocity):
+        eff = g + config.weight_decay * p
+        v *= config.momentum
+        v += eff
+        p -= lr * v
 
 
 def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int = 0, total_steps: int = 1):
@@ -313,24 +344,20 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
 
     Effective gradient is g + weight_decay * theta; velocity accumulates it
     with the momentum factor and the scheduled learning rate scales the step.
+    The model and velocity passed in are left unchanged.
     """
-    params = model.parameters()
+    params = [p.copy() for p in model.parameters()]
     if len(gradients) != len(params):
         raise ValueError(f"{len(gradients)} gradients for {len(params)} parameters")
     for g, p in zip(gradients, params):
         if np.shape(g) != p.shape:
             raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.shape}")
     if velocity is None:
-        velocity = zero_velocity(model)
-    lr = schedule_lr(config, step, total_steps)
-    new_params = []
-    new_velocity = []
-    for p, g, v in zip(params, gradients, velocity):
-        eff = g + config.weight_decay * p
-        v_next = config.momentum * v + eff
-        new_params.append(p - lr * v_next)
-        new_velocity.append(v_next)
-    return model.with_parameters(new_params), new_velocity
+        velocity = [np.zeros_like(p) for p in params]
+    else:
+        velocity = [np.array(v, dtype=np.float64) for v in velocity]
+    _momentum_update(params, gradients, velocity, config, schedule_lr(config, step, total_steps))
+    return model.with_parameters(params), velocity
 
 
 def dp_noise(gradients: list[np.ndarray], config: TrainingConfig, batch_size: int,
@@ -349,6 +376,93 @@ def dp_noise(gradients: list[np.ndarray], config: TrainingConfig, batch_size: in
     return [g + rng.normal(0.0, std, size=g.shape) for g in gradients]
 
 
+def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
+               return_loss_history: bool = False) -> list:
+    """Train K models of one shape in one loop over stacked parameter arrays.
+
+    Model k equals train(xs[k], ys[k], configs[k], layer_sizes, loss) bit for
+    bit: it keeps its own initialization, batch-order and DP-noise streams,
+    derived from its config's seed. The jobs must share their row count and
+    every TrainingConfig field except seed, so they share one step count and
+    learning-rate schedule. Weights are stacked to (K, out, in) and biases to
+    (K, 1, out) and updated in place; inputs are checked once here, and each
+    MLPClassifier is built once, at the end. Parameters are checked for
+    finiteness after every epoch, so a diverged run stops early.
+
+    Returns the K models, or K (model, per-epoch mean loss list) pairs with
+    return_loss_history.
+    """
+    configs = list(configs)
+    if not configs or not len(xs) == len(ys) == len(configs):
+        raise ValueError(f"need one x, y and config per job, got {len(xs)}, {len(ys)}, {len(configs)}")
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("stacked jobs must share every TrainingConfig field except seed")
+    inits = [init_classifier(layer_sizes, derive_seed(c.seed, "model-init")) for c in configs]
+    sizes = inits[0].layer_sizes
+    xs = [np.asarray(v, dtype=np.float64) for v in xs]
+    ys = [_targets(t, loss, sizes[-1]) for t in ys]
+    if any(v.ndim != 2 or v.shape[0] == 0 for v in xs):
+        raise ValueError("training slice must be a nonempty (n, d) matrix")
+    n = xs[0].shape[0]
+    for v, t in zip(xs, ys):
+        if v.shape[1] != sizes[0]:
+            raise ValueError(f"training slice of shape {v.shape} does not match layer sizes {sizes}")
+        if v.shape[0] != n:
+            raise ValueError(f"stacked jobs must share a row count, got {n} and {v.shape[0]}")
+        if len(t) != n:
+            raise ValueError(f"{len(t)} labels for {n} samples")
+    x, y = np.stack(xs), np.stack(ys)
+    # every stacked parameter is a view into one flat vector, so the momentum
+    # update is a handful of whole-vector operations
+    jobs = len(configs)
+    flat = np.concatenate([p.reshape(-1) for group in zip(*(m.parameters() for m in inits))
+                           for p in group])
+    params, offset = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        for shape in ((jobs, fan_out, fan_in), (jobs, 1, fan_out)):
+            params.append(flat[offset : offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+    weights, biases = params[0::2], params[1::2]
+    flat_grad, velocity = np.empty_like(flat), np.zeros_like(flat)
+    shuffle_rngs = [derive_rng(c.seed, "batch-order") for c in configs]
+    noise_rngs = ([derive_rng(c.seed, "dp-noise") for c in configs]
+                  if config.dp is not None and config.dp.noise_multiplier > 0 else [])
+    clip_norm = config.dp.clip_norm if config.dp is not None else None
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
+    rows = np.arange(jobs)[:, None]
+    history = []
+    step = 0
+    for epoch in range(config.epochs):
+        perm = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        # shuffle once per epoch so that every batch is a slice
+        x_epoch, y_epoch = x[rows, perm], y[rows, perm]
+        epoch_loss = np.zeros(jobs)
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            bx, by = x_epoch[:, batch], y_epoch[:, batch]
+            grads, batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm)
+            for k, rng in enumerate(noise_rngs):
+                for g, noisy in zip(grads, dp_noise([g[k] for g in grads], config, bx.shape[1], rng)):
+                    g[k] = noisy
+            np.concatenate([g.reshape(-1) for g in grads], out=flat_grad)
+            _momentum_update([flat], [flat_grad], [velocity], config,
+                             schedule_lr(config, step, total_steps))
+            epoch_loss += batch_loss * bx.shape[1]
+            step += 1
+        history.append(epoch_loss / n)
+        if not np.isfinite(flat).all():
+            layer = next(i // 2 for i, p in enumerate(params) if not np.isfinite(p).all())
+            raise ValueError(f"training diverged: layer {layer} has non-finite parameters "
+                             f"after epoch {epoch + 1}")
+    models = [MLPClassifier(sizes, tuple(w[k].copy() for w in weights),
+                            tuple(b[k, 0].copy() for b in biases))
+              for k in range(jobs)]
+    if return_loss_history:
+        return [(m, [float(h[k]) for h in history]) for k, m in enumerate(models)]
+    return models
+
+
 def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
           loss: str = "ce", return_loss_history: bool = False):
     """Train an MLP over seeded shuffled batches; pure function of (data, config).
@@ -356,39 +470,10 @@ def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
     Runs epochs * ceil(n / batch_size) update steps (the last batch of an
     epoch may be short). Initialization, batch order, and DP noise each use
     rng streams derived from config.seed, so results are bit-reproducible.
+    This is train_many on one job; returns the model, or (model, per-epoch
+    mean loss list) with return_loss_history.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("training slice must be a nonempty (n, d) matrix")
-    if len(y) != x.shape[0]:
-        raise ValueError(f"{len(y)} labels for {x.shape[0]} samples")
-    model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
-    n = x.shape[0]
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    shuffle_rng = derive_rng(config.seed, "batch-order")
-    noise_rng = derive_rng(config.seed, "dp-noise") if config.dp is not None else None
-    clip_norm = config.dp.clip_norm if config.dp is not None else None
-    velocity = zero_velocity(model)
-    history: list[float] = []
-    step = 0
-    for _ in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            bx, by = x[idx], y[idx]
-            grads, batch_loss = backward(model, bx, by, loss, clip_norm)
-            if config.dp is not None:
-                grads = dp_noise(grads, config, len(idx), noise_rng)
-            model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
-            epoch_loss += batch_loss * len(idx)
-            step += 1
-        history.append(epoch_loss / n)
-    if return_loss_history:
-        return model, history
-    return model
+    return train_many([x], [y], [config], layer_sizes, loss, return_loss_history)[0]
 
 
 def accuracy(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> float:

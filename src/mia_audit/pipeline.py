@@ -195,20 +195,21 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         outputs["calibration"] = atk.attack_calibration(target_table, digest)
     if "lira_offline" in selected:
         outputs["lira_offline"] = atk.AttackOutput("lira_offline", target_lira, digest)
+    if needs_shadow:
+        # both scoring nets train on the same shadow rows, so they share one loop
+        shadows = {"rapid": shadow_table,
+                   "shortcut_lira": shadow_table.with_columns(calibrated=shadow_lira)}
+        names = [name for name in shadows if name in selected]
+        configs = [dataclasses.replace(config.scoring_train, seed=derive_seed(master, "scoring", name))
+                   for name in names]
+        nets = atk.train_scoring_models([shadows[name] for name in names], configs,
+                                        config.scoring_hidden_sizes)
+        scoring_models = dict(zip(names, nets))
     if "rapid" in selected:
-        scoring_cfg = dataclasses.replace(config.scoring_train,
-                                          seed=derive_seed(master, "scoring", "rapid"))
-        rapid_model = atk.train_scoring_model(shadow_table, scoring_cfg,
-                                              config.scoring_hidden_sizes)
-        outputs["rapid"] = atk.attack_rapid(target_table, rapid_model, digest)
+        outputs["rapid"] = atk.attack_rapid(target_table, scoring_models["rapid"], digest)
     if "shortcut_lira" in selected:
-        scoring_cfg = dataclasses.replace(config.scoring_train,
-                                          seed=derive_seed(master, "scoring", "shortcut_lira"))
-        shortcut_shadow = shadow_table.with_columns(calibrated=shadow_lira)
-        shortcut_model = atk.train_scoring_model(shortcut_shadow, scoring_cfg,
-                                                 config.scoring_hidden_sizes)
         outputs["shortcut_lira"] = atk.attack_shortcut_lira(target_table.raw, target_lira,
-                                                            shortcut_model, digest)
+                                                            scoring_models["shortcut_lira"], digest)
 
     metrics = {name: evaluation.compute_metrics(outputs[name].scores, target_table.is_member,
                                                 config.fpr_levels)

@@ -4,7 +4,7 @@ import pytest
 from mia_audit import (AttackOutput, GaussianFit, GaussianPair, ScoreTable,
                        ScoringModel, TrainingConfig, attack_calibration, attack_loss,
                        attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
-                       gaussian_difference, roc, train_scoring_model)
+                       gaussian_difference, roc, train_scoring_models)
 from mia_audit.attacks import (VARIANCE_FLOOR, attack_lira_offline, lira_offline_scores,
                                read_attack_scores_csv)
 
@@ -195,7 +195,7 @@ class TestScoringModel:
     def test_separable_shadow_reaches_full_accuracy(self):
         from mia_audit import balanced_accuracy
         shadow = toy_shadow()
-        model = train_scoring_model(shadow, scoring_config())
+        model = train_scoring_models([shadow], [scoring_config()])[0]
         scores = model.score(np.column_stack([shadow.raw, shadow.calibrated]))
         assert np.mean((scores > 0.5) == shadow.is_member) == 1.0
         assert balanced_accuracy(scores, shadow.is_member, 0.5) == 1.0
@@ -209,7 +209,7 @@ class TestScoringModel:
             n = 400
             shadow = ScoreTable(ids=list(range(n)), is_member=[True] * (n // 2) + [False] * (n // 2),
                                 raw=rng.normal(-1.0, 0.7, n), calibrated=rng.normal(0.5, 0.7, n))
-            model = train_scoring_model(shadow, scoring_config(epochs=0, seed=seed))
+            model = train_scoring_models([shadow], [scoring_config(epochs=0, seed=seed)])[0]
             scores = model.score(np.column_stack([shadow.raw, shadow.calibrated]))
             assert np.all((scores > 0) & (scores < 1))
             aucs.append(roc(scores, shadow.is_member).auc)
@@ -217,26 +217,37 @@ class TestScoringModel:
 
     def test_deterministic(self):
         shadow = toy_shadow()
-        a = train_scoring_model(shadow, scoring_config())
-        b = train_scoring_model(shadow, scoring_config())
+        a = train_scoring_models([shadow], [scoring_config()])[0]
+        b = train_scoring_models([shadow], [scoring_config()])[0]
         for wa, wb in zip(a.mlp.parameters(), b.mlp.parameters()):
             assert np.array_equal(wa, wb)
+
+    def test_stacked_nets_equal_nets_trained_alone(self):
+        shadows = [toy_shadow(), toy_shadow(seed=9)]
+        configs = [scoring_config(epochs=3, seed=1), scoring_config(epochs=3, seed=2)]
+        stacked = train_scoring_models(shadows, configs)
+        for shadow, config, model in zip(shadows, configs, stacked):
+            alone = train_scoring_models([shadow], [config])[0]
+            assert np.array_equal(model.feature_mean, alone.feature_mean)
+            assert np.array_equal(model.feature_std, alone.feature_std)
+            for a, b in zip(model.mlp.parameters(), alone.mlp.parameters()):
+                assert np.array_equal(a, b)
 
     def test_single_class_rejected(self):
         shadow = toy_shadow()
         bad = ScoreTable(ids=shadow.ids, is_member=[True] * len(shadow),
                          raw=shadow.raw, calibrated=shadow.calibrated)
         with pytest.raises(ValueError):
-            train_scoring_model(bad, scoring_config())
+            train_scoring_models([bad], [scoring_config()])
 
     def test_missing_calibrated_rejected(self):
         shadow = toy_shadow()
         bad = ScoreTable(ids=shadow.ids, is_member=shadow.is_member, raw=shadow.raw)
         with pytest.raises(ValueError):
-            train_scoring_model(bad, scoring_config())
+            train_scoring_models([bad], [scoring_config()])
 
     def test_json_round_trip(self):
-        model = train_scoring_model(toy_shadow(), scoring_config(epochs=2))
+        model = train_scoring_models([toy_shadow()], [scoring_config(epochs=2)])[0]
         back = ScoringModel.from_json(model.to_json())
         probe = np.array([[0.2, 1.5], [-2.0, 0.3]])
         assert np.array_equal(back.score(probe), model.score(probe))
@@ -245,7 +256,7 @@ class TestScoringModel:
 class TestAttackRapid:
     def test_outputs_in_unit_interval(self):
         shadow = toy_shadow()
-        model = train_scoring_model(shadow, scoring_config(epochs=5))
+        model = train_scoring_models([shadow], [scoring_config(epochs=5)])[0]
         out = attack_rapid(shadow, model)
         assert np.all((out.scores > 0) & (out.scores < 1))
 
@@ -260,7 +271,7 @@ class TestAttackRapid:
                               rng.normal(2.0, 0.5, n)])      # calibration fooled for both
         shadow = ScoreTable(ids=list(range(2 * n)), is_member=[True] * n + [False] * n,
                             raw=raw, calibrated=cal)
-        model = train_scoring_model(shadow, scoring_config())
+        model = train_scoring_models([shadow], [scoring_config()])[0]
         fooled_nonmember = model.score(np.array([[-3.0, 2.0]]))[0]
         true_member = model.score(np.array([[-0.01, 2.0]]))[0]
         assert fooled_nonmember < true_member
@@ -269,25 +280,25 @@ class TestAttackRapid:
         # power-of-two rescaling of both shadow and target inputs is exact
         shadow = toy_shadow()
         target = toy_shadow(seed=9)
-        model = train_scoring_model(shadow, scoring_config(epochs=10))
+        model = train_scoring_models([shadow], [scoring_config(epochs=10)])[0]
         base = attack_rapid(target, model).scores
 
         scaled_shadow = ScoreTable(ids=shadow.ids, is_member=shadow.is_member,
                                    raw=4.0 * shadow.raw, calibrated=4.0 * shadow.calibrated)
         scaled_target = ScoreTable(ids=target.ids, is_member=target.is_member,
                                    raw=4.0 * target.raw, calibrated=4.0 * target.calibrated)
-        scaled_model = train_scoring_model(scaled_shadow, scoring_config(epochs=10))
+        scaled_model = train_scoring_models([scaled_shadow], [scoring_config(epochs=10)])[0]
         scaled = attack_rapid(scaled_target, scaled_model).scores
         assert np.array_equal(base, scaled)
 
     def test_missing_columns_rejected(self):
         shadow = toy_shadow()
-        model = train_scoring_model(shadow, scoring_config(epochs=2))
+        model = train_scoring_models([shadow], [scoring_config(epochs=2)])[0]
         with pytest.raises(ValueError):
             attack_rapid(ScoreTable(ids=[0], is_member=[True], raw=[0.0]), model)
 
     def test_open_interval_holds_even_for_saturating_inputs(self):
-        model = train_scoring_model(toy_shadow(), scoring_config(epochs=5))
+        model = train_scoring_models([toy_shadow()], [scoring_config(epochs=5)])[0]
         extreme = np.array([[1e12, 1e12], [-1e12, -1e12], [1e12, -1e12]])
         scores = model.score(extreme)
         assert np.all((scores > 0.0) & (scores < 1.0))
@@ -296,7 +307,7 @@ class TestAttackRapid:
 class TestAttackShortcutLira:
     def test_outputs_in_unit_interval(self):
         shadow = toy_shadow()
-        model = train_scoring_model(shadow, scoring_config(epochs=5))
+        model = train_scoring_models([shadow], [scoring_config(epochs=5)])[0]
         out = attack_shortcut_lira(shadow.raw, shadow.calibrated, model)
         assert np.all((out.scores > 0) & (out.scores < 1))
         assert out.name == "shortcut_lira"
@@ -308,7 +319,7 @@ class TestAttackShortcutLira:
         member = np.array([True] * n + [False] * n)
         shadow = ScoreTable(ids=list(range(2 * n)), is_member=member, raw=raw,
                             calibrated=np.full(2 * n, 0.7))
-        model = train_scoring_model(shadow, scoring_config())
+        model = train_scoring_models([shadow], [scoring_config()])[0]
         target_raw = rng.normal(-1.0, 1.0, 100)
         out = attack_shortcut_lira(target_raw, np.full(100, 0.7), model)
         member_t = target_raw > np.median(target_raw)

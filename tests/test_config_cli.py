@@ -238,13 +238,13 @@ class TestPipeline:
     def test_each_distinct_model_trained_once(self, monkeypatch, case, calls):
         from mia_audit import nn
         train_calls = []
-        real_train = nn.train
+        real_train_many = nn.train_many
 
-        def counting_train(*args, **kwargs):
-            train_calls.append(args)
-            return real_train(*args, **kwargs)
+        def counting_train_many(xs, *args, **kwargs):
+            train_calls.extend(xs)  # one entry per model, stacked or not
+            return real_train_many(xs, *args, **kwargs)
 
-        monkeypatch.setattr(nn, "train", counting_train)
+        monkeypatch.setattr(nn, "train_many", counting_train_many)
         if case == "calibration_reference_sweep":
             sweep(fast_config(attacks=("calibration",)), "num_reference_models", [1, 2])
         elif case == "rapid_query_sweep":
@@ -512,20 +512,26 @@ class TestCli:
         assert f"error: cannot write {out}:" in err
         assert blocker.read_text() == "kept"
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command, below_file", [
+        ("run", False), ("sweep", False), ("run", True), ("sweep", True),
+    ], ids=["run", "sweep", "run-below-file", "sweep-below-file"])
     def test_output_that_is_a_file_refused_before_training(self, tmp_path, capsys,
-                                                           monkeypatch, command):
+                                                           monkeypatch, command, below_file):
         from mia_audit import nn
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained a model before checking -o")
 
-        monkeypatch.setattr(nn, "train", no_training)
+        monkeypatch.setattr(nn, "train_many", no_training)
         cfg = self.write_config(tmp_path)
+        out = f"{cfg}/out" if below_file else cfg
         extra = ["--axis", "num_queries", "--values", "1"] if command == "sweep" else []
-        assert main([command, cfg, *extra, "-o", cfg]) == 1
+        assert main([command, cfg, *extra, "-o", out]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: -o {cfg} exists and is not a directory\n"
+        if below_file:
+            assert err.startswith(f"error: cannot create -o {out}: ") and err.count("\n") == 1
+        else:
+            assert err == f"error: -o {cfg} exists and is not a directory\n"
         assert Path(cfg).read_text(encoding="utf-8") == SAMPLE_INI
 
     def test_run_from_csv_source(self, tmp_path):

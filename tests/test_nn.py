@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from mia_audit import (DPConfig, DistributionSpec, MLPClassifier, TrainingConfig,
                        accuracy, backward, cross_entropy, derive_seed, forward,
                        generate_synthetic, init_classifier, sgd_step, softmax, train)
-from mia_audit.nn import _forward_cached, _output_delta, dp_noise, per_sample_loss, schedule_lr
+from mia_audit.nn import (_forward_cached, _output_delta, _targets, dp_noise, per_sample_loss,
+                          schedule_lr, train_many)
 from mia_audit.seeding import derive_rng
 
 # -log(e^3 / (e^1 + e^2 + e^3)), frozen from a 50-digit mpmath evaluation
@@ -33,8 +35,8 @@ def finite_difference_grads(model, x, y, step=1e-5):
 
 def per_example_gradients(model, x, y, loss="ce"):
     """Reference: every example's gradient materialized by einsum, (n, out, in) per weight."""
-    acts = _forward_cached(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    delta, mean_loss = _output_delta(model, acts, np.atleast_1d(y), loss)
+    acts = _forward_cached(model.weights, model.biases, np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    delta, mean_loss = _output_delta(acts[-1], _targets(y, loss, model.output_dim), loss)
     grads = []
     for l in range(len(model.weights) - 1, -1, -1):
         grads.append(delta.copy())                               # bias, (n, out)
@@ -55,6 +57,30 @@ def clipped_mean_reference(per_grads, clip_norm):
     norms = per_example_norms(per_grads)
     scale = np.where(norms > clip_norm, clip_norm / np.maximum(norms, 1e-300), 1.0)
     return [(g * scale.reshape((-1,) + (1,) * (g.ndim - 1))).mean(axis=0) for g in per_grads]
+
+
+def reference_train(x, y, config, layer_sizes, loss="ce"):
+    """The training loop spelled out step by step with backward, dp_noise and sgd_step."""
+    model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
+    n = len(x)
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
+    shuffle_rng = derive_rng(config.seed, "batch-order")
+    noise_rng = derive_rng(config.seed, "dp-noise")
+    clip_norm = config.dp.clip_norm if config.dp is not None else None
+    velocity, history, step = None, [], 0
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            grads, batch_loss = backward(model, x[idx], y[idx], loss, clip_norm)
+            if config.dp is not None:
+                grads = dp_noise(grads, config, len(idx), noise_rng)
+            model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
+            epoch_loss += batch_loss * len(idx)
+            step += 1
+        history.append(epoch_loss / n)
+    return model, history
 
 
 def random_model(rng, sizes):
@@ -350,6 +376,65 @@ class TestTrain:
         _, history = train(ds.features, ds.labels, TrainingConfig(epochs=10, seed=seed),
                            (2, 8, 2), return_loss_history=True)
         assert history[-1] < history[0]
+
+    # 100 rows in batches of 32: every epoch ends on a short batch of 4
+    @pytest.mark.parametrize("case", ["ce", "bce", "dp_noise", "constant_lr"])
+    def test_matches_reference_loop_bitwise(self, case):
+        ds = self.separable(100)
+        cfg = TrainingConfig(epochs=3, batch_size=32, seed=3)
+        sizes, loss = (2, 8, 2), "ce"
+        if case == "bce":
+            sizes, loss = (2, 8, 8, 1), "bce"
+        elif case == "dp_noise":
+            cfg = dataclasses.replace(cfg, dp=DPConfig(clip_norm=0.5, noise_multiplier=0.7))
+        elif case == "constant_lr":
+            cfg = dataclasses.replace(cfg, cosine_schedule=False)
+        model, history = train(ds.features, ds.labels, cfg, sizes, loss, return_loss_history=True)
+        ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, sizes, loss)
+        assert history == ref_history
+        for a, b in zip(model.parameters(), ref_model.parameters()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dp", [None, DPConfig(clip_norm=0.5, noise_multiplier=0.7)])
+    def test_train_many_equals_separate_trains(self, dp):
+        ds = self.separable(200)
+        xs, ys = [ds.features[:100], ds.features[100:]], [ds.labels[:100], ds.labels[100:]]
+        configs = [TrainingConfig(epochs=3, batch_size=32, seed=s, dp=dp) for s in (1, 2)]
+        stacked = train_many(xs, ys, configs, (2, 8, 2), return_loss_history=True)
+        for x, y, cfg, (model, history) in zip(xs, ys, configs, stacked):
+            alone, alone_history = train(x, y, cfg, (2, 8, 2), return_loss_history=True)
+            assert history == alone_history
+            for a, b in zip(model.parameters(), alone.parameters()):
+                assert np.array_equal(a, b)
+
+    MISMATCHED_FIELDS = {"learning_rate": 0.2, "momentum": 0.5, "weight_decay": 0.0,
+                         "batch_size": 16, "epochs": 2, "cosine_schedule": False,
+                         "dp": DPConfig()}
+
+    def test_mismatch_cases_cover_every_field_but_seed(self):
+        fields = {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"}
+        assert set(self.MISMATCHED_FIELDS) == fields
+
+    @pytest.mark.parametrize("mismatch", ["rows", "layer_sizes", *MISMATCHED_FIELDS])
+    def test_train_many_rejects_mismatched_jobs(self, mismatch):
+        ds = self.separable(200)
+        cfg = TrainingConfig(epochs=1, seed=1)
+        xs, ys = [ds.features[:100], ds.features[100:]], [ds.labels[:100], ds.labels[100:]]
+        configs = [cfg, dataclasses.replace(cfg, seed=2)]
+        if mismatch == "rows":
+            xs[1], ys[1] = xs[1][:90], ys[1][:90]
+        elif mismatch == "layer_sizes":
+            xs[1] = np.hstack([xs[1], xs[1]])
+        else:
+            configs[1] = dataclasses.replace(configs[1], **{mismatch: self.MISMATCHED_FIELDS[mismatch]})
+        with pytest.raises(ValueError):
+            train_many(xs, ys, configs, (2, 8, 2))
+
+    def test_divergence_stops_after_first_epoch(self):
+        ds = self.separable(100)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite parameters after epoch 1$"):
+            train(ds.features, ds.labels, TrainingConfig(learning_rate=1e308), (2, 8, 2))
 
     def test_dp_training_runs(self):
         ds = self.separable(100)
