@@ -14,8 +14,8 @@ from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset
                       generate_synthetic, load_csv, make_split, random_means,
                       sample_reference_subset, write_csv)
 from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr,
-                         balanced_accuracy, best_balanced_accuracy, compute_metrics,
-                         loss_bucket_report, roc, run_security_game, sweep, tpr_at_fpr)
+                         balanced_accuracy, compute_metrics, loss_bucket_report, roc,
+                         run_security_game, sweep)
 from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward,
                  cross_entropy, forward, init_classifier, per_sample_loss, sgd_step,
                  softmax, train)

@@ -50,7 +50,6 @@ class AttackOutput:
 
     name: str
     scores: np.ndarray
-    config_digest: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
@@ -60,14 +59,7 @@ class AttackOutput:
     def to_csv(self, path, ids=None, config_digest: str | None = None) -> None:
         if ids is None:
             ids = list(range(len(self.scores)))
-        digest = self.config_digest if config_digest is None else config_digest
-        write_columns(path, SCORES_HEADER, [ids, self.scores], digest or None)
-
-    def sidecar(self, seed: int) -> str:
-        return json.dumps(
-            {"attack": self.name, "config_digest": self.config_digest, "seed": seed},
-            indent=2, sort_keys=True,
-        )
+        write_columns(path, SCORES_HEADER, [ids, self.scores], config_digest)
 
 
 def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
@@ -107,18 +99,18 @@ def calibrate(raw: np.ndarray, ref_scores: np.ndarray) -> np.ndarray:
     return raw - ref.mean(axis=1)
 
 
-def attack_loss(table: ScoreTable, config_digest: str = "") -> AttackOutput:
+def attack_loss(table: ScoreTable) -> AttackOutput:
     """Raw-score threshold attack: the final score is the raw signal itself."""
     if table.raw is None:
         raise ValueError("score table has no raw scores")
-    return AttackOutput("loss", table.raw.copy(), config_digest)
+    return AttackOutput("loss", table.raw.copy())
 
 
-def attack_calibration(table: ScoreTable, config_digest: str = "") -> AttackOutput:
+def attack_calibration(table: ScoreTable) -> AttackOutput:
     """Difficulty-calibration attack: the final score is the calibrated score."""
     if table.calibrated is None:
         raise ValueError("score table has no calibrated scores")
-    return AttackOutput("calibration", table.calibrated.copy(), config_digest)
+    return AttackOutput("calibration", table.calibrated.copy())
 
 
 def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
@@ -138,11 +130,6 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     sigma2 = out.var(axis=1, ddof=1) if out.shape[1] > 1 else np.zeros(len(raw))
     sigma = np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
     return ndtr((raw - mu) / sigma)
-
-
-def attack_lira_offline(raw: np.ndarray, out_scores: np.ndarray,
-                        config_digest: str = "") -> AttackOutput:
-    return AttackOutput("lira_offline", lira_offline_scores(raw, out_scores), config_digest)
 
 
 @dataclass(frozen=True)
@@ -227,20 +214,18 @@ def train_scoring_models(tables, configs, hidden_sizes=SCORING_HIDDEN_SIZES) -> 
     return [ScoringModel(mlp, mean, std) for mlp, (mean, std) in zip(mlps, stats)]
 
 
-def attack_rapid(table: ScoreTable, scoring_model: ScoringModel,
-                 config_digest: str = "") -> AttackOutput:
+def attack_rapid(table: ScoreTable, scoring_model: ScoringModel) -> AttackOutput:
     """Scoring-model attack over (raw, calibrated) target scores."""
     if table.calibrated is None:
         raise ValueError("target table has no calibrated scores")
     scores = scoring_model.score(_score_features(table.raw, table.calibrated))
-    return AttackOutput("rapid", scores, config_digest)
+    return AttackOutput("rapid", scores)
 
 
 def attack_shortcut_lira(raw: np.ndarray, lira_scores: np.ndarray,
-                         scoring_model: ScoringModel,
-                         config_digest: str = "") -> AttackOutput:
+                         scoring_model: ScoringModel) -> AttackOutput:
     """Scoring-model attack with the calibrated column replaced by the
     offline-LiRA score; the model must have been trained on shadow
     (raw, lira) pairs."""
     scores = scoring_model.score(_score_features(raw, lira_scores))
-    return AttackOutput("shortcut_lira", scores, config_digest)
+    return AttackOutput("shortcut_lira", scores)

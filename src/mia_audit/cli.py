@@ -85,7 +85,7 @@ def render_report(outdir: str) -> str:
 
     One row per attack (canonical order), columns TPR@<level>%FPR ascending,
     then AUC and BalancedAcc; every value is the JSON value rounded half-even
-    to 4 decimals. Raises ValueError when artifacts are missing or mix
+    to 4 decimals. Raises ValueError when artifacts are missing, malformed or mix
     config digests, or when manifest.json does not record a finished run of
     the same config, so a failed rerun cannot pass off stale metrics.
     """
@@ -101,10 +101,15 @@ def render_report(outdir: str) -> str:
     levels: set[float] = set()
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+                attack, report = payload["attack"], evaluation.MetricsReport.from_dict(payload)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: not a metrics artifact "
+                                 f"({type(exc).__name__}: {exc})") from None
         digests.add(payload.get("config_digest", ""))
-        entries[payload["attack"]] = payload
-        levels.update(float(level) for level in payload["tpr_at_fpr"])
+        entries[attack] = report
+        levels.update(report.tpr_at_fpr)
     if len(digests) > 1:
         raise ValueError(f"refusing to merge artifacts with mismatched config digests: {sorted(digests)}")
     (digest,) = digests
@@ -120,13 +125,13 @@ def render_report(outdir: str) -> str:
     order += sorted(a for a in entries if a not in KNOWN_ATTACKS)
     rows = []
     for name in order:
-        payload = entries[name]
+        report = entries[name]
         cells = [name]
         for lv in level_list:
-            entry = payload["tpr_at_fpr"].get(repr(lv))
-            cells.append("-" if entry is None else f"{entry['tpr']:.4f}")
-        cells.append(f"{payload['auc']:.4f}")
-        cells.append(f"{payload['balanced_accuracy']:.4f}")
+            entry = report.tpr_at_fpr.get(lv)
+            cells.append("-" if entry is None else f"{entry.tpr:.4f}")
+        cells.append(f"{report.auc:.4f}")
+        cells.append(f"{report.balanced_accuracy:.4f}")
         rows.append(cells)
 
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]

@@ -21,25 +21,55 @@ BUCKET_HEADER = ("bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count"
 
 
 @dataclass(frozen=True)
+class TprAtFpr:
+    tpr: float
+    threshold: float
+    achieved_fpr: float
+
+
+@dataclass(frozen=True)
 class RocCurve:
     """Threshold sweep: points ordered by descending threshold.
 
     The +inf sentinel contributes (fpr 0, tpr 0) and the -inf sentinel
-    (1, 1); fpr and tpr are nondecreasing along the list.
+    (1, 1); fpr and tpr are nondecreasing along the list. Every headline
+    metric of an attack is read off this one curve.
     """
 
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
-    auc: float
+    auc: float = field(init=False)
 
     def __post_init__(self):
         for name in ("thresholds", "fpr", "tpr"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
+        fpr, tpr = self.fpr, self.tpr
+        if np.any(np.diff(fpr) < 0) or np.any(np.diff(tpr) < 0):
             raise ValueError("fpr/tpr must be nondecreasing along descending thresholds")
-        if not (0.0 <= self.auc <= 1.0):
-            raise ValueError(f"auc out of range: {self.auc}")
+        if not (len(fpr) >= 2 and fpr[0] == tpr[0] == 0.0 and fpr[-1] == tpr[-1] == 1.0):
+            raise ValueError("curve must run from (fpr 0, tpr 0) to (fpr 1, tpr 1)")
+        # the trapezoidal integral equals the Mann-Whitney pair-ordering
+        # statistic with ties counted half
+        auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
+        if not (0.0 <= auc <= 1.0):
+            raise ValueError(f"auc out of range: {auc}")
+        object.__setattr__(self, "auc", auc)
+
+    def tpr_at_fpr(self, target_fpr: float) -> TprAtFpr:
+        """TPR at the smallest threshold whose empirical FPR stays within target.
+
+        achieved_fpr <= target_fpr always holds (the +inf sentinel guarantees a
+        feasible point); no interpolation is performed.
+        """
+        if not (0.0 < target_fpr < 1.0):
+            raise ValueError(f"target_fpr must lie in (0, 1), got {target_fpr}")
+        i = _last_within(self.fpr, target_fpr)
+        return TprAtFpr(float(self.tpr[i]), float(self.thresholds[i]), float(self.fpr[i]))
+
+    def best_balanced_accuracy(self) -> float:
+        """Balanced accuracy maximized over the threshold set (always >= 0.5)."""
+        return float(np.max((self.tpr + 1.0 - self.fpr) / 2.0))
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
         write_columns(path, ROC_HEADER, [self.thresholds, self.fpr, self.tpr], config_digest)
@@ -47,9 +77,7 @@ class RocCurve:
     @classmethod
     def from_csv(cls, path) -> "RocCurve":
         rows = read_rows(path, ROC_HEADER)
-        thresholds, fpr, tpr = np.array(rows, dtype=np.float64).reshape(-1, 3).T
-        auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-        return cls(thresholds, fpr, tpr, auc)
+        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
 
 def _check_classes(scores, is_member):
@@ -62,47 +90,28 @@ def _check_classes(scores, is_member):
     return scores, member
 
 
-def _counts_above(sorted_vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Number of values strictly greater than each threshold."""
-    return len(sorted_vals) - np.searchsorted(sorted_vals, thresholds, side="right")
+def _threshold_grid(scores: np.ndarray) -> np.ndarray:
+    """+inf, every distinct score in descending order, then -inf."""
+    return np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
+
+
+def _share_above(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Share of values strictly greater than each threshold."""
+    values = np.sort(values)
+    return (len(values) - np.searchsorted(values, thresholds, side="right")) / len(values)
+
+
+def _last_within(fpr: np.ndarray, target_fpr: float) -> int:
+    """Last index of a nondecreasing fpr array whose value does not exceed target."""
+    return int(np.nonzero(fpr <= target_fpr)[0][-1])
 
 
 def roc(scores, is_member) -> RocCurve:
-    """Empirical ROC over the distinct score values plus +/-inf sentinels.
-
-    AUC is the trapezoidal integral over (fpr, tpr), which equals the
-    Mann-Whitney pair-ordering statistic with ties counted half.
-    """
+    """Empirical ROC over the distinct score values plus +/-inf sentinels."""
     scores, member = _check_classes(scores, is_member)
-    pos = np.sort(scores[member])
-    neg = np.sort(scores[~member])
-    uniq = np.unique(scores)
-    thresholds = np.concatenate([[np.inf], uniq[::-1], [-np.inf]])
-    tpr = _counts_above(pos, thresholds) / len(pos)
-    fpr = _counts_above(neg, thresholds) / len(neg)
-    auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-    return RocCurve(thresholds, fpr, tpr, auc)
-
-
-@dataclass(frozen=True)
-class TprAtFpr:
-    tpr: float
-    threshold: float
-    achieved_fpr: float
-
-
-def tpr_at_fpr(scores, is_member, target_fpr: float) -> TprAtFpr:
-    """TPR at the smallest threshold whose empirical FPR stays within target.
-
-    achieved_fpr <= target_fpr always holds (the +inf sentinel guarantees a
-    feasible point); no interpolation is performed.
-    """
-    if not (0.0 < target_fpr < 1.0):
-        raise ValueError(f"target_fpr must lie in (0, 1), got {target_fpr}")
-    curve = roc(scores, is_member)
-    admissible = np.nonzero(curve.fpr <= target_fpr)[0]
-    i = admissible[-1]
-    return TprAtFpr(float(curve.tpr[i]), float(curve.thresholds[i]), float(curve.fpr[i]))
+    thresholds = _threshold_grid(scores)
+    return RocCurve(thresholds, _share_above(scores[~member], thresholds),
+                    _share_above(scores[member], thresholds))
 
 
 def balanced_accuracy(scores, is_member, threshold: float) -> float:
@@ -113,27 +122,21 @@ def balanced_accuracy(scores, is_member, threshold: float) -> float:
     return (tpr + tnr) / 2.0
 
 
-def best_balanced_accuracy(scores, is_member) -> float:
-    """Balanced accuracy maximized over the ROC threshold set (always >= 0.5)."""
-    curve = roc(scores, is_member)
-    return float(np.max((curve.tpr + 1.0 - curve.fpr) / 2.0))
-
-
 def calibrate_threshold(shadow_scores, shadow_is_member, target_fpr: float) -> float:
     """Smallest threshold whose FPR on the shadow non-members is within target.
 
     The returned threshold is meant to be applied to target-model scores; a
     target_fpr >= 1 degenerates to the accept-all threshold -inf.
     """
+    if not target_fpr >= 0.0:  # also rejects NaN
+        raise ValueError(f"target_fpr must be a nonnegative number, got {target_fpr}")
     scores = np.asarray(shadow_scores, dtype=np.float64)
     member = np.asarray(shadow_is_member, dtype=bool)
-    neg = np.sort(scores[~member])
+    neg = scores[~member]
     if len(neg) == 0:
         raise ValueError("no shadow non-members to calibrate against")
-    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
-    fpr = _counts_above(neg, thresholds) / len(neg)
-    admissible = np.nonzero(fpr <= target_fpr)[0]
-    return float(thresholds[admissible[-1]])
+    thresholds = _threshold_grid(scores)
+    return float(thresholds[_last_within(_share_above(neg, thresholds), target_fpr)])
 
 
 @dataclass(frozen=True)
@@ -303,12 +306,12 @@ class MetricsReport:
         )
 
 
-def compute_metrics(scores, is_member, fpr_levels) -> MetricsReport:
-    curve = roc(scores, is_member)
+def compute_metrics(curve: RocCurve, fpr_levels) -> MetricsReport:
+    """An attack's headline metrics, all read off its ROC curve."""
     return MetricsReport(
-        balanced_accuracy=best_balanced_accuracy(scores, is_member),
+        balanced_accuracy=curve.best_balanced_accuracy(),
         auc=curve.auc,
-        tpr_at_fpr={float(level): tpr_at_fpr(scores, is_member, level) for level in fpr_levels},
+        tpr_at_fpr={float(level): curve.tpr_at_fpr(level) for level in fpr_levels},
     )
 
 

@@ -68,6 +68,7 @@ class RunResult:
     target_lira: np.ndarray | None
     shadow_lira: np.ndarray | None
     outputs: dict
+    curves: dict
     metrics: dict
     bucket_report: evaluation.LossBucketReport | None
     target_losses: np.ndarray
@@ -190,11 +191,11 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
 
     outputs: dict = {}
     if "loss" in selected:
-        outputs["loss"] = atk.attack_loss(target_table, digest)
+        outputs["loss"] = atk.attack_loss(target_table)
     if "calibration" in selected:
-        outputs["calibration"] = atk.attack_calibration(target_table, digest)
+        outputs["calibration"] = atk.attack_calibration(target_table)
     if "lira_offline" in selected:
-        outputs["lira_offline"] = atk.AttackOutput("lira_offline", target_lira, digest)
+        outputs["lira_offline"] = atk.AttackOutput("lira_offline", target_lira)
     if needs_shadow:
         # both scoring nets train on the same shadow rows, so they share one loop
         shadows = {"rapid": shadow_table,
@@ -206,14 +207,16 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
                                         config.scoring_hidden_sizes)
         scoring_models = dict(zip(names, nets))
     if "rapid" in selected:
-        outputs["rapid"] = atk.attack_rapid(target_table, scoring_models["rapid"], digest)
+        outputs["rapid"] = atk.attack_rapid(target_table, scoring_models["rapid"])
     if "shortcut_lira" in selected:
         outputs["shortcut_lira"] = atk.attack_shortcut_lira(target_table.raw, target_lira,
-                                                            scoring_models["shortcut_lira"], digest)
+                                                            scoring_models["shortcut_lira"])
 
-    metrics = {name: evaluation.compute_metrics(outputs[name].scores, target_table.is_member,
-                                                config.fpr_levels)
-               for name in config.attacks if name in outputs}
+    # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
+    curves = {name: evaluation.roc(outputs[name].scores, target_table.is_member)
+              for name in config.attacks if name in outputs}
+    metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
+               for name, curve in curves.items()}
 
     bucket_report = None
     if target_table.calibrated is not None:
@@ -232,7 +235,7 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         reference_models=reference_models,
         target_table=target_table, shadow_table=shadow_table,
         target_lira=target_lira, shadow_lira=shadow_lira,
-        outputs=outputs, metrics=metrics,
+        outputs=outputs, curves=curves, metrics=metrics,
         bucket_report=bucket_report, target_losses=target_losses,
         target_accuracy=target_accuracy,
     )
@@ -269,19 +272,13 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     if result.shadow_table is not None:
         result.shadow_table.to_csv(record("shadow_scores.csv"), digest)
 
-    for name in result.config.attacks:
-        if name not in result.outputs:
-            continue
-        output = result.outputs[name]
-        output.to_csv(record(f"scores_{name}.csv"), ids=result.target_table.ids)
-        with open(record(f"scores_{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(output.sidecar(result.config.master_seed))
-            fh.write("\n")
-        curve = evaluation.roc(output.scores, result.target_table.is_member)
+    for name, curve in result.curves.items():
+        result.outputs[name].to_csv(record(f"scores_{name}.csv"), result.target_table.ids, digest)
+        _write_json(record(f"scores_{name}.json"),
+                    {"attack": name, "config_digest": digest, "seed": result.config.master_seed})
         curve.to_csv(record(f"roc_{name}.csv"), digest)
-        payload = {"attack": name, "config_digest": digest}
-        payload.update(result.metrics[name].to_dict())
-        _write_json(record(f"metrics_{name}.json"), payload)
+        _write_json(record(f"metrics_{name}.json"),
+                    {"attack": name, "config_digest": digest, **result.metrics[name].to_dict()})
 
     if result.bucket_report is not None:
         result.bucket_report.write_raw_csv(record("loss_buckets_raw.csv"), digest)
@@ -300,12 +297,18 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
 
 
 def read_manifest(outdir) -> dict | None:
-    """The manifest.json of a run directory, or None when there is none."""
+    """The manifest.json of a run directory, or None when there is none.
+
+    Raises ValueError when the file is not a JSON object.
+    """
     path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    return manifest
 
 
 def mark_failed(outdir, digest: str, error: str) -> None:
@@ -314,12 +317,12 @@ def mark_failed(outdir, digest: str, error: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     try:
         listed = (read_manifest(outdir) or {}).get("artifacts", [])
-    except ValueError:  # a truncated manifest lists nothing
+    except ValueError:  # a truncated or malformed manifest lists nothing
         listed = []
-    for name in listed:
-        path = os.path.join(outdir, name)
-        if name != "manifest.json" and os.path.basename(name) == name and os.path.isfile(path):
-            os.remove(path)
+    for name in listed if isinstance(listed, list) else []:
+        if (isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name
+                and os.path.isfile(os.path.join(outdir, name))):
+            os.remove(os.path.join(outdir, name))
     _write_json(os.path.join(outdir, "manifest.json"), {
         "config_digest": digest,
         "status": "failed",

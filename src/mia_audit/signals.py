@@ -174,6 +174,8 @@ class ScoreTable:
     def from_csv(cls, path) -> "ScoreTable":
         rows = read_rows(path, SCORE_TABLE_HEADER)
         calibrated = [r[3] for r in rows]
+        if "" in calibrated and any(calibrated):
+            raise ValueError(f"{path}: calibrated is blank in some rows but not all")
         return cls(ids=[r[0] for r in rows], is_member=[int(r[1]) for r in rows],
                    raw=[float(r[2]) for r in rows],
                    calibrated=None if "" in calibrated else [float(v) for v in calibrated])

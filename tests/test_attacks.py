@@ -5,8 +5,7 @@ from mia_audit import (AttackOutput, GaussianFit, GaussianPair, ScoreTable,
                        ScoringModel, TrainingConfig, attack_calibration, attack_loss,
                        attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
                        gaussian_difference, roc, train_scoring_models)
-from mia_audit.attacks import (VARIANCE_FLOOR, attack_lira_offline, lira_offline_scores,
-                               read_attack_scores_csv)
+from mia_audit.attacks import VARIANCE_FLOOR, lira_offline_scores, read_attack_scores_csv
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 
@@ -173,7 +172,7 @@ class TestLiraOffline:
 
     def test_empty_out_scores_rejected(self):
         with pytest.raises(ValueError):
-            attack_lira_offline(np.array([1.0]), np.zeros((1, 0)))
+            lira_offline_scores(np.array([1.0]), np.zeros((1, 0)))
 
 
 def toy_shadow(n=200, member_at=(0.0, 3.0), non_at=(-3.0, 0.0), jitter=0.1, seed=0):
@@ -332,16 +331,13 @@ class TestAttackOutput:
         with pytest.raises(ValueError):
             AttackOutput("x", [np.nan])
 
-    def test_csv_and_sidecar(self, tmp_path):
-        out = AttackOutput("loss", [-0.5, -1.25], config_digest="abc123")
+    def test_csv_round_trip(self, tmp_path):
+        out = AttackOutput("loss", [-0.5, -1.25])
         path = tmp_path / "scores_loss.csv"
-        out.to_csv(path, ids=["s1", "s2"])
+        out.to_csv(path, ids=["s1", "s2"], config_digest="abc123")
         text = path.read_text()
         assert "# config_digest=abc123" in text
         assert "s1,-0.5" in text
         ids, scores = read_attack_scores_csv(path)
         assert ids == ["s1", "s2"]
         assert np.array_equal(scores, out.scores)
-        sidecar = out.sidecar(seed=7)
-        assert '"attack": "loss"' in sidecar
-        assert '"seed": 7' in sidecar

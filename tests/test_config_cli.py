@@ -9,7 +9,7 @@ import pytest
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
-from mia_audit.evaluation import SWEEP_AXES, sweep
+from mia_audit.evaluation import SWEEP_AXES, RocCurve, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.signals import SignalKind
 
@@ -353,6 +353,30 @@ class TestArtifacts:
         for name in written:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_one_roc_curve_per_attack(self, tmp_path, monkeypatch):
+        # each attack's metrics and roc_<attack>.csv are read off one curve
+        from mia_audit import evaluation
+        calls = []
+        real_roc = evaluation.roc
+
+        def counting_roc(scores, is_member):
+            calls.append(len(scores))
+            return real_roc(scores, is_member)
+
+        monkeypatch.setattr(evaluation, "roc", counting_roc)
+        outdir, result, _ = self.run_to_dir(tmp_path)
+        assert len(calls) == len(result.config.attacks)
+        for attack in result.config.attacks:
+            curve = RocCurve.from_csv(outdir / f"roc_{attack}.csv")
+            assert curve.auc == result.metrics[attack].auc
+
+    def test_score_sidecars_name_attack_seed_and_digest(self, tmp_path):
+        outdir, result, _ = self.run_to_dir(tmp_path)
+        for attack in result.config.attacks:
+            sidecar = json.loads((outdir / f"scores_{attack}.json").read_text())
+            assert sidecar == {"attack": attack, "config_digest": result.digest,
+                               "seed": result.config.master_seed}
+
     def test_manifest_reports_ok(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)
         manifest = json.loads((outdir / "manifest.json").read_text())
@@ -417,6 +441,37 @@ class TestCli:
         with pytest.raises(ValueError, match="did not finish"):
             render_report(outdir)
         assert not list((tmp_path / "out").glob("metrics_*.json"))
+
+    @pytest.mark.parametrize("name, text", [
+        ("metrics_loss.json", json.dumps({"config_digest": "d", "balanced_accuracy": 0.5,
+                                          "auc": 0.5, "tpr_at_fpr": {}})),
+        ("metrics_loss.json", "[1, 2]"),
+        ("manifest.json", "[1, 2]"),
+    ], ids=["metrics_without_attack", "metrics_list", "manifest_list"])
+    def test_report_on_malformed_json_names_file(self, tmp_path, capsys, name, text):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "manifest.json").write_text(json.dumps({"status": "ok", "config_digest": "d"}))
+        (outdir / "metrics_loss.json").write_text(json.dumps(
+            {"attack": "loss", "config_digest": "d", "balanced_accuracy": 0.5, "auc": 0.5,
+             "tpr_at_fpr": {}}))
+        (outdir / name).write_text(text)
+        assert main(["report", str(outdir)]) == 1
+        assert str(outdir / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", ["[1, 2]", '{"artifacts": [1]}', '{"artifacts": "ab"}'],
+                             ids=["list", "int_name", "string_list"])
+    def test_failed_run_over_malformed_manifest_marks_failed(self, tmp_path, capsys, manifest):
+        missing = SAMPLE_INI.replace("source = synthetic",
+                                     f"source = csv\npath = {tmp_path / 'missing.csv'}")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "manifest.json").write_text(manifest)
+        (outdir / "a").write_text("not an artifact")
+        assert main(["run", self.write_config(tmp_path, missing), "-o", str(outdir)]) == 1
+        assert "pipeline failed" in capsys.readouterr().err
+        assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
+        assert (outdir / "a").read_text() == "not an artifact"
 
     def test_report_refuses_metrics_of_another_config(self, tmp_path):
         outdir = tmp_path / "out"

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import (balanced_accuracy, best_balanced_accuracy, compute_metrics,
-                       loss_bucket_report, roc, run_security_game, tpr_at_fpr)
+from mia_audit import (balanced_accuracy, compute_metrics, loss_bucket_report, roc,
+                       run_security_game)
 from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.evaluation import (SWEEP_AXES, RocCurve, bucket_of_loss, calibrate_threshold,
                                   read_bucket_csv, sweep)
@@ -82,6 +82,17 @@ class TestRoc:
         assert lines[0] == "# config_digest=cafe"
         assert lines[1] == "threshold,fpr,tpr"
         assert len(lines) == 2 + len(curve.thresholds)
+        assert RocCurve.from_csv(path).auc == curve.auc
+
+    @pytest.mark.parametrize("rows", ["", "1.0,0.5,0.5\n0.0,1.0,1.0\n",
+                                      "1.0,0.0,0.0\n0.0,0.5,1.0\n"],
+                             ids=["no_points", "no_origin", "no_end"])
+    def test_csv_curve_without_sentinel_endpoints_rejected(self, tmp_path, rows):
+        # tpr_at_fpr relies on the (0, 0) point being admissible for every level
+        path = tmp_path / "roc.csv"
+        path.write_text("threshold,fpr,tpr\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match="curve must run from"):
+            RocCurve.from_csv(path)
 
 
 @pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv,
@@ -100,7 +111,7 @@ class TestTprAtFpr:
     def test_enumeration_example(self):
         scores = [0.9, 0.5, 0.1, 0.95, 0.8, 0.6]
         member = [False, False, False, True, True, True]
-        got = tpr_at_fpr(scores, member, 1 / 3)
+        got = roc(scores, member).tpr_at_fpr(1 / 3)
         assert got.tpr == 1.0
         assert got.achieved_fpr == pytest.approx(1 / 3)
         assert 0.5 <= got.threshold < 0.6
@@ -108,7 +119,7 @@ class TestTprAtFpr:
     def test_target_below_quantile_floor(self):
         scores = [0.9, 0.5, 0.1, 0.95, 0.8, 0.6]
         member = [False, False, False, True, True, True]
-        got = tpr_at_fpr(scores, member, 0.01)
+        got = roc(scores, member).tpr_at_fpr(0.01)
         assert got.achieved_fpr == 0.0
         assert got.threshold >= 0.9
 
@@ -116,7 +127,7 @@ class TestTprAtFpr:
         rng = derive_rng("tpr-null")
         scores = rng.random(20000)
         member = np.array([True] * 10000 + [False] * 10000)
-        got = tpr_at_fpr(scores, member, 0.01)
+        got = roc(scores, member).tpr_at_fpr(0.01)
         assert abs(got.tpr - 0.01) <= 0.01
 
     def test_achieved_never_exceeds_target(self):
@@ -127,11 +138,11 @@ class TestTprAtFpr:
             if member.all() or not member.any():
                 member[0] = not member[0]
             target = float(rng.uniform(0.005, 0.5))
-            assert tpr_at_fpr(scores, member, target).achieved_fpr <= target
+            assert roc(scores, member).tpr_at_fpr(target).achieved_fpr <= target
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            tpr_at_fpr([1.0, 0.0], [True, False], 0.0)
+            roc([1.0, 0.0], [True, False]).tpr_at_fpr(0.0)
 
 
 class TestBalancedAccuracy:
@@ -153,7 +164,7 @@ class TestBalancedAccuracy:
             member = rng.random(30) < 0.5
             if member.all() or not member.any():
                 member[0] = not member[0]
-            assert best_balanced_accuracy(scores, member) >= 0.5
+            assert roc(scores, member).best_balanced_accuracy() >= 0.5
 
 
 class TestCalibrateThreshold:
@@ -170,6 +181,11 @@ class TestCalibrateThreshold:
     def test_no_nonmembers_rejected(self):
         with pytest.raises(ValueError):
             calibrate_threshold([0.5], [True], 0.1)
+
+    @pytest.mark.parametrize("target_fpr", [-0.1, float("nan")], ids=["negative", "nan"])
+    def test_negative_or_nan_target_rejected(self, target_fpr):
+        with pytest.raises(ValueError, match="target_fpr"):
+            calibrate_threshold([0.5, 0.1], [True, False], target_fpr)
 
     def test_transfers_to_iid_target_within_binomial_bound(self):
         rng = derive_rng("cal-thresh")
@@ -266,7 +282,7 @@ class TestMetricsReport:
         rng = derive_rng("metrics")
         scores = rng.normal(size=100)
         member = np.array([True] * 50 + [False] * 50)
-        report = compute_metrics(scores, member, [0.01, 0.1])
+        report = compute_metrics(roc(scores, member), [0.01, 0.1])
         from mia_audit import MetricsReport
         back = MetricsReport.from_dict(report.to_dict())
         assert back == report
@@ -275,7 +291,7 @@ class TestMetricsReport:
         rng = derive_rng("metrics2")
         scores = rng.normal(size=60)
         member = np.array([True] * 30 + [False] * 30)
-        report = compute_metrics(scores, member, [0.1])
+        report = compute_metrics(roc(scores, member), [0.1])
         assert 0.0 <= report.auc <= 1.0
         assert report.balanced_accuracy >= 0.5
 

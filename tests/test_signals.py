@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,13 @@ class TestScoreTable:
         table.to_csv(path)
         back = ScoreTable.from_csv(path)
         assert np.array_equal(back.calibrated, table.calibrated)
+
+    def test_csv_partly_blank_calibrated_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("id,is_member,raw,calibrated\na,1,-0.1,0.4\nb,0,-2.0,\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: calibrated")):
+            ScoreTable.from_csv(path)
 
     def test_list_calibrated_becomes_float64_array(self):
         table = ScoreTable(ids=[0, 1], is_member=[True, False], raw=[-0.1, -2.0],

@@ -1,0 +1,82 @@
+#!/usr/bin/env bash
+# Check that the working tree writes the same artifacts as a git revision.
+#
+# Usage: tools/diff_artifacts.sh <rev>
+#
+# Extracts src/ of <rev> with `git archive` into a temporary directory and
+# runs the same commands with it and with the working tree's src/, BLAS
+# pinned to one thread:
+#   - `run` on the default config (master seed 777),
+#   - `run` with DP-SGD (clip 10, noise 1.0) on the target and reference
+#     models, attacks loss, calibration and lira_offline (seed 919),
+#   - `run` of the loss attack alone (seed 777),
+#   - the two benchmark sweep shapes: num_reference_models 1,2,4 with
+#     calibration, and num_queries 1,4,8 with rapid (seed 4243).
+# Ends with `diff -r` of the two output trees; exits non-zero on any
+# difference or failed command.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <rev>" >&2
+    exit 2
+fi
+rev=$1
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/rev"
+git -C "$root" archive "$rev" src | tar -x -C "$work/rev"
+
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1
+
+ini() {  # <name> <ini text>
+    printf '%s\n' "$2" > "$work/$1.ini"
+}
+ini default '[experiment]
+master_seed = 777'
+ini dp '[dp]
+clip_norm = 10.0
+noise_multiplier = 1.0
+apply_to = target,reference
+
+[attacks]
+enabled = loss,calibration,lira_offline
+
+[experiment]
+master_seed = 919'
+ini loss '[attacks]
+enabled = loss
+
+[experiment]
+master_seed = 777'
+ini calibration '[attacks]
+enabled = calibration'
+ini rapid '[attacks]
+enabled = rapid'
+
+run_side() {  # <src dir> <output dir>
+    local src=$1 out=$2
+    mia() {
+        PYTHONPATH="$src" python3 -m mia_audit.cli "$@" > /dev/null
+    }
+    mia run "$work/default.ini" -o "$out/default"
+    mia run "$work/dp.ini" -o "$out/dp"
+    mia run "$work/loss.ini" -o "$out/loss"
+    mia sweep "$work/calibration.ini" --axis num_reference_models --values 1,2,4 \
+        --seeds 4243 -o "$out/sweep_references"
+    mia sweep "$work/rapid.ini" --axis num_queries --values 1,4,8 \
+        --seeds 4243 -o "$out/sweep_queries"
+}
+
+echo "running $rev ..." >&2
+run_side "$work/rev/src" "$work/out/rev"
+echo "running the working tree ..." >&2
+run_side "$root/src" "$work/out/tree"
+
+if diff -r "$work/out/rev" "$work/out/tree"; then
+    echo "no difference: $(find "$work/out/tree" -type f | wc -l) files identical to $rev"
+else
+    echo "artifacts differ from $rev" >&2
+    exit 1
+fi
