@@ -6,9 +6,8 @@ scoring-model attack that re-uses raw scores to correct calibration errors,
 over small from-scratch MLP classifiers on tabular or synthetic data.
 """
 
-from .attacks import (AttackOutput, GaussianFit, GaussianPair, ScoringModel,
-                      attack_calibration, attack_loss, attack_rapid, attack_shortcut_lira,
-                      calibrate, fit_gaussian, gaussian_difference, train_scoring_models)
+from .attacks import (AttackOutput, GaussianFit, GaussianPair, ScoringModel, calibrate,
+                      fit_gaussian, gaussian_difference, train_scoring_models)
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                       generate_synthetic, load_csv, make_split, random_means,

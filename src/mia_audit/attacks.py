@@ -1,16 +1,17 @@
 """The attack family: loss threshold, difficulty calibration, offline LiRA,
-and the scoring-model attack (with its LiRA-shortcut variant).
+and the scoring-model attack (rapid, and its LiRA-shortcut variant).
 
-Difficulty calibration subtracts the mean reference-model score from the raw
-score, removing a sample's intrinsic easiness. The scoring-model attack feeds
-both the raw and the calibrated score into a small sigmoid-output MLP trained
-on shadow data, so extreme raw scores can veto calibration errors on
-high-loss non-members.
+Every attack is a function of one eval set's raw scores and its reference
+matrix. Difficulty calibration subtracts the mean reference-model score from
+the raw score, removing a sample's intrinsic easiness. The scoring-model
+attack feeds the raw score and a second feature (the calibrated score for
+rapid, the offline-LiRA score for shortcut_lira) into a small sigmoid-output
+MLP trained on shadow data, so extreme raw scores can veto calibration errors
+on high-loss non-members.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,23 @@ from scipy.special import ndtr
 
 from . import nn
 from .dataset import read_rows, write_columns
-from .signals import ScoreTable
 
 VARIANCE_FLOOR = 1e-8
 SCORES_HEADER = ("id", "score")
 
 SCORING_HIDDEN_SIZES = (64, 64, 64)
+
+# Each threshold attack's score of one eval set, from its raw scores and its
+# (n, R) reference-score matrix. The lambdas look the functions up at call
+# time, so a wrapper installed on this module sees every call.
+THRESHOLD_SCORES = {
+    "loss": lambda raw, refs: raw,
+    "calibration": lambda raw, refs: calibrate(raw, refs),
+    "lira_offline": lambda raw, refs: lira_offline_scores(raw, refs),
+}
+# The scoring attacks: one scoring net over (raw, second feature), keyed by the
+# threshold score that serves as the second feature.
+SCORING_FEATURES = {"rapid": "calibration", "shortcut_lira": "lira_offline"}
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,8 @@ class AttackOutput:
 
 def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """(ids, scores) from an attack-output CSV, skipping digest comments."""
-    rows = read_rows(path, SCORES_HEADER)
-    return [r[0] for r in rows], np.array([float(r[1]) for r in rows])
+    rows = read_rows(path, SCORES_HEADER, (str, float))
+    return [r[0] for r in rows], np.array([r[1] for r in rows], dtype=np.float64)
 
 
 def fit_gaussian(samples) -> GaussianFit:
@@ -99,20 +111,6 @@ def calibrate(raw: np.ndarray, ref_scores: np.ndarray) -> np.ndarray:
     return raw - ref.mean(axis=1)
 
 
-def attack_loss(table: ScoreTable) -> AttackOutput:
-    """Raw-score threshold attack: the final score is the raw signal itself."""
-    if table.raw is None:
-        raise ValueError("score table has no raw scores")
-    return AttackOutput("loss", table.raw.copy())
-
-
-def attack_calibration(table: ScoreTable) -> AttackOutput:
-    """Difficulty-calibration attack: the final score is the calibrated score."""
-    if table.calibrated is None:
-        raise ValueError("score table has no calibrated scores")
-    return AttackOutput("calibration", table.calibrated.copy())
-
-
 def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     """Per-sample one-sided test against the OUT-score Gaussian.
 
@@ -134,9 +132,9 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoringModel:
-    """Sigmoid-output MLP over the standardized (raw, calibrated) score pair.
+    """Sigmoid-output MLP over a standardized (raw, second feature) score pair.
 
-    Standardization statistics come from the shadow table the model was
+    Standardization statistics come from the shadow features the model was
     trained on and are reapplied verbatim at inference.
     """
 
@@ -165,67 +163,31 @@ class ScoringModel:
         raw = nn.sigmoid(nn.forward(self.mlp, z)[:, 0])
         return np.clip(raw, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
-    def to_json(self) -> str:
-        payload = self.mlp.to_dict()
-        payload["feature_mean"] = self.feature_mean.tolist()
-        payload["feature_std"] = self.feature_std.tolist()
-        return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScoringModel":
-        payload = json.loads(text)
-        return cls(
-            mlp=nn.MLPClassifier.from_dict(payload),
-            feature_mean=np.array(payload["feature_mean"]),
-            feature_std=np.array(payload["feature_std"]),
-        )
+def train_scoring_models(features, is_member, configs,
+                         hidden_sizes=SCORING_HIDDEN_SIZES) -> list[ScoringModel]:
+    """Fit one scoring MLP per (n, 2) shadow feature matrix against the shared
+    shadow membership with BCE loss, all in one nn.train_many loop.
 
-
-def _score_features(raw, second) -> np.ndarray:
-    return np.column_stack([np.asarray(raw, dtype=np.float64),
-                            np.asarray(second, dtype=np.float64)])
-
-
-def train_scoring_models(tables, configs, hidden_sizes=SCORING_HIDDEN_SIZES) -> list[ScoringModel]:
-    """Fit one scoring MLP per shadow table on its (raw, calibrated) pairs with
-    BCE loss, all in one nn.train_many loop.
-
-    The tables must share their row count and configs[k] goes with tables[k];
-    each net equals one trained alone. Features are z-scored per table with
-    statistics computed here and stored in the model; a constant column keeps
-    std 1 so it standardizes to exact zeros.
+    configs[k] goes with features[k]; each net equals one trained alone.
+    Features are z-scored per matrix with statistics computed here and stored
+    in the model; a constant column keeps std 1 so it standardizes to exact
+    zeros.
     """
-    inputs, targets, stats = [], [], []
-    for table in tables:
-        if table.calibrated is None:
-            raise ValueError("shadow table needs calibrated scores to train the scoring model")
-        members = int(table.is_member.sum())
-        if members == 0 or members == len(table):
-            raise ValueError("shadow table must contain both members and non-members")
-        feats = _score_features(table.raw, table.calibrated)
+    member = np.asarray(is_member, dtype=bool)
+    if member.ndim != 1 or member.all() or not member.any():
+        raise ValueError("shadow membership must contain both members and non-members")
+    inputs, stats = [], []
+    for feats in features:
+        feats = np.asarray(feats, dtype=np.float64)
+        if feats.shape != (len(member), 2):
+            raise ValueError(f"scoring features have shape {feats.shape}, expected ({len(member)}, 2)")
         mean = feats.mean(axis=0)
         std = feats.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         inputs.append((feats - mean) / std)
-        targets.append(table.is_member.astype(np.float64))
         stats.append((mean, std))
+    targets = [member.astype(np.float64)] * len(inputs)
     layer_sizes = (2, *hidden_sizes, 1)
     mlps = nn.train_many(inputs, targets, configs, layer_sizes, loss="bce")
     return [ScoringModel(mlp, mean, std) for mlp, (mean, std) in zip(mlps, stats)]
-
-
-def attack_rapid(table: ScoreTable, scoring_model: ScoringModel) -> AttackOutput:
-    """Scoring-model attack over (raw, calibrated) target scores."""
-    if table.calibrated is None:
-        raise ValueError("target table has no calibrated scores")
-    scores = scoring_model.score(_score_features(table.raw, table.calibrated))
-    return AttackOutput("rapid", scores)
-
-
-def attack_shortcut_lira(raw: np.ndarray, lira_scores: np.ndarray,
-                         scoring_model: ScoringModel) -> AttackOutput:
-    """Scoring-model attack with the calibrated column replaced by the
-    offline-LiRA score; the model must have been trained on shadow
-    (raw, lira) pairs."""
-    scores = scoring_model.score(_score_features(raw, lira_scores))
-    return AttackOutput("shortcut_lira", scores)

@@ -230,11 +230,13 @@ def write_columns(path, header, columns, config_digest: str | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def read_rows(path, header) -> list[list[str]]:
-    """Data rows of a CSV in the write_columns format, skipping `#` lines.
+def read_rows(path, header, types) -> list[list]:
+    """Data rows of a CSV in the write_columns format, skipping `#` lines, with
+    each cell converted by its column's callable in `types`.
 
     Raises ValueError naming the path when the header is missing or differs
-    from `header`, or when a row's cell count differs from the header's.
+    from `header`, or when a row's cell count differs from the header's; and
+    naming the path, data row and column when a converter rejects a cell.
     """
     header = list(header)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -242,10 +244,18 @@ def read_rows(path, header) -> list[list[str]]:
     if not rows or rows[0] != header:
         found = rows[0] if rows else "none"
         raise ValueError(f"{path}: unexpected header {found}, expected {header}")
+    out = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
-    return rows[1:]
+        cells = []
+        for name, convert, cell in zip(header, types, row, strict=True):
+            try:
+                cells.append(convert(cell))
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {i} column {name!r}: {exc}") from None
+        out.append(cells)
+    return out
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class RocCurve:
 
     @classmethod
     def from_csv(cls, path) -> "RocCurve":
-        rows = read_rows(path, ROC_HEADER)
+        rows = read_rows(path, ROC_HEADER, (float, float, float))
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
 
@@ -219,9 +219,8 @@ class LossBucketReport:
 
 def read_bucket_csv(path) -> list[dict]:
     """Rows of a loss-bucket histogram CSV as dicts."""
-    rows = read_rows(path, BUCKET_HEADER)
-    return [{"bucket": r[0], "bin_lo": float(r[1]), "bin_hi": float(r[2]),
-             "member_count": int(r[3]), "nonmember_count": int(r[4])} for r in rows]
+    rows = read_rows(path, BUCKET_HEADER, (str, float, float, int, int))
+    return [dict(zip(BUCKET_HEADER, r)) for r in rows]
 
 
 def bucket_of_loss(loss: float) -> str:

@@ -16,7 +16,6 @@ validated wrappers over the same kernels for a single model.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -111,30 +110,6 @@ class MLPClassifier:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def to_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MLPClassifier":
-        return cls(
-            layer_sizes=tuple(payload["layer_sizes"]),
-            weights=tuple(np.array(w) for w in payload["weights"]),
-            biases=tuple(np.array(b) for b in payload["biases"]),
-            activation=payload.get("activation", "tanh"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "MLPClassifier":
-        return cls.from_dict(json.loads(text))
 
 
 def init_classifier(layer_sizes, seed: int) -> MLPClassifier:

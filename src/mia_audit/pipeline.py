@@ -33,10 +33,6 @@ from .dataset import (DistributionSpec, SplitPlan, TabularDataset, generate_synt
 from .seeding import derive_seed
 from .signals import QueryConfig, ScoreTable, averaged_signal_batch, perturbed_queries
 
-_REFERENCE_ATTACKS = {"calibration", "lira_offline", "rapid", "shortcut_lira"}
-_SCORING_ATTACKS = {"rapid", "shortcut_lira"}
-_LIRA_ATTACKS = {"lira_offline", "shortcut_lira"}
-
 
 def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
     if isinstance(source, CsvSource):
@@ -65,13 +61,10 @@ class RunResult:
     reference_models: list
     target_table: ScoreTable
     shadow_table: ScoreTable | None
-    target_lira: np.ndarray | None
-    shadow_lira: np.ndarray | None
     outputs: dict
     curves: dict
     metrics: dict
     bucket_report: evaluation.LossBucketReport | None
-    target_losses: np.ndarray
     target_accuracy: dict
 
 
@@ -108,9 +101,9 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
     digest = config.digest()
     master = config.master_seed
     selected = set(config.attacks)
-    needs_refs = bool(selected & _REFERENCE_ATTACKS)
-    needs_shadow = bool(selected & _SCORING_ATTACKS)
-    needs_lira = bool(selected & _LIRA_ATTACKS)
+    needs_refs = bool(selected - {"loss"})
+    scoring = [name for name in atk.SCORING_FEATURES if name in selected]
+    features = {atk.SCORING_FEATURES[name] for name in scoring}
 
     target_ds = resolve_dataset(config.data, master, "data")
     attacker_ds = None
@@ -143,7 +136,7 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         reference_models = [train_reference(i) for i in range(config.num_reference_models)]
 
     shadow_model = None
-    if needs_shadow:
+    if scoring:
         shadow_model = _train_stage(shadow_ds, shadow_plan.shadow_train, config, "shadow",
                                     ("shadow",), trained)
 
@@ -153,74 +146,54 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         seed=derive_seed(master, "queries"),
     )
 
-    def score_set(dataset, ids, x, y, member, model, include_refs: bool):
+    def score_set(ids, x, y, member, model, names):
+        """The eval set's table and its threshold scores `names` (plus "loss",
+        the raw scores), each read off its raw scores and reference matrix."""
         queries = perturbed_queries(x, ids, query_cfg)
 
         def raw_for(m):
-            return averaged_signal_batch(m, x, y, config.signal_kind, query_cfg,
-                                         ids=ids, queries=queries,
-                                         logit_scale=config.logit_scaling)
+            return averaged_signal_batch(m, queries, y, config.signal_kind, config.logit_scaling)
 
         raw = raw_for(model)
-        table = ScoreTable(ids=ids, is_member=member, raw=raw)
-        ref_matrix = None
-        if include_refs and reference_models:
-            ref_matrix = np.column_stack([raw_for(m) for m in reference_models])
-            table = table.with_columns(calibrated=atk.calibrate(raw, ref_matrix))
-        return table, ref_matrix
+        refs = np.column_stack([raw_for(m) for m in reference_models]) if needs_refs else None
+        scores = {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
+                  if name == "loss" or name in names}
+        return ScoreTable(ids=ids, is_member=member, raw=raw,
+                          calibrated=scores.get("calibration")), scores
 
     ids_t, x_t, y_t, member_t = _eval_set(target_ds, target_plan.target_train, target_plan.target_test)
-    target_table, target_refs = score_set(target_ds, ids_t, x_t, y_t, member_t,
-                                          target_model, needs_refs)
-    target_losses = nn.per_sample_loss(target_model, x_t, y_t)
+    target_names = (selected | features | {"calibration"}) if needs_refs else set()
+    target_table, target_scores = score_set(ids_t, x_t, y_t, member_t, target_model, target_names)
 
     shadow_table = None
-    shadow_refs = None
-    if needs_shadow:
+    if scoring:
         ids_s, x_s, y_s, member_s = _eval_set(shadow_ds, shadow_plan.shadow_train,
                                               shadow_plan.shadow_test)
-        shadow_table, shadow_refs = score_set(shadow_ds, ids_s, x_s, y_s, member_s,
-                                              shadow_model, True)
+        shadow_table, shadow_scores = score_set(ids_s, x_s, y_s, member_s, shadow_model,
+                                                features | {"calibration"})
 
-    target_lira = None
-    shadow_lira = None
-    if needs_lira and target_refs is not None:
-        target_lira = atk.lira_offline_scores(target_table.raw, target_refs)
-    if "shortcut_lira" in selected and shadow_table is not None and shadow_refs is not None:
-        shadow_lira = atk.lira_offline_scores(shadow_table.raw, shadow_refs)
+        def pairs(scores, name):
+            return np.column_stack([scores["loss"], scores[atk.SCORING_FEATURES[name]]])
 
-    outputs: dict = {}
-    if "loss" in selected:
-        outputs["loss"] = atk.attack_loss(target_table)
-    if "calibration" in selected:
-        outputs["calibration"] = atk.attack_calibration(target_table)
-    if "lira_offline" in selected:
-        outputs["lira_offline"] = atk.AttackOutput("lira_offline", target_lira)
-    if needs_shadow:
         # both scoring nets train on the same shadow rows, so they share one loop
-        shadows = {"rapid": shadow_table,
-                   "shortcut_lira": shadow_table.with_columns(calibrated=shadow_lira)}
-        names = [name for name in shadows if name in selected]
         configs = [dataclasses.replace(config.scoring_train, seed=derive_seed(master, "scoring", name))
-                   for name in names]
-        nets = atk.train_scoring_models([shadows[name] for name in names], configs,
-                                        config.scoring_hidden_sizes)
-        scoring_models = dict(zip(names, nets))
-    if "rapid" in selected:
-        outputs["rapid"] = atk.attack_rapid(target_table, scoring_models["rapid"])
-    if "shortcut_lira" in selected:
-        outputs["shortcut_lira"] = atk.attack_shortcut_lira(target_table.raw, target_lira,
-                                                            scoring_models["shortcut_lira"])
+                   for name in scoring]
+        nets = atk.train_scoring_models([pairs(shadow_scores, name) for name in scoring],
+                                        shadow_table.is_member, configs, config.scoring_hidden_sizes)
+        for name, net in zip(scoring, nets):
+            target_scores[name] = net.score(pairs(target_scores, name))
 
+    outputs = {name: atk.AttackOutput(name, target_scores[name]) for name in config.attacks}
     # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
-    curves = {name: evaluation.roc(outputs[name].scores, target_table.is_member)
-              for name in config.attacks if name in outputs}
+    curves = {name: evaluation.roc(output.scores, target_table.is_member)
+              for name, output in outputs.items()}
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
     bucket_report = None
     if target_table.calibrated is not None:
-        bucket_report = evaluation.loss_bucket_report(target_losses, target_table.calibrated,
+        bucket_report = evaluation.loss_bucket_report(nn.per_sample_loss(target_model, x_t, y_t),
+                                                      target_table.calibrated,
                                                       target_table.is_member)
 
     target_accuracy = {
@@ -234,10 +207,8 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         target_model=target_model, shadow_model=shadow_model,
         reference_models=reference_models,
         target_table=target_table, shadow_table=shadow_table,
-        target_lira=target_lira, shadow_lira=shadow_lira,
         outputs=outputs, curves=curves, metrics=metrics,
-        bucket_report=bucket_report, target_losses=target_losses,
-        target_accuracy=target_accuracy,
+        bucket_report=bucket_report, target_accuracy=target_accuracy,
     )
 
 

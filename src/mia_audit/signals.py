@@ -67,14 +67,9 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
     return -np.sqrt(nn.grad_sq_norms(model, x, y))
 
 
-def signal(model: nn.MLPClassifier, x: np.ndarray, y: int,
-           kind: SignalKind, logit_scale: bool = False) -> float:
-    """Single-sample membership score."""
-    return float(signal_batch(model, np.atleast_2d(x), [int(y)], kind, logit_scale)[0])
-
-
 def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
-    """The query matrices for a batch: the original plus num_queries - 1 jittered copies.
+    """The distinct query matrices for a batch: the original plus num_queries - 1
+    jittered copies, or the original alone with one query or zero noise.
 
     Per-sample noise is drawn from an rng stream keyed on (q.seed, sample id,
     query index), never on evaluation order, so the same ids always see the
@@ -83,7 +78,7 @@ def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = [x]
     if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
-        return out + [x] * (q.num_queries - 1)
+        return out
     d = x.shape[1]
     for j in range(1, q.num_queries):
         noise = np.empty_like(x)
@@ -94,32 +89,14 @@ def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
     return out
 
 
-def averaged_signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
-                          kind: SignalKind, q: QueryConfig, ids=None,
-                          queries: list[np.ndarray] | None = None,
-                          logit_scale: bool = False) -> np.ndarray:
-    """Mean of the per-query signal over the original sample and its jitters."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if ids is None:
-        ids = list(range(x.shape[0]))
-    if queries is None:
-        queries = perturbed_queries(x, ids, q)
-    if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
-        return signal_batch(model, x, y, kind, logit_scale)
-    total = np.zeros(x.shape[0])
-    for xq in queries:
-        total += signal_batch(model, xq, y, kind, logit_scale)
-    return total / q.num_queries
-
-
-def averaged_signal(model: nn.MLPClassifier, x: np.ndarray, y: int,
-                    kind: SignalKind, q: QueryConfig, sample_id=0,
-                    logit_scale: bool = False) -> float:
-    """Single-sample multi-query score; with one query this equals signal()."""
-    return float(
-        averaged_signal_batch(model, np.atleast_2d(x), [int(y)], kind, q,
-                              ids=[sample_id], logit_scale=logit_scale)[0]
-    )
+def averaged_signal_batch(model: nn.MLPClassifier, queries: list[np.ndarray], y: np.ndarray,
+                          kind: SignalKind, logit_scale: bool = False) -> np.ndarray:
+    """Mean of the per-query signal over the given query matrices (see
+    perturbed_queries); one matrix gives signal_batch on it unchanged."""
+    total = signal_batch(model, queries[0], y, kind, logit_scale)
+    for xq in queries[1:]:
+        total = total + signal_batch(model, xq, y, kind, logit_scale)
+    return total / len(queries)
 
 
 @dataclass
@@ -127,7 +104,7 @@ class ScoreTable:
     """Per-sample scores with membership ground truth.
 
     raw holds the (possibly query-averaged) signal from one model; calibrated
-    stays None until the reference models fill it.
+    is None when the run has no reference models.
     """
 
     ids: list
@@ -156,14 +133,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def with_columns(self, calibrated=None) -> "ScoreTable":
-        return ScoreTable(
-            ids=self.ids,
-            is_member=self.is_member,
-            raw=self.raw,
-            calibrated=self.calibrated if calibrated is None else calibrated,
-        )
-
     def to_csv(self, path, config_digest: str | None = None) -> None:
         """Columns id,is_member,raw,calibrated; empty cells when calibrated is absent."""
         calibrated = [""] * len(self) if self.calibrated is None else self.calibrated
@@ -172,23 +141,20 @@ class ScoreTable:
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        rows = read_rows(path, SCORE_TABLE_HEADER)
+        rows = read_rows(path, SCORE_TABLE_HEADER, (str, _member_flag, float, _optional_float))
         calibrated = [r[3] for r in rows]
-        if "" in calibrated and any(calibrated):
+        if None in calibrated and any(v is not None for v in calibrated):
             raise ValueError(f"{path}: calibrated is blank in some rows but not all")
-        return cls(ids=[r[0] for r in rows], is_member=[int(r[1]) for r in rows],
-                   raw=[float(r[2]) for r in rows],
-                   calibrated=None if "" in calibrated else [float(v) for v in calibrated])
+        return cls(ids=[r[0] for r in rows], is_member=[r[1] for r in rows],
+                   raw=[r[2] for r in rows],
+                   calibrated=None if None in calibrated else calibrated)
 
 
-def build_score_table(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
-                      is_member, kind: SignalKind, q: QueryConfig,
-                      ids=None, logit_scale: bool = False) -> ScoreTable:
-    """Score every sample against one model and record membership ground truth."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("empty sample list")
-    if ids is None:
-        ids = list(range(x.shape[0]))
-    raw = averaged_signal_batch(model, x, y, kind, q, ids=ids, logit_scale=logit_scale)
-    return ScoreTable(ids=ids, is_member=np.asarray(is_member, dtype=bool), raw=raw)
+def _member_flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+def _optional_float(cell: str) -> float | None:
+    return None if cell == "" else float(cell)

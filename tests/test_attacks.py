@@ -1,28 +1,23 @@
 import numpy as np
 import pytest
 
-from mia_audit import (AttackOutput, GaussianFit, GaussianPair, ScoreTable,
-                       ScoringModel, TrainingConfig, attack_calibration, attack_loss,
-                       attack_rapid, attack_shortcut_lira, calibrate, fit_gaussian,
-                       gaussian_difference, roc, train_scoring_models)
-from mia_audit.attacks import VARIANCE_FLOOR, lira_offline_scores, read_attack_scores_csv
+from mia_audit import (AttackOutput, GaussianFit, GaussianPair, TrainingConfig, calibrate,
+                       fit_gaussian, gaussian_difference, roc, train_scoring_models)
+from mia_audit.attacks import (THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores,
+                               read_attack_scores_csv)
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 
 
-def table(raw, member, calibrated=None):
-    return ScoreTable(ids=list(range(len(raw))), is_member=member, raw=raw,
-                      calibrated=calibrated)
-
-
 class TestAttackLoss:
     def test_identity_passthrough(self):
-        out = attack_loss(table([-0.1, -2.0], [True, False]))
+        raw = np.array([-0.1, -2.0])
+        out = AttackOutput("loss", THRESHOLD_SCORES["loss"](raw, None))
         assert np.array_equal(out.scores, [-0.1, -2.0])
         assert out.name == "loss"
 
     def test_empty_table(self):
-        out = attack_loss(ScoreTable(ids=[], is_member=[], raw=[]))
+        out = AttackOutput("loss", THRESHOLD_SCORES["loss"](np.zeros(0), None))
         assert len(out.scores) == 0
 
 
@@ -54,13 +49,14 @@ class TestCalibrate:
         assert np.max(np.abs(back - raw)) <= np.finfo(float).eps * np.max(np.abs(raw)) * 4
 
     def test_attack_calibration_passthrough(self):
-        t = table([-0.1, -2.0], [True, False], calibrated=[0.4, -1.5])
-        out = attack_calibration(t)
-        assert np.array_equal(out.scores, [0.4, -1.5])
+        raw = np.array([-0.1, -2.0])
+        refs = np.array([[-0.5], [-0.5]])
+        assert np.array_equal(THRESHOLD_SCORES["calibration"](raw, refs), calibrate(raw, refs))
 
     def test_attack_calibration_requires_column(self):
+        # one reference row per sample
         with pytest.raises(ValueError):
-            attack_calibration(table([-0.1], [True]))
+            THRESHOLD_SCORES["calibration"](np.array([-0.1]), np.zeros((2, 1)))
 
     def test_high_loss_nonmember_pushed_memberward(self):
         # the calibration failure mode: raw -3 with reference mean -5 lands at +2
@@ -73,7 +69,7 @@ class TestCalibrate:
         # calibrated attack flips the order
         raw = np.array([-0.05, -0.10])
         refs = np.array([[-0.04], [-1.0]])
-        loss_scores = attack_loss(table(raw, [False, True])).scores
+        loss_scores = THRESHOLD_SCORES["loss"](raw, refs)
         cal_scores = calibrate(raw, refs)
         assert loss_scores[0] > loss_scores[1]
         assert cal_scores[0] == pytest.approx(-0.01)
@@ -176,11 +172,11 @@ class TestLiraOffline:
 
 
 def toy_shadow(n=200, member_at=(0.0, 3.0), non_at=(-3.0, 0.0), jitter=0.1, seed=0):
+    """(features, is_member): (raw, calibrated) pairs of n members, then n non-members."""
     rng = np.random.default_rng(seed)
     raw = np.concatenate([rng.normal(member_at[0], jitter, n), rng.normal(non_at[0], jitter, n)])
     cal = np.concatenate([rng.normal(member_at[1], jitter, n), rng.normal(non_at[1], jitter, n)])
-    member = np.array([True] * n + [False] * n)
-    return ScoreTable(ids=list(range(2 * n)), is_member=member, raw=raw, calibrated=cal)
+    return np.column_stack([raw, cal]), np.array([True] * n + [False] * n)
 
 
 def scoring_config(**kw):
@@ -193,11 +189,11 @@ def scoring_config(**kw):
 class TestScoringModel:
     def test_separable_shadow_reaches_full_accuracy(self):
         from mia_audit import balanced_accuracy
-        shadow = toy_shadow()
-        model = train_scoring_models([shadow], [scoring_config()])[0]
-        scores = model.score(np.column_stack([shadow.raw, shadow.calibrated]))
-        assert np.mean((scores > 0.5) == shadow.is_member) == 1.0
-        assert balanced_accuracy(scores, shadow.is_member, 0.5) == 1.0
+        feats, member = toy_shadow()
+        model = train_scoring_models([feats], member, [scoring_config()])[0]
+        scores = model.score(feats)
+        assert np.mean((scores > 0.5) == member) == 1.0
+        assert balanced_accuracy(scores, member, 0.5) == 1.0
 
     def test_zero_epochs_uninformative(self):
         # exchangeable shadow scores: membership carries no signal, so an
@@ -206,58 +202,52 @@ class TestScoringModel:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             n = 400
-            shadow = ScoreTable(ids=list(range(n)), is_member=[True] * (n // 2) + [False] * (n // 2),
-                                raw=rng.normal(-1.0, 0.7, n), calibrated=rng.normal(0.5, 0.7, n))
-            model = train_scoring_models([shadow], [scoring_config(epochs=0, seed=seed)])[0]
-            scores = model.score(np.column_stack([shadow.raw, shadow.calibrated]))
+            member = np.array([True] * (n // 2) + [False] * (n // 2))
+            feats = np.column_stack([rng.normal(-1.0, 0.7, n), rng.normal(0.5, 0.7, n)])
+            model = train_scoring_models([feats], member, [scoring_config(epochs=0, seed=seed)])[0]
+            scores = model.score(feats)
             assert np.all((scores > 0) & (scores < 1))
-            aucs.append(roc(scores, shadow.is_member).auc)
+            aucs.append(roc(scores, member).auc)
         assert abs(float(np.mean(aucs)) - 0.5) <= 0.1
 
     def test_deterministic(self):
-        shadow = toy_shadow()
-        a = train_scoring_models([shadow], [scoring_config()])[0]
-        b = train_scoring_models([shadow], [scoring_config()])[0]
+        feats, member = toy_shadow()
+        a = train_scoring_models([feats], member, [scoring_config()])[0]
+        b = train_scoring_models([feats], member, [scoring_config()])[0]
         for wa, wb in zip(a.mlp.parameters(), b.mlp.parameters()):
             assert np.array_equal(wa, wb)
 
     def test_stacked_nets_equal_nets_trained_alone(self):
-        shadows = [toy_shadow(), toy_shadow(seed=9)]
+        (first, member), (second, _) = toy_shadow(), toy_shadow(seed=9)
         configs = [scoring_config(epochs=3, seed=1), scoring_config(epochs=3, seed=2)]
-        stacked = train_scoring_models(shadows, configs)
-        for shadow, config, model in zip(shadows, configs, stacked):
-            alone = train_scoring_models([shadow], [config])[0]
+        stacked = train_scoring_models([first, second], member, configs)
+        for feats, config, model in zip([first, second], configs, stacked):
+            alone = train_scoring_models([feats], member, [config])[0]
             assert np.array_equal(model.feature_mean, alone.feature_mean)
             assert np.array_equal(model.feature_std, alone.feature_std)
             for a, b in zip(model.mlp.parameters(), alone.mlp.parameters()):
                 assert np.array_equal(a, b)
 
     def test_single_class_rejected(self):
-        shadow = toy_shadow()
-        bad = ScoreTable(ids=shadow.ids, is_member=[True] * len(shadow),
-                         raw=shadow.raw, calibrated=shadow.calibrated)
-        with pytest.raises(ValueError):
-            train_scoring_models([bad], [scoring_config()])
+        feats, member = toy_shadow()
+        for one_class in (np.ones_like(member), np.zeros_like(member)):
+            with pytest.raises(ValueError, match="both members and non-members"):
+                train_scoring_models([feats], one_class, [scoring_config()])
 
     def test_missing_calibrated_rejected(self):
-        shadow = toy_shadow()
-        bad = ScoreTable(ids=shadow.ids, is_member=shadow.is_member, raw=shadow.raw)
-        with pytest.raises(ValueError):
-            train_scoring_models([bad], [scoring_config()])
-
-    def test_json_round_trip(self):
-        model = train_scoring_models([toy_shadow()], [scoring_config(epochs=2)])[0]
-        back = ScoringModel.from_json(model.to_json())
-        probe = np.array([[0.2, 1.5], [-2.0, 0.3]])
-        assert np.array_equal(back.score(probe), model.score(probe))
+        # the feature matrix must be (n, 2): the raw score and a second feature
+        feats, member = toy_shadow()
+        for bad in (feats[:, :1], feats[:, 0], np.column_stack([feats, feats[:, :1]]), feats[1:]):
+            with pytest.raises(ValueError, match="scoring features have shape"):
+                train_scoring_models([bad], member, [scoring_config()])
 
 
 class TestAttackRapid:
     def test_outputs_in_unit_interval(self):
-        shadow = toy_shadow()
-        model = train_scoring_models([shadow], [scoring_config(epochs=5)])[0]
-        out = attack_rapid(shadow, model)
-        assert np.all((out.scores > 0) & (out.scores < 1))
+        feats, member = toy_shadow()
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
+        scores = model.score(feats)
+        assert np.all((scores > 0) & (scores < 1))
 
     def test_shortcut_vetoes_high_loss_nonmember(self):
         # shadow data embodies the calibration failure mode: non-members with
@@ -268,36 +258,32 @@ class TestAttackRapid:
                               rng.normal(-3.0, 0.5, n)])     # non-members: large loss
         cal = np.concatenate([rng.normal(2.0, 0.5, n),
                               rng.normal(2.0, 0.5, n)])      # calibration fooled for both
-        shadow = ScoreTable(ids=list(range(2 * n)), is_member=[True] * n + [False] * n,
-                            raw=raw, calibrated=cal)
-        model = train_scoring_models([shadow], [scoring_config()])[0]
+        member = np.array([True] * n + [False] * n)
+        model = train_scoring_models([np.column_stack([raw, cal])], member, [scoring_config()])[0]
         fooled_nonmember = model.score(np.array([[-3.0, 2.0]]))[0]
         true_member = model.score(np.array([[-0.01, 2.0]]))[0]
         assert fooled_nonmember < true_member
 
     def test_rescaling_absorbed_by_standardization(self):
         # power-of-two rescaling of both shadow and target inputs is exact
-        shadow = toy_shadow()
-        target = toy_shadow(seed=9)
-        model = train_scoring_models([shadow], [scoring_config(epochs=10)])[0]
-        base = attack_rapid(target, model).scores
+        shadow, member = toy_shadow()
+        target, _ = toy_shadow(seed=9)
+        model = train_scoring_models([shadow], member, [scoring_config(epochs=10)])[0]
+        base = model.score(target)
 
-        scaled_shadow = ScoreTable(ids=shadow.ids, is_member=shadow.is_member,
-                                   raw=4.0 * shadow.raw, calibrated=4.0 * shadow.calibrated)
-        scaled_target = ScoreTable(ids=target.ids, is_member=target.is_member,
-                                   raw=4.0 * target.raw, calibrated=4.0 * target.calibrated)
-        scaled_model = train_scoring_models([scaled_shadow], [scoring_config(epochs=10)])[0]
-        scaled = attack_rapid(scaled_target, scaled_model).scores
+        scaled_model = train_scoring_models([4.0 * shadow], member, [scoring_config(epochs=10)])[0]
+        scaled = scaled_model.score(4.0 * target)
         assert np.array_equal(base, scaled)
 
     def test_missing_columns_rejected(self):
-        shadow = toy_shadow()
-        model = train_scoring_models([shadow], [scoring_config(epochs=2)])[0]
+        feats, member = toy_shadow()
+        model = train_scoring_models([feats], member, [scoring_config(epochs=2)])[0]
         with pytest.raises(ValueError):
-            attack_rapid(ScoreTable(ids=[0], is_member=[True], raw=[0.0]), model)
+            model.score(np.array([[0.0]]))
 
     def test_open_interval_holds_even_for_saturating_inputs(self):
-        model = train_scoring_models([toy_shadow()], [scoring_config(epochs=5)])[0]
+        feats, member = toy_shadow()
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
         extreme = np.array([[1e12, 1e12], [-1e12, -1e12], [1e12, -1e12]])
         scores = model.score(extreme)
         assert np.all((scores > 0.0) & (scores < 1.0))
@@ -305,24 +291,22 @@ class TestAttackRapid:
 
 class TestAttackShortcutLira:
     def test_outputs_in_unit_interval(self):
-        shadow = toy_shadow()
-        model = train_scoring_models([shadow], [scoring_config(epochs=5)])[0]
-        out = attack_shortcut_lira(shadow.raw, shadow.calibrated, model)
-        assert np.all((out.scores > 0) & (out.scores < 1))
-        assert out.name == "shortcut_lira"
+        feats, member = toy_shadow()
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
+        scores = model.score(feats)
+        assert np.all((scores > 0) & (scores < 1))
 
     def test_constant_lira_column_degenerates_to_loss_ordering(self):
         rng = np.random.default_rng(5)
         n = 300
         raw = np.concatenate([rng.normal(-0.2, 0.2, n), rng.normal(-2.0, 0.5, n)])
         member = np.array([True] * n + [False] * n)
-        shadow = ScoreTable(ids=list(range(2 * n)), is_member=member, raw=raw,
-                            calibrated=np.full(2 * n, 0.7))
-        model = train_scoring_models([shadow], [scoring_config()])[0]
+        shadow = np.column_stack([raw, np.full(2 * n, 0.7)])
+        model = train_scoring_models([shadow], member, [scoring_config()])[0]
         target_raw = rng.normal(-1.0, 1.0, 100)
-        out = attack_shortcut_lira(target_raw, np.full(100, 0.7), model)
+        scores = model.score(np.column_stack([target_raw, np.full(100, 0.7)]))
         member_t = target_raw > np.median(target_raw)
-        assert roc(out.scores, member_t).auc == pytest.approx(
+        assert roc(scores, member_t).auc == pytest.approx(
             roc(target_raw, member_t).auc, abs=1e-9)
 
 

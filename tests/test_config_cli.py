@@ -202,6 +202,9 @@ class TestPipeline:
                                        "rapid", "shortcut_lira"}
         assert result.bucket_report is not None
         assert result.target_table.calibrated is not None
+        assert np.array_equal(result.outputs["loss"].scores, result.target_table.raw)
+        assert np.array_equal(result.outputs["calibration"].scores,
+                              result.target_table.calibrated)
 
     def test_eval_set_is_balanced_train_vs_test(self):
         result = run_pipeline(fast_config(attacks=("loss",)))
@@ -280,7 +283,9 @@ class TestPipeline:
         result = run_pipeline(fast_config(attacks=("shortcut_lira",)))
         assert set(result.outputs) == {"shortcut_lira"}
         assert result.shadow_model is not None
-        assert result.target_lira is not None
+        assert result.outputs["shortcut_lira"].name == "shortcut_lira"
+        assert np.all((result.outputs["shortcut_lira"].scores > 0)
+                      & (result.outputs["shortcut_lira"].scores < 1))
 
     def test_split_json_keeps_interface_fields(self, tmp_path):
         from mia_audit import SplitPlan

@@ -123,9 +123,9 @@ class TestCsvFormat:
         data = path.read_bytes()
         assert data.startswith(b"# config_digest=d1\nid,x\na,0.1\n")
         assert b"\r" not in data
-        rows = read_rows(path, ("id", "x"))
+        rows = read_rows(path, ("id", "x"), (str, float))
         assert [r[0] for r in rows] == ["a", "7", "c", "8", "e", "9"]
-        back = np.array([float(r[1]) for r in rows])
+        back = np.array([r[1] for r in rows])
         assert np.array_equal(back, floats)
         assert np.array_equal(np.signbit(back), np.signbit(floats))
 
@@ -142,7 +142,7 @@ class TestCsvFormat:
         path = tmp_path / "t.csv"
         path.write_text("id,x\na,1.0\nb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="data row 2 has 1 cells"):
-            read_rows(path, ("id", "x"))
+            read_rows(path, ("id", "x"), (str, float))
 
 
 class TestMakeSplit:

@@ -95,16 +95,30 @@ class TestRoc:
             RocCurve.from_csv(path)
 
 
+# per loader, (file text, data row, column) of files with one unreadable cell
+BAD_CELLS = {
+    RocCurve.from_csv: [("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,x,0.5\n", 2, "fpr")],
+    ScoreTable.from_csv: [("id,is_member,raw,calibrated\na,1,abc,\n", 1, "raw"),
+                          ("id,is_member,raw,calibrated\na,1,-0.5,\nb,2,-1.0,\n", 2, "is_member")],
+    read_attack_scores_csv: [("id,score\na,zz\n", 1, "score")],
+    read_bucket_csv: [("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                       "small,0.0,0.002,two,1\n", 1, "member_count")],
+}
+
+
 @pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv,
                                     read_attack_scores_csv, read_bucket_csv],
                          ids=["roc", "score_table", "attack_scores", "buckets"])
-@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n"],
-                         ids=["empty", "digest_only", "wrong_header"])
+@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n", None],
+                         ids=["empty", "digest_only", "wrong_header", "bad_cell"])
 def test_csv_loaders_reject_truncated_or_foreign_files(tmp_path, loader, text):
     path = tmp_path / "artifact.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        loader(path)
+    cases = [(text, "")] if text is not None else [
+        (bad, f": data row {row} column '{column}': ") for bad, row, column in BAD_CELLS[loader]]
+    for content, where in cases:
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(path) + where)):
+            loader(path)
 
 
 class TestTprAtFpr:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mia_audit import (DPConfig, DistributionSpec, MLPClassifier, TrainingConfig,
+from mia_audit import (DPConfig, DistributionSpec, TrainingConfig,
                        accuracy, backward, cross_entropy, derive_seed, forward,
                        generate_synthetic, init_classifier, sgd_step, softmax, train)
 from mia_audit.nn import (_forward_cached, _output_delta, _targets, dp_noise, per_sample_loss,
@@ -112,15 +112,6 @@ class TestInit:
     def test_fan_in_scaling(self):
         model = init_classifier([400, 100], 3)
         assert np.std(model.weights[0]) == pytest.approx(1 / math.sqrt(400), rel=0.05)
-
-    def test_json_round_trip_value_exact(self):
-        model = random_model(np.random.default_rng(0), [3, 7, 2])
-        back = MLPClassifier.from_json(model.to_json())
-        assert back.layer_sizes == model.layer_sizes
-        for wa, wb in zip(model.weights, back.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(model.biases, back.biases):
-            assert np.array_equal(ba, bb)
 
 
 class TestForward:

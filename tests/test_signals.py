@@ -5,7 +5,7 @@ import pytest
 
 from mia_audit import (DistributionSpec, QueryConfig, ScoreTable, SignalKind,
                        TrainingConfig, generate_synthetic, init_classifier, train)
-from mia_audit.signals import averaged_signal, build_score_table, signal, signal_batch
+from mia_audit.signals import averaged_signal_batch, perturbed_queries, signal_batch
 from test_nn import per_example_gradients, per_example_norms
 
 LN2 = 0.6931471805599453
@@ -16,14 +16,20 @@ def zero_model(num_classes=2, dim=2):
     return base.with_parameters([np.zeros((num_classes, dim)), np.zeros(num_classes)])
 
 
+def averaged(model, x, y, kind, q, ids=None):
+    """Query-averaged scores of a batch, as the pipeline computes them."""
+    ids = list(range(len(x))) if ids is None else ids
+    return averaged_signal_batch(model, perturbed_queries(x, ids, q), y, kind)
+
+
 class TestSignal:
     def test_loss_on_uniform_logits(self):
-        assert signal(zero_model(), np.zeros(2), 0, SignalKind.LOSS) == pytest.approx(
-            -LN2, abs=1e-15)
+        assert signal_batch(zero_model(), np.zeros((1, 2)), [0],
+                            SignalKind.LOSS)[0] == pytest.approx(-LN2, abs=1e-15)
 
     def test_confidence_on_uniform_logits(self):
-        assert signal(zero_model(), np.zeros(2), 0, SignalKind.CONFIDENCE) == pytest.approx(
-            0.5, abs=1e-15)
+        assert signal_batch(zero_model(), np.zeros((1, 2)), [0],
+                            SignalKind.CONFIDENCE)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_loss_nonpositive_and_confidence_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -40,9 +46,9 @@ class TestSignal:
         trained = train(ds.features, ds.labels,
                         TrainingConfig(epochs=200, weight_decay=0.0, seed=1), (2, 8, 2))
         fresh = init_classifier((2, 8, 2), 99)
-        x, y = ds.features[0], int(ds.labels[0])
-        converged = signal(trained, x, y, SignalKind.GRADNORM)
-        untrained = signal(fresh, x, y, SignalKind.GRADNORM)
+        x, y = ds.features[:1], ds.labels[:1]
+        converged = signal_batch(trained, x, y, SignalKind.GRADNORM)[0]
+        untrained = signal_batch(fresh, x, y, SignalKind.GRADNORM)[0]
         assert converged == pytest.approx(0.0, abs=1e-3)
         assert converged > untrained  # scores are negated norms: higher = member-like
 
@@ -58,7 +64,7 @@ class TestSignal:
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            signal(zero_model(), np.zeros(2), 5, SignalKind.LOSS)
+            signal_batch(zero_model(), np.zeros((1, 2)), [5], SignalKind.LOSS)
 
     def test_logit_scaling_monotone_in_confidence(self):
         rng = np.random.default_rng(1)
@@ -73,28 +79,34 @@ class TestSignal:
 class TestAveragedSignal:
     def setup_method(self):
         self.model = init_classifier([2, 6, 2], 3)
-        self.x = np.array([0.4, -0.8])
+        self.x = np.array([[0.4, -0.8]])
+
+    def score(self, y, q, sample_id=0):
+        return averaged(self.model, self.x, [y], SignalKind.LOSS, q, ids=[sample_id])[0]
+
+    def exact(self, y):
+        return signal_batch(self.model, self.x, [y], SignalKind.LOSS)[0]
 
     def test_single_query_equals_signal(self):
         q = QueryConfig(num_queries=1, augmentation_noise_std=0.5, seed=1)
-        assert averaged_signal(self.model, self.x, 1, SignalKind.LOSS, q) == signal(
-            self.model, self.x, 1, SignalKind.LOSS)
+        assert len(perturbed_queries(self.x, [0], q)) == 1
+        assert self.score(1, q) == self.exact(1)
 
     def test_zero_noise_equals_signal_for_any_query_count(self):
         q = QueryConfig(num_queries=8, augmentation_noise_std=0.0, seed=1)
-        assert averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q) == signal(
-            self.model, self.x, 0, SignalKind.LOSS)
+        assert len(perturbed_queries(self.x, [0], q)) == 1
+        assert self.score(0, q) == self.exact(0)
 
     def test_noise_changes_score(self):
         q = QueryConfig(num_queries=8, augmentation_noise_std=0.3, seed=1)
-        assert averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q) != signal(
-            self.model, self.x, 0, SignalKind.LOSS)
+        assert len(perturbed_queries(self.x, [0], q)) == 8
+        assert self.score(0, q) != self.exact(0)
 
     def test_deterministic_per_sample_id(self):
         q = QueryConfig(num_queries=4, augmentation_noise_std=0.3, seed=9)
-        a = averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q, sample_id=17)
-        b = averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q, sample_id=17)
-        c = averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q, sample_id=18)
+        a = self.score(0, q, sample_id=17)
+        b = self.score(0, q, sample_id=17)
+        c = self.score(0, q, sample_id=18)
         assert a == b
         assert a != c
 
@@ -105,10 +117,8 @@ class TestAveragedSignal:
             q1 = QueryConfig(num_queries=2, augmentation_noise_std=0.05, seed=rep)
             q8 = QueryConfig(num_queries=8, augmentation_noise_std=0.05, seed=rep)
             # a 2-query mean isolates one perturbed evaluation: 2*mean - exact
-            exact = signal(self.model, self.x, 0, SignalKind.LOSS)
-            two = averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q1)
-            single.append(2 * two - exact)
-            averaged.append(averaged_signal(self.model, self.x, 0, SignalKind.LOSS, q8))
+            single.append(2 * self.score(0, q1) - self.exact(0))
+            averaged.append(self.score(0, q8))
         assert np.var(averaged) <= np.var(single)
 
 
@@ -121,47 +131,36 @@ class TestScoreTable:
 
     def test_build_fills_raw_only(self):
         ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 4)
-        table = build_score_table(zero_model(), ds.features, ds.labels,
-                                  [True, True, False, False], SignalKind.LOSS,
-                                  QueryConfig())
+        raw = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, QueryConfig())
+        table = ScoreTable(ids=range(4), is_member=[True, True, False, False], raw=raw)
         assert len(table) == 4
         assert np.all(np.isfinite(table.raw))
         assert table.calibrated is None
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            build_score_table(zero_model(), np.zeros((0, 2)), np.zeros(0, dtype=int),
-                              [], SignalKind.LOSS, QueryConfig())
-
     def test_deterministic(self):
         ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 10)
         q = QueryConfig(num_queries=4, augmentation_noise_std=0.2, seed=5)
-        t1 = build_score_table(zero_model(), ds.features, ds.labels,
-                               ds.labels == 0, SignalKind.LOSS, q)
-        t2 = build_score_table(zero_model(), ds.features, ds.labels,
-                               ds.labels == 0, SignalKind.LOSS, q)
-        assert np.array_equal(t1.raw, t2.raw)
+        r1 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
+        r2 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
+        assert np.array_equal(r1, r2)
 
     def test_overfit_model_separates_members(self):
         ds, model = self.overfit_setup()
-        members = build_score_table(model, ds.features[:100], ds.labels[:100],
-                                    [True] * 100, SignalKind.LOSS, QueryConfig())
-        non = build_score_table(model, ds.features[100:], ds.labels[100:],
-                                [False] * 100, SignalKind.LOSS, QueryConfig())
-        assert members.raw.mean() > non.raw.mean()
+        members = averaged(model, ds.features[:100], ds.labels[:100], SignalKind.LOSS,
+                           QueryConfig())
+        non = averaged(model, ds.features[100:], ds.labels[100:], SignalKind.LOSS, QueryConfig())
+        assert members.mean() > non.mean()
 
     def test_order_independence(self):
         ds = generate_synthetic(DistributionSpec(2, 3, [[-1, -1, 0], [1, 1, 0]], 1.0, 8), 30)
         q = QueryConfig(num_queries=3, augmentation_noise_std=0.1, seed=2)
         model = init_classifier([3, 8, 2], 1)
         ids = list(range(30))
-        base = build_score_table(model, ds.features, ds.labels, ds.labels == 0,
-                                 SignalKind.LOSS, q, ids=ids)
+        base = averaged(model, ds.features, ds.labels, SignalKind.LOSS, q, ids=ids)
         perm = np.random.default_rng(0).permutation(30)
-        permuted = build_score_table(model, ds.features[perm], ds.labels[perm],
-                                     ds.labels[perm] == 0, SignalKind.LOSS, q,
-                                     ids=[ids[i] for i in perm])
-        assert np.allclose(permuted.raw, base.raw[perm], rtol=1e-12, atol=0)
+        permuted = averaged(model, ds.features[perm], ds.labels[perm], SignalKind.LOSS, q,
+                            ids=[ids[i] for i in perm])
+        assert np.allclose(permuted, base[perm], rtol=1e-12, atol=0)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -196,4 +195,3 @@ class TestScoreTable:
                            calibrated=[0.4, -1.5])
         assert isinstance(table.calibrated, np.ndarray)
         assert table.calibrated.dtype == np.float64
-        assert np.array_equal(table.with_columns(calibrated=[1, 2]).calibrated, [1.0, 2.0])

@@ -11,7 +11,11 @@
 #     models, attacks loss, calibration and lira_offline (seed 919),
 #   - `run` of the loss attack alone (seed 777),
 #   - the two benchmark sweep shapes: num_reference_models 1,2,4 with
-#     calibration, and num_queries 1,4,8 with rapid (seed 4243).
+#     calibration, and num_queries 1,4,8 with rapid (seed 4243),
+#   - four `run`s on 1200 samples that cover the other signal and query
+#     paths: the gradnorm signal, the confidence signal with logit scaling,
+#     one query per sample, and an [attacker_data] source with attacks
+#     shortcut_lira, rapid and loss (seed 31).
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command.
 set -euo pipefail
@@ -54,6 +58,27 @@ ini calibration '[attacks]
 enabled = calibration'
 ini rapid '[attacks]
 enabled = rapid'
+small='[data]
+n_samples = 1200
+
+[experiment]
+master_seed = 31'
+ini gradnorm "$small
+[signal]
+kind = gradnorm"
+ini logit "$small
+[signal]
+kind = confidence
+logit_scaling = true"
+ini one_query "$small
+[signal]
+num_queries = 1"
+ini attacker "$small
+[attacker_data]
+n_samples = 1200
+
+[attacks]
+enabled = shortcut_lira,rapid,loss"
 
 run_side() {  # <src dir> <output dir>
     local src=$1 out=$2
@@ -67,6 +92,10 @@ run_side() {  # <src dir> <output dir>
         --seeds 4243 -o "$out/sweep_references"
     mia sweep "$work/rapid.ini" --axis num_queries --values 1,4,8 \
         --seeds 4243 -o "$out/sweep_queries"
+    local name
+    for name in gradnorm logit one_query attacker; do
+        mia run "$work/$name.ini" -o "$out/$name"
+    done
 }
 
 echo "running $rev ..." >&2
