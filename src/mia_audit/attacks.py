@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import nn
-from .dataset import read_rows, write_columns
+from .dataset import finite_float, read_rows, write_columns
 
 VARIANCE_FLOOR = 1e-8
 SCORES_HEADER = ("id", "score")
@@ -76,7 +76,7 @@ class AttackOutput:
 
 def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """(ids, scores) from an attack-output CSV, skipping digest comments."""
-    rows = read_rows(path, SCORES_HEADER, (str, float))
+    rows = read_rows(path, SCORES_HEADER, (str, finite_float))
     return [r[0] for r in rows], np.array([r[1] for r in rows], dtype=np.float64)
 
 

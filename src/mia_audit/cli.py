@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import evaluation, pipeline
-from .config import KNOWN_ATTACKS, ConfigError, SyntheticSource, load_config
+from .config import KNOWN_ATTACKS, ConfigError, SyntheticSource, load_config, parse_field_list
 from .dataset import write_csv
 
 
@@ -47,20 +47,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_ints(flag: str, raw: str) -> list[int]:
-    try:
-        return [int(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} takes comma-separated integers, got {raw!r}") from None
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.axis == "reference_sampling_mode":
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-    else:
-        values = _parse_ints(f"--values: axis {args.axis}", args.values)
-    seeds = _parse_ints("--seeds:", args.seeds) if args.seeds else None
+    values = parse_field_list(f"--values ({args.axis})", args.axis, args.values)
+    seeds = parse_field_list("--seeds", "master_seed", args.seeds) if args.seeds else None
     if not _make_output_dir(args.output):
         return 1
     path = os.path.join(args.output, "sweep.csv")

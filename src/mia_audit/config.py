@@ -201,9 +201,9 @@ def _scalar(kind: type, text: str):
     return value
 
 
-def _convert(section: str, key: str, raw: str, kind):
+def _convert(where: str, raw: str, kind):
     """Read `raw` as a value of annotation `kind`: `X | None` reads as X and
-    `tuple[X, ...]` as a comma-separated list of X."""
+    `tuple[X, ...]` as a comma-separated list of X. Errors name `where`."""
     if type(None) in typing.get_args(kind):
         kind = next(a for a in typing.get_args(kind) if a is not type(None))
     try:
@@ -213,7 +213,17 @@ def _convert(section: str, key: str, raw: str, kind):
         return _scalar(kind, raw.strip())
     except ValueError as exc:
         name = kind.__name__ if isinstance(kind, type) else str(kind)
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {name} ({exc})") from None
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {name} ({exc})") from None
+
+
+def parse_field_list(where: str, name: str, raw: str) -> list:
+    """A nonempty comma-separated list of values of ExperimentConfig field
+    `name`, each read as the field's INI key reads one (a sweep's `--values`
+    and `--seeds`). Errors name `where`."""
+    values = list(_convert(where, raw, tuple[_field_types(ExperimentConfig)[name], ...]))
+    if not values:
+        raise ConfigError(f"{where}: no values in {raw!r}")
+    return values
 
 
 def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
@@ -227,7 +237,7 @@ def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
             raise ConfigError(f"[{section}] {key}: unknown key")
         owner, name = table[key]
         kind = str if owner is None else _field_types(owner)[name]
-        values.setdefault(owner, {})[name] = _convert(section, key, raw, kind)
+        values.setdefault(owner, {})[name] = _convert(f"[{section}] {key}", raw, kind)
     return values
 
 

@@ -141,59 +141,23 @@ def generate_synthetic(spec: DistributionSpec, n: int) -> TabularDataset:
 def load_csv(path) -> TabularDataset:
     """Load a dataset from a UTF-8 CSV with a header and an integer `label` column.
 
-    All other columns must parse as finite 64-bit floats; column order is
-    preserved in the feature matrix. num_classes is inferred as max label + 1.
+    Blank and `#` lines are skipped. Labels must be nonnegative integers and all
+    other columns finite floats, kept in column order as the feature matrix.
+    num_classes is inferred as max label + 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise CsvParseError(f"{path}: no column named 'label' in header {header}")
-        label_col = header.index("label")
-        feature_cols = [i for i in range(len(header)) if i != label_col]
-
-        rows = []
-        labels = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {lineno} has {len(record)} cells, expected {len(header)}"
-                )
-            raw_label = record[label_col].strip()
-            try:
-                label = int(raw_label)
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: row {lineno}, column 'label': not an integer: {raw_label!r}"
-                ) from None
-            if label < 0:
-                raise CsvParseError(f"{path}: row {lineno}, column 'label': negative label {label}")
-            feats = []
-            for i in feature_cols:
-                cell = record[i].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {lineno}, column {header[i]!r}: not numeric: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvParseError(
-                        f"{path}: row {lineno}, column {header[i]!r}: non-finite value {cell!r}"
-                    )
-                feats.append(value)
-            rows.append(feats)
-            labels.append(label)
-
+    rows = [row for row in _tokens(path) if row]
     if not rows:
+        raise CsvParseError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if "label" not in header:
+        raise CsvParseError(f"{path}: no column named 'label' in header {header}")
+    label_col = header.index("label")
+    types = [nonnegative_int if i == label_col else finite_float for i in range(len(header))]
+    table = _typed_rows(path, header, types, rows[1:])
+    if not table:
         raise CsvParseError(f"{path}: no data rows")
-    return TabularDataset(np.array(rows), np.array(labels), max(labels) + 1)
+    labels = [row.pop(label_col) for row in table]
+    return TabularDataset(np.array(table), np.array(labels), max(labels) + 1)
 
 
 def write_csv(path, dataset: TabularDataset) -> None:
@@ -230,32 +194,64 @@ def write_columns(path, header, columns, config_digest: str | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def read_rows(path, header, types) -> list[list]:
-    """Data rows of a CSV in the write_columns format, skipping `#` lines, with
-    each cell converted by its column's callable in `types`.
+# The cell rules of read_rows and load_csv: each converts one cell or raises ValueError.
+def finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {cell!r}")
+    return value
 
-    Raises ValueError naming the path when the header is missing or differs
-    from `header`, or when a row's cell count differs from the header's; and
-    naming the path, data row and column when a converter rejects a cell.
-    """
-    header = list(header)
+
+def not_nan_float(cell: str) -> float:
+    """A float that may be +/-inf (the ROC threshold sentinels) but not NaN."""
+    value = float(cell)
+    if math.isnan(value):
+        raise ValueError(f"not a number: {cell!r}")
+    return value
+
+
+def nonnegative_int(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"negative: {cell!r}")
+    return value
+
+
+def _tokens(path) -> list[list[str]]:
+    """Every row of a CSV file, `#` lines skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
-    if not rows or rows[0] != header:
-        found = rows[0] if rows else "none"
-        raise ValueError(f"{path}: unexpected header {found}, expected {header}")
+        return list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+
+
+def _typed_rows(path, header, types, rows) -> list[list]:
+    """`rows` (data row 1 follows the header), each cell converted by its column's
+    rule in `types`; a wrong cell count or a cell the rule rejects raises
+    CsvParseError naming the path, the data row and the column."""
     out = []
-    for i, row in enumerate(rows[1:], start=1):
+    for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise ValueError(f"{path}: data row {i} has {len(row)} cells, expected {len(header)}")
+            raise CsvParseError(f"{path}: data row {i} has {len(row)} cells, "
+                                f"expected {len(header)}")
         cells = []
         for name, convert, cell in zip(header, types, row, strict=True):
             try:
                 cells.append(convert(cell))
             except ValueError as exc:
-                raise ValueError(f"{path}: data row {i} column {name!r}: {exc}") from None
+                raise CsvParseError(f"{path}: data row {i} column {name!r}: {exc}") from None
         out.append(cells)
     return out
+
+
+def read_rows(path, header, types) -> list[list]:
+    """Data rows of a CSV in the write_columns format, `#` lines skipped, each
+    cell converted by its column's rule in `types` (see _typed_rows); a header
+    other than `header` raises CsvParseError naming the path."""
+    header = list(header)
+    rows = _tokens(path)
+    if not rows or rows[0] != header:
+        found = rows[0] if rows else "none"
+        raise CsvParseError(f"{path}: unexpected header {found}, expected {header}")
+    return _typed_rows(path, header, types, rows[1:])
 
 
 @dataclass(frozen=True)

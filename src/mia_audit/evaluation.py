@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import read_rows, write_columns
+from .dataset import (finite_float, nonnegative_int, not_nan_float, read_rows,
+                      write_columns)
 from .seeding import derive_rng
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
@@ -76,7 +77,7 @@ class RocCurve:
 
     @classmethod
     def from_csv(cls, path) -> "RocCurve":
-        rows = read_rows(path, ROC_HEADER, (float, float, float))
+        rows = read_rows(path, ROC_HEADER, (not_nan_float, finite_float, finite_float))
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
 
@@ -188,8 +189,6 @@ class BucketHistogram:
 @dataclass(frozen=True)
 class LossBucket:
     name: str
-    lo: float
-    hi: float
     member_count: int
     nonmember_count: int
     raw_hist: BucketHistogram
@@ -219,7 +218,8 @@ class LossBucketReport:
 
 def read_bucket_csv(path) -> list[dict]:
     """Rows of a loss-bucket histogram CSV as dicts."""
-    rows = read_rows(path, BUCKET_HEADER, (str, float, float, int, int))
+    rows = read_rows(path, BUCKET_HEADER,
+                     (str, finite_float, finite_float, nonnegative_int, nonnegative_int))
     return [dict(zip(BUCKET_HEADER, r)) for r in rows]
 
 
@@ -255,10 +255,8 @@ def loss_bucket_report(losses, calibrated, is_member, num_bins: int = 20) -> Los
             m_counts, _ = np.histogram(values[mask & member], bins=edges)
             n_counts, _ = np.histogram(values[mask & ~member], bins=edges)
             hists.append(BucketHistogram(edges, m_counts, n_counts))
-        buckets.append(
-            LossBucket(name, lo, hi, int((mask & member).sum()), int((mask & ~member).sum()),
-                       hists[0], hists[1])
-        )
+        buckets.append(LossBucket(name, int((mask & member).sum()),
+                                  int((mask & ~member).sum()), *hists))
     return LossBucketReport(tuple(buckets))
 
 
@@ -363,18 +361,19 @@ def sweep(config, axis: str, values, seeds=None) -> SweepResult:
         raise ValueError("values must be nonempty")
     if seeds is None:
         seeds = [config.master_seed]
+    # every config is built (and so validated) before the first run trains
+    runs = [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
+            for value in values for seed in seeds]
     rows = []
     trained: dict = {}
-    for value in values:
-        for seed in seeds:
-            cfg = config.with_overrides(master_seed=seed, **{axis: value})
-            result = pipeline.run_pipeline(cfg, trained)
-            for attack in cfg.attacks:
-                report = result.metrics[attack]
-                entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]
-                entries += [(f"tpr_at_fpr_{repr(level)}", entry.tpr)
-                            for level, entry in sorted(report.tpr_at_fpr.items())]
-                for metric, res in entries:
-                    rows.append({"axis": axis, "value": value, "seed": seed,
-                                 "metric": f"{attack}.{metric}", "result": float(res)})
+    for value, seed, cfg in runs:
+        result = pipeline.run_pipeline(cfg, trained)
+        for attack in cfg.attacks:
+            report = result.metrics[attack]
+            entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]
+            entries += [(f"tpr_at_fpr_{repr(level)}", entry.tpr)
+                        for level, entry in sorted(report.tpr_at_fpr.items())]
+            for metric, res in entries:
+                rows.append({"axis": axis, "value": value, "seed": seed,
+                             "metric": f"{attack}.{metric}", "result": float(res)})
     return SweepResult(axis, tuple(rows))

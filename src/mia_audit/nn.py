@@ -69,7 +69,6 @@ class MLPClassifier:
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
@@ -85,8 +84,6 @@ class MLPClassifier:
                 raise ValueError(f"bias {i} has shape {b.shape}, expected {(sizes[i + 1],)}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i} has non-finite parameters")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -106,7 +103,7 @@ class MLPClassifier:
     def with_parameters(self, params: list[np.ndarray]) -> "MLPClassifier":
         weights = tuple(params[2 * i] for i in range(len(self.weights)))
         biases = tuple(params[2 * i + 1] for i in range(len(self.biases)))
-        return MLPClassifier(self.layer_sizes, weights, biases, self.activation)
+        return MLPClassifier(self.layer_sizes, weights, biases)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

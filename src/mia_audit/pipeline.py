@@ -103,7 +103,6 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
     selected = set(config.attacks)
     needs_refs = bool(selected - {"loss"})
     scoring = [name for name in atk.SCORING_FEATURES if name in selected]
-    features = {atk.SCORING_FEATURES[name] for name in scoring}
 
     target_ds = resolve_dataset(config.data, master, "data")
     attacker_ds = None
@@ -146,9 +145,9 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         seed=derive_seed(master, "queries"),
     )
 
-    def score_set(ids, x, y, member, model, names):
-        """The eval set's table and its threshold scores `names` (plus "loss",
-        the raw scores), each read off its raw scores and reference matrix."""
+    def score_set(ids, x, y, member, model):
+        """The eval set's table and every threshold score, read off its raw
+        scores and reference matrix (only "loss" when the run has none)."""
         queries = perturbed_queries(x, ids, query_cfg)
 
         def raw_for(m):
@@ -157,20 +156,18 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
         raw = raw_for(model)
         refs = np.column_stack([raw_for(m) for m in reference_models]) if needs_refs else None
         scores = {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
-                  if name == "loss" or name in names}
+                  if needs_refs or name == "loss"}
         return ScoreTable(ids=ids, is_member=member, raw=raw,
                           calibrated=scores.get("calibration")), scores
 
     ids_t, x_t, y_t, member_t = _eval_set(target_ds, target_plan.target_train, target_plan.target_test)
-    target_names = (selected | features | {"calibration"}) if needs_refs else set()
-    target_table, target_scores = score_set(ids_t, x_t, y_t, member_t, target_model, target_names)
+    target_table, target_scores = score_set(ids_t, x_t, y_t, member_t, target_model)
 
     shadow_table = None
     if scoring:
         ids_s, x_s, y_s, member_s = _eval_set(shadow_ds, shadow_plan.shadow_train,
                                               shadow_plan.shadow_test)
-        shadow_table, shadow_scores = score_set(ids_s, x_s, y_s, member_s, shadow_model,
-                                                features | {"calibration"})
+        shadow_table, shadow_scores = score_set(ids_s, x_s, y_s, member_s, shadow_model)
 
         def pairs(scores, name):
             return np.column_stack([scores["loss"], scores[atk.SCORING_FEATURES[name]]])

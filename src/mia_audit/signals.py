@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import read_rows, write_columns
+from .dataset import finite_float, read_rows, write_columns
 from .seeding import derive_rng
 
 SCORE_TABLE_HEADER = ("id", "is_member", "raw", "calibrated")
@@ -141,7 +141,8 @@ class ScoreTable:
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        rows = read_rows(path, SCORE_TABLE_HEADER, (str, _member_flag, float, _optional_float))
+        rows = read_rows(path, SCORE_TABLE_HEADER, (str, _member_flag, finite_float,
+                                                        _optional_float))
         calibrated = [r[3] for r in rows]
         if None in calibrated and any(v is not None for v in calibrated):
             raise ValueError(f"{path}: calibrated is blank in some rows but not all")
@@ -157,4 +158,4 @@ def _member_flag(cell: str) -> bool:
 
 
 def _optional_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+    return None if cell == "" else finite_float(cell)

@@ -533,12 +533,29 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--seeds", "--values"])
     def test_sweep_non_integer_list_names_flag(self, tmp_path, capsys, flag):
-        args = {"--values": "1", "--seeds": "1", flag: "a"}
-        outdir = tmp_path / "sweep"
-        assert main(["sweep", self.write_config(tmp_path), "--axis", "num_queries",
-                     *(t for kv in args.items() for t in kv), "-o", str(outdir)]) == 1
-        assert flag in capsys.readouterr().err
-        assert not outdir.exists()
+        for bad in ("a", ","):  # a non-integer, and an empty list
+            args = {"--values": "1", "--seeds": "1", flag: bad}
+            outdir = tmp_path / "sweep"
+            assert main(["sweep", self.write_config(tmp_path), "--axis", "num_queries",
+                         *(t for kv in args.items() for t in kv), "-o", str(outdir)]) == 1
+            assert flag in capsys.readouterr().err
+            assert not outdir.exists()
+
+    @pytest.mark.parametrize("axis, values, key", [
+        ("reference_sampling_mode", "fixed,bogus", "[reference] sampling"),
+        ("num_queries", "2,0", "[signal] num_queries"),
+    ])
+    def test_sweep_bad_later_value_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                           axis, values, key):
+        from mia_audit import nn
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a model before checking every sweep value")
+
+        monkeypatch.setattr(nn, "train_many", no_training)
+        assert main(["sweep", self.write_config(tmp_path), "--axis", axis, "--values", values,
+                     "-o", str(tmp_path / "sweep")]) == 1
+        assert f"error: sweep failed: {key}: " in capsys.readouterr().err
 
     def test_failed_rerun_removes_only_listed_artifacts(self, tmp_path):
         outdir = tmp_path / "out"

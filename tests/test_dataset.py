@@ -87,7 +87,7 @@ class TestLoadCsv(object):
         assert ds.num_classes == 6
 
     def test_nan_cell_named(self, tmp_path):
-        with pytest.raises(CsvParseError, match="row 2.*'x1'"):
+        with pytest.raises(CsvParseError, match="data row 1 column 'x1'"):
             load_csv(self.write(tmp_path, "x0,x1,label\n1,NaN,0\n"))
 
     def test_missing_label_column(self, tmp_path):
@@ -95,7 +95,7 @@ class TestLoadCsv(object):
             load_csv(self.write(tmp_path, "x0,x1\n1,2\n"))
 
     def test_non_numeric_cell_named(self, tmp_path):
-        with pytest.raises(CsvParseError, match="row 3.*'x0'"):
+        with pytest.raises(CsvParseError, match="data row 2 column 'x0'"):
             load_csv(self.write(tmp_path, "x0,label\n1,0\nfoo,1\n"))
 
     def test_empty_file(self, tmp_path):

@@ -97,12 +97,19 @@ class TestRoc:
 
 # per loader, (file text, data row, column) of files with one unreadable cell
 BAD_CELLS = {
-    RocCurve.from_csv: [("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,x,0.5\n", 2, "fpr")],
+    RocCurve.from_csv: [("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,x,0.5\n", 2, "fpr"),
+                        ("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,nan,0.5\n-inf,1.0,1.0\n", 2, "fpr"),
+                        ("threshold,fpr,tpr\ninf,0.0,0.0\nnan,0.5,0.5\n-inf,1.0,1.0\n", 2,
+                         "threshold")],
     ScoreTable.from_csv: [("id,is_member,raw,calibrated\na,1,abc,\n", 1, "raw"),
+                          ("id,is_member,raw,calibrated\na,1,-0.5,1.0\nb,0,-1.0,inf\n", 2,
+                           "calibrated"),
                           ("id,is_member,raw,calibrated\na,1,-0.5,\nb,2,-1.0,\n", 2, "is_member")],
-    read_attack_scores_csv: [("id,score\na,zz\n", 1, "score")],
+    read_attack_scores_csv: [("id,score\na,zz\n", 1, "score"), ("id,score\na,nan\n", 1, "score")],
     read_bucket_csv: [("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
-                       "small,0.0,0.002,two,1\n", 1, "member_count")],
+                       "small,0.0,0.002,two,1\n", 1, "member_count"),
+                      ("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                       "small,0.0,0.002,-3,1\n", 1, "member_count")],
 }
 
 

@@ -15,7 +15,10 @@
 #   - four `run`s on 1200 samples that cover the other signal and query
 #     paths: the gradnorm signal, the confidence signal with logit scaling,
 #     one query per sample, and an [attacker_data] source with attacks
-#     shortcut_lira, rapid and loss (seed 31).
+#     shortcut_lira, rapid and loss (seed 31),
+#   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
+#     on the written file, which is compared too (it is written to one fixed
+#     path, as the path is part of the run's config digest).
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command.
 set -euo pipefail
@@ -79,6 +82,13 @@ n_samples = 1200
 
 [attacks]
 enabled = shortcut_lira,rapid,loss"
+ini small "$small"
+ini csv "[data]
+source = csv
+path = $work/data.csv
+
+[experiment]
+master_seed = 31"
 
 run_side() {  # <src dir> <output dir>
     local src=$1 out=$2
@@ -96,6 +106,9 @@ run_side() {  # <src dir> <output dir>
     for name in gradnorm logit one_query attacker; do
         mia run "$work/$name.ini" -o "$out/$name"
     done
+    mia gen-data "$work/small.ini" -o "$work/data.csv"
+    cp "$work/data.csv" "$out/data.csv"
+    mia run "$work/csv.ini" -o "$out/csv"
 }
 
 echo "running $rev ..." >&2
