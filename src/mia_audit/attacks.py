@@ -12,10 +12,10 @@ on high-loss non-members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import nn
 from .dataset import finite_float, read_rows, write_columns
@@ -24,6 +24,8 @@ VARIANCE_FLOOR = 1e-8
 SCORES_HEADER = ("id", "score")
 
 SCORING_HIDDEN_SIZES = (64, 64, 64)
+
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 # Each threshold attack's score of one eval set, from its raw scores and its
 # (n, R) reference-score matrix. The lambdas look the functions up at call
@@ -111,6 +113,16 @@ def calibrate(raw: np.ndarray, ref_scores: np.ndarray) -> np.ndarray:
     return raw - ref.mean(axis=1)
 
 
+def normal_cdf(z) -> np.ndarray:
+    """Standard normal CDF, Phi(z) = erfc(-z / sqrt(2)) / 2, elementwise.
+
+    Multiplying by sqrt(1/2), not dividing by sqrt(2), rounds the argument as
+    the Cephes ndtr does. Both are within about 2e-13 relative of the exact
+    Phi down to z = -37.
+    """
+    return 0.5 * _erfc(np.asarray(z, dtype=np.float64) * -math.sqrt(0.5))
+
+
 def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     """Per-sample one-sided test against the OUT-score Gaussian.
 
@@ -127,7 +139,7 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     mu = out.mean(axis=1)
     sigma2 = out.var(axis=1, ddof=1) if out.shape[1] > 1 else np.zeros(len(raw))
     sigma = np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
-    return ndtr((raw - mu) / sigma)
+    return normal_cdf((raw - mu) / sigma)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     values = parse_field_list(f"--values ({args.axis})", args.axis, args.values)
     seeds = parse_field_list("--seeds", "master_seed", args.seeds) if args.seeds else None
+    try:
+        evaluation.sweep_runs(cfg, args.axis, values, seeds)  # a bad config leaves no -o
+    except ValueError as exc:
+        print(f"error: sweep failed: {exc}", file=sys.stderr)
+        return 1
     if not _make_output_dir(args.output):
         return 1
     path = os.path.join(args.output, "sweep.csv")

@@ -339,6 +339,23 @@ class SweepResult:
         return {v: sums[v] / counts[v] for v in sums}
 
 
+def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
+    """Every (value, seed, config) run of a sweep, value-major.
+
+    Every config is built, and so validated, before the first run trains:
+    a bad later value fails here, not after the earlier runs.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    values = list(values)
+    if not values:
+        raise ValueError("values must be nonempty")
+    if seeds is None:
+        seeds = [config.master_seed]
+    return [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
+            for value in values for seed in seeds]
+
+
 def sweep(config, axis: str, values, seeds=None) -> SweepResult:
     """Rerun the pipeline per axis value (and per seed), all other seeds fixed.
 
@@ -354,19 +371,9 @@ def sweep(config, axis: str, values, seeds=None) -> SweepResult:
     """
     from . import pipeline  # runtime import; pipeline depends on this module
 
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    if seeds is None:
-        seeds = [config.master_seed]
-    # every config is built (and so validated) before the first run trains
-    runs = [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
-            for value in values for seed in seeds]
     rows = []
     trained: dict = {}
-    for value, seed, cfg in runs:
+    for value, seed, cfg in sweep_runs(config, axis, values, seeds):
         result = pipeline.run_pipeline(cfg, trained)
         for attack in cfg.attacks:
             report = result.metrics[attack]

@@ -4,7 +4,7 @@ import pytest
 from mia_audit import (AttackOutput, GaussianFit, GaussianPair, TrainingConfig, calibrate,
                        fit_gaussian, gaussian_difference, roc, train_scoring_models)
 from mia_audit.attacks import (THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores,
-                               read_attack_scores_csv)
+                               normal_cdf, read_attack_scores_csv)
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 
@@ -169,6 +169,19 @@ class TestLiraOffline:
     def test_empty_out_scores_rejected(self):
         with pytest.raises(ValueError):
             lira_offline_scores(np.array([1.0]), np.zeros((1, 0)))
+
+
+def test_normal_cdf_pinned_to_ndtr():
+    from scipy.special import ndtr  # the oracle; the package itself does not import scipy
+
+    assert normal_cdf(0.0) == 0.5
+    z = np.linspace(-38.0, 38.0, 20001)
+    phi = normal_cdf(z)
+    assert np.all(np.diff(phi) >= 0)
+    assert np.max(np.abs(phi + normal_cdf(-z) - 1.0)) <= 2.0 ** -52
+    lower, upper = (z >= -37.0) & (z <= 0.0), z >= 0.0
+    assert np.max(np.abs(phi[lower] - ndtr(z[lower])) / ndtr(z[lower])) <= 2e-13
+    assert np.max(np.abs(phi[upper] - ndtr(z[upper]))) <= 4.5e-16
 
 
 def toy_shadow(n=200, member_at=(0.0, 3.0), non_at=(-3.0, 0.0), jitter=0.1, seed=0):

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +409,24 @@ class TestCli:
         assert lines[1].startswith("loss")
         assert len(lines) == 6  # header + five attacks
 
+    def test_run_and_report_import_no_scipy(self, tmp_path):
+        # a fresh interpreter, as the suite's own imports may load scipy
+        cfg = self.write_config(tmp_path, SAMPLE_INI.replace("n_samples = 300", "n_samples = 600"))
+        script = (
+            "import sys\n"
+            "import mia_audit.cli as cli\n"
+            "assert cli.main(['run', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+            "assert cli.main(['report', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_report_rounding_matches_json(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         outdir = str(tmp_path / "run")
@@ -556,6 +577,13 @@ class TestCli:
         assert main(["sweep", self.write_config(tmp_path), "--axis", axis, "--values", values,
                      "-o", str(tmp_path / "sweep")]) == 1
         assert f"error: sweep failed: {key}: " in capsys.readouterr().err
+
+    def test_sweep_bad_value_creates_no_output(self, tmp_path, capsys):
+        outdir = tmp_path / "fresh"
+        assert main(["sweep", self.write_config(tmp_path), "--axis", "reference_sampling_mode",
+                     "--values", "fixed,bogus", "-o", str(outdir)]) == 1
+        assert "[reference] sampling" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_failed_rerun_removes_only_listed_artifacts(self, tmp_path):
         outdir = tmp_path / "out"

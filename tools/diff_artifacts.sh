@@ -20,7 +20,9 @@
 #     on the written file, which is compared too (it is written to one fixed
 #     path, as the path is part of the run's config digest).
 # Ends with `diff -r` of the two output trees; exits non-zero on any
-# difference or failed command.
+# difference or failed command. On a difference it then prints, per differing
+# file, how many CSV cells or JSON numbers differ and the largest absolute
+# difference among them, so a change in the last bits reads as one.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -119,6 +121,82 @@ run_side "$root/src" "$work/out/tree"
 if diff -r "$work/out/rev" "$work/out/tree"; then
     echo "no difference: $(find "$work/out/tree" -type f | wc -l) files identical to $rev"
 else
+    python3 - "$work/out/rev" "$work/out/tree" >&2 <<'PY'
+import csv, difflib, filecmp, json, os, sys
+
+
+def number(value):
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def json_pairs(a, b):
+    """(old, new) scalar pairs at the same key path, and the count of paths in one file only."""
+    def flat(value, at=()):
+        if isinstance(value, dict):
+            return {k: v for key, item in value.items() for k, v in flat(item, at + (key,)).items()}
+        if isinstance(value, list):
+            return {k: v for i, item in enumerate(value) for k, v in flat(item, at + (i,)).items()}
+        return {at: value}
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            return flat(json.load(fh))
+    old, new = load(a), load(b)
+    return [(old[k], new[k]) for k in old.keys() & new.keys()], len(old.keys() ^ new.keys())
+
+
+def csv_pairs(a, b):
+    """(old, new) cell pairs of aligned rows, and the count of rows in one file only.
+
+    Rows are aligned on their cells rounded to 10 significant digits, so a
+    ROC curve that gains or loses a threshold row still pairs the rows below it.
+    """
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    def key(row):
+        return tuple(cell if number(cell) is None else f"{number(cell):.10g}" for cell in row)
+    old, new = rows(a), rows(b)
+    matcher = difflib.SequenceMatcher(None, list(map(key, old)), list(map(key, new)), autojunk=False)
+    pairs, unmatched = [], 0
+    for _, i1, i2, j1, j2 in matcher.get_opcodes():
+        if i2 - i1 == j2 - j1:
+            pairs += [cells for x, y in zip(old[i1:i2], new[j1:j2]) for cells in zip(x, y)]
+        else:
+            unmatched += (i2 - i1) + (j2 - j1)
+    return pairs, unmatched
+
+
+rev, tree = sys.argv[1:]
+names = set()
+for top in (rev, tree):
+    for folder, _, files in os.walk(top):
+        names.update(os.path.relpath(os.path.join(folder, f), top) for f in files)
+print("differing files:")
+for name in sorted(names):
+    paths = os.path.join(rev, name), os.path.join(tree, name)
+    if not all(map(os.path.isfile, paths)):
+        side = "working tree" if os.path.isfile(paths[1]) else "revision"
+        print(f"  {name}: only in the {side}")
+        continue
+    if filecmp.cmp(*paths, shallow=False):
+        continue
+    is_json = name.endswith(".json")
+    pairs, unmatched = (json_pairs if is_json else csv_pairs)(*paths)
+    differ = [(x, y) for x, y in pairs if x != y]
+    gaps = [abs(number(x) - number(y)) for x, y in differ
+            if number(x) is not None and number(y) is not None]
+    text = f"{len(differ)} of {len(pairs)} {'JSON values' if is_json else 'CSV cells'} differ"
+    if gaps:
+        text += f", {len(gaps)} numeric (largest absolute difference {max(gaps):.3g})"
+    if unmatched:
+        text += f"; in one file only: {unmatched} {'JSON values' if is_json else 'CSV rows'}"
+    print(f"  {name}: {text}")
+PY
     echo "artifacts differ from $rev" >&2
     exit 1
 fi
