@@ -356,7 +356,7 @@ def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
             for value in values for seed in seeds]
 
 
-def sweep(config, axis: str, values, seeds=None) -> SweepResult:
+def sweep(config, axis: str, values, seeds=None, trained: dict | None = None) -> SweepResult:
     """Rerun the pipeline per axis value (and per seed), all other seeds fixed.
 
     Because every stage seed is derived from the master seed by labeled
@@ -365,14 +365,15 @@ def sweep(config, axis: str, values, seeds=None) -> SweepResult:
     alone.
 
     All runs of one call share one `trained` dict (see
-    `pipeline.run_pipeline`), which lives for the call: each distinct
-    (training slice, training config, layer sizes) is trained once and reused
-    by every run that needs it, and every row equals that of a direct run.
+    `pipeline.run_pipeline`): each distinct (training slice, training config,
+    layer sizes) is trained once and reused by every run that needs it, and
+    every row equals that of a direct run. The dict lives for the call, or as
+    long as the caller keeps the one it passes.
     """
     from . import pipeline  # runtime import; pipeline depends on this module
 
     rows = []
-    trained: dict = {}
+    trained = {} if trained is None else trained
     for value, seed, cfg in sweep_runs(config, axis, values, seeds):
         result = pipeline.run_pipeline(cfg, trained)
         for attack in cfg.attacks:

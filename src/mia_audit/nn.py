@@ -148,7 +148,7 @@ def _forward_cached(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ np.swapaxes(w, -1, -2)
+        z = acts[-1] @ w.mT
         z += b
         acts.append(z if i == last else np.tanh(z, out=z))
     return acts
@@ -246,20 +246,22 @@ def _sq_norms(weights, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_norm: float | None):
-    """Mean gradients in parameters() order and the mean loss; see backward."""
+def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_norm: float | None,
+               out: list[np.ndarray]):
+    """Write the mean gradients into `out` (parameters() order) and return the
+    mean loss; see backward. Each bias gradient is shaped as its error summed
+    over the batch axis, (out,) or (K, out), and each weight gradient as its
+    weight; train_many passes views into its flat gradient vector."""
     acts = _forward_cached(weights, biases, x)
     delta, mean_loss = _output_delta(acts[-1], y, loss)
     if clip_norm is not None:
         norms = np.sqrt(_sq_norms(weights, acts, delta))
         delta = delta * (clip_norm / np.maximum(norms, clip_norm))[..., None]
     delta = delta / x.shape[-2]
-    grads: list[np.ndarray] = []
     for l, d in _layer_errors(weights, acts, delta):
-        grads.append(d.sum(axis=-2).reshape(biases[l].shape))   # bias
-        grads.append(np.swapaxes(d, -1, -2) @ acts[l])          # weight
-    grads.reverse()
-    return grads, mean_loss
+        np.sum(d, axis=-2, out=out[2 * l + 1])
+        np.matmul(d.mT, acts[l], out=out[2 * l])
+    return mean_loss
 
 
 def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce",
@@ -281,7 +283,8 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
         raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     if clip_norm is not None and not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
-    grads, mean_loss = _gradients(model.weights, model.biases, batch, y, loss, clip_norm)
+    grads = [np.empty_like(p) for p in model.parameters()]
+    mean_loss = _gradients(model.weights, model.biases, batch, y, loss, clip_norm, grads)
     return grads, float(mean_loss)
 
 
@@ -356,10 +359,13 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     bit: it keeps its own initialization, batch-order and DP-noise streams,
     derived from its config's seed. The jobs must share their row count and
     every TrainingConfig field except seed, so they share one step count and
-    learning-rate schedule. Weights are stacked to (K, out, in) and biases to
-    (K, 1, out) and updated in place; inputs are checked once here, and each
-    MLPClassifier is built once, at the end. Parameters are checked for
-    finiteness after every epoch, so a diverged run stops early.
+    learning-rate schedule. `pipeline.run_pipeline` trains a run's target,
+    shadow and reference models in such groups, and the two scoring nets
+    share one call. Weights are stacked to (K, out, in) and biases to
+    (K, 1, out), as views of one flat vector updated in place; the gradients
+    are written in place into views of another. Inputs are checked once here,
+    and each MLPClassifier is built once, at the end. Parameters are checked
+    for finiteness after every epoch, so a diverged run stops early.
 
     Returns the K models, or K (model, per-epoch mean loss list) pairs with
     return_loss_history.
@@ -385,18 +391,26 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
         if len(t) != n:
             raise ValueError(f"{len(t)} labels for {n} samples")
     x, y = np.stack(xs), np.stack(ys)
-    # every stacked parameter is a view into one flat vector, so the momentum
-    # update is a handful of whole-vector operations
+    # every stacked parameter and gradient is a view into one flat vector, so
+    # gradients are written in place and the momentum update is a handful of
+    # whole-vector operations
     jobs = len(configs)
+
+    def views(vector: np.ndarray) -> list[np.ndarray]:
+        out, offset = [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            for shape in ((jobs, fan_out, fan_in), (jobs, 1, fan_out)):
+                out.append(vector[offset : offset + math.prod(shape)].reshape(shape))
+                offset += math.prod(shape)
+        return out
+
     flat = np.concatenate([p.reshape(-1) for group in zip(*(m.parameters() for m in inits))
                            for p in group])
-    params, offset = [], 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        for shape in ((jobs, fan_out, fan_in), (jobs, 1, fan_out)):
-            params.append(flat[offset : offset + math.prod(shape)].reshape(shape))
-            offset += math.prod(shape)
+    params = views(flat)
     weights, biases = params[0::2], params[1::2]
     flat_grad, velocity = np.empty_like(flat), np.zeros_like(flat)
+    # bias gradients as (K, out), the shape of an error summed over the batch
+    grads = [g[:, 0] if i % 2 else g for i, g in enumerate(views(flat_grad))]
     shuffle_rngs = [derive_rng(c.seed, "batch-order") for c in configs]
     noise_rngs = ([derive_rng(c.seed, "dp-noise") for c in configs]
                   if config.dp is not None and config.dp.noise_multiplier > 0 else [])
@@ -413,11 +427,10 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
             bx, by = x_epoch[:, batch], y_epoch[:, batch]
-            grads, batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm)
+            batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
             for k, rng in enumerate(noise_rngs):
                 for g, noisy in zip(grads, dp_noise([g[k] for g in grads], config, bx.shape[1], rng)):
                     g[k] = noisy
-            np.concatenate([g.reshape(-1) for g in grads], out=flat_grad)
             _momentum_update([flat], [flat_grad], [velocity], config,
                              schedule_lr(config, step, total_steps))
             epoch_loss += batch_loss * bx.shape[1]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .dataset import finite_float, read_rows, write_columns
-from .seeding import derive_rng
+from .seeding import derive_seed, normal_rows
 
 SCORE_TABLE_HEADER = ("id", "is_member", "raw", "calibrated")
 
@@ -73,19 +73,18 @@ def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
 
     Per-sample noise is drawn from an rng stream keyed on (q.seed, sample id,
     query index), never on evaluation order, so the same ids always see the
-    same augmentations regardless of batching or which model is queried.
+    same augmentations regardless of batching or which model is queried. Row
+    `row` of copy j is x[row] plus default_rng(derive_seed(q.seed, "augment",
+    ids[row], j)).normal(0, std, d); normal_rows draws all of one copy's
+    streams at once.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = [x]
     if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
         return out
-    d = x.shape[1]
     for j in range(1, q.num_queries):
-        noise = np.empty_like(x)
-        for row, sample_id in enumerate(ids):
-            rng = derive_rng(q.seed, "augment", sample_id, j)
-            noise[row] = rng.normal(0.0, q.augmentation_noise_std, size=d)
-        out.append(x + noise)
+        seeds = [derive_seed(q.seed, "augment", sample_id, j) for sample_id in ids]
+        out.append(x + normal_rows(seeds, q.augmentation_noise_std, x.shape[1]))
     return out
 
 

@@ -33,7 +33,7 @@ def report(criterion: str, started: float, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def benchmark_runs():
+def benchmark_runs(trained_models):
     """The 5-seed desk benchmark with every attack enabled (shared by 4 and 5)."""
     cfg = ExperimentConfig()
     # pin the benchmark shape the ordering criteria are stated for
@@ -42,7 +42,8 @@ def benchmark_runs():
     assert cfg.target_train.epochs == 60
     assert cfg.num_reference_models == 4
     assert cfg.num_queries == 8
-    return {seed: run_pipeline(cfg.with_overrides(master_seed=seed)) for seed in SEED_SUITE}
+    return {seed: run_pipeline(cfg.with_overrides(master_seed=seed), trained_models)
+            for seed in SEED_SUITE}
 
 
 def suite_mean(runs, attack, metric):
@@ -170,7 +171,7 @@ def test_criterion_5_shortcut_lira_vs_lira(benchmark_runs):
     report("5 shortcut-lira", started, f"auc {shortcut:.3f} >= {lira:.3f}")
 
 
-def test_criterion_6_dp_sgd_trend():
+def test_criterion_6_dp_sgd_trend(trained_models):
     started = time.time()
     means = []
     for sigma in (0.0, 0.5, 1.0):
@@ -178,7 +179,7 @@ def test_criterion_6_dp_sgd_trend():
         for seed in SEED_SUITE:
             cfg = ExperimentConfig(master_seed=seed, attacks=("rapid",),
                                    dp=DPConfig(clip_norm=10.0, noise_multiplier=sigma))
-            aucs.append(run_pipeline(cfg).metrics["rapid"].auc)
+            aucs.append(run_pipeline(cfg, trained_models).metrics["rapid"].auc)
         means.append(float(np.mean(aucs)))
     assert means[0] >= means[1] >= means[2]
     assert abs(means[2] - 0.5) <= 0.05
@@ -187,15 +188,17 @@ def test_criterion_6_dp_sgd_trend():
            "auc by sigma " + ", ".join(f"{m:.3f}" for m in means))
 
 
-def test_criterion_7_ablation_trends():
+def test_criterion_7_ablation_trends(trained_models):
     started = time.time()
     ref_sweep = sweep(ExperimentConfig(attacks=("calibration",)),
-                      "num_reference_models", [1, 2, 4], seeds=SEED_SUITE)
+                      "num_reference_models", [1, 2, 4], seeds=SEED_SUITE,
+                      trained=trained_models)
     by_refs = ref_sweep.metric_by_value("calibration.auc")
     assert by_refs[1] <= by_refs[2] <= by_refs[4]
 
     query_sweep = sweep(ExperimentConfig(attacks=("rapid",)),
-                        "num_queries", [1, 4, 8], seeds=SEED_SUITE)
+                        "num_queries", [1, 4, 8], seeds=SEED_SUITE,
+                        trained=trained_models)
     by_queries = query_sweep.metric_by_value("rapid.tpr_at_fpr_0.01")
     assert by_queries[1] <= by_queries[4] <= by_queries[8]
     gain_1_4 = by_queries[4] - by_queries[1]

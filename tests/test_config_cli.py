@@ -259,6 +259,56 @@ class TestPipeline:
             run_pipeline(fast_config(num_reference_models=4))
         assert len(train_calls) == calls
 
+    @staticmethod
+    def record_train_many(monkeypatch):
+        """Patch nn.train_many to record each call as a list of (x, y, config,
+        layer sizes, loss, model), one entry per stacked model."""
+        from mia_audit import nn
+        calls = []
+        real_train_many = nn.train_many
+
+        def recording(xs, ys, configs, layer_sizes, loss="ce"):
+            models = real_train_many(xs, ys, configs, layer_sizes, loss)
+            calls.append([(x, y, c, layer_sizes, loss, m)
+                          for x, y, c, m in zip(xs, ys, configs, models)])
+            return models
+
+        monkeypatch.setattr(nn, "train_many", recording)
+        return calls
+
+    @staticmethod
+    def assert_equal_to_training_alone(monkeypatch, calls):
+        from mia_audit import nn
+        monkeypatch.undo()
+        for x, y, cfg, layer_sizes, loss, model in (job for call in calls for job in call):
+            alone = nn.train(x, y, cfg, layer_sizes, loss)
+            for a, b in zip(alone.parameters(), model.parameters()):
+                assert a.tobytes() == b.tobytes()
+
+    def test_models_train_in_stacked_groups(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        run_pipeline(fast_config(num_reference_models=4))
+        # target + shadow, the 4 references, the 2 scoring nets
+        assert sorted(len(call) for call in calls) == [2, 2, 4]
+        self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_different_shadow_training_splits_target_and_shadow(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        cfg = fast_config(shadow_train=dataclasses.replace(FAST_TRAIN, epochs=4))
+        run_pipeline(cfg)
+        epochs_by_call = [sorted(job[2].epochs for job in call) for call in calls
+                          if call[0][4] == "ce"]
+        assert sorted(epochs_by_call) == [[3], [3, 3], [4]]  # target, 2 references, shadow
+        self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_dp_jobs_train_alone(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
+                                 dp_apply_to=("target", "reference")))
+        dp_calls = [call for call in calls if any(job[2].dp is not None for job in call)]
+        assert [len(call) for call in dp_calls] == [1, 1, 1]  # target, 2 references
+        self.assert_equal_to_training_alone(monkeypatch, calls)
+
     def test_nested_query_prefix_property(self):
         # with per-(sample, query) rng streams, a 1-query run equals the
         # unperturbed signal regardless of the configured maximum

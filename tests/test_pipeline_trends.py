@@ -12,8 +12,8 @@ SEED_SUITE = (1, 2, 3, 4, 5)
 
 
 @pytest.fixture(scope="module")
-def benchmark_run():
-    return run_pipeline(ExperimentConfig(master_seed=1))
+def benchmark_run(trained_models):
+    return run_pipeline(ExperimentConfig(master_seed=1), trained_models)
 
 
 def test_loss_attack_beats_chance_on_overfit_run(benchmark_run):
@@ -33,8 +33,8 @@ def test_small_loss_bucket_majority_members(benchmark_run):
     assert small.member_count > small.nonmember_count
 
 
-def test_random_reference_sampling_beats_fixed_pool():
+def test_random_reference_sampling_beats_fixed_pool(trained_models):
     result = sweep(ExperimentConfig(attacks=("rapid",)), "reference_sampling_mode",
-                   ["fixed", "random"], seeds=SEED_SUITE)
+                   ["fixed", "random"], seeds=SEED_SUITE, trained=trained_models)
     by_mode = result.metric_by_value("rapid.tpr_at_fpr_0.01")
     assert by_mode["random"] >= by_mode["fixed"]

@@ -5,6 +5,7 @@ import pytest
 
 from mia_audit import (DistributionSpec, QueryConfig, ScoreTable, SignalKind,
                        TrainingConfig, generate_synthetic, init_classifier, train)
+from mia_audit.seeding import derive_rng, derive_seed, normal_rows
 from mia_audit.signals import averaged_signal_batch, perturbed_queries, signal_batch
 from test_nn import per_example_gradients, per_example_norms
 
@@ -120,6 +121,42 @@ class TestAveragedSignal:
             single.append(2 * self.score(0, q1) - self.exact(0))
             averaged.append(self.score(0, q8))
         assert np.var(averaged) <= np.var(single)
+
+
+def per_stream_queries(x, ids, q):
+    """perturbed_queries as one default_rng stream per (sample id, query index):
+    the reference the bulk seeding must match bit for bit."""
+    out = [x]
+    if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
+        return out
+    for j in range(1, q.num_queries):
+        noise = np.empty_like(x)
+        for row, sample_id in enumerate(ids):
+            rng = derive_rng(q.seed, "augment", sample_id, j)
+            noise[row] = rng.normal(0.0, q.augmentation_noise_std, size=x.shape[1])
+        out.append(x + noise)
+    return out
+
+
+class TestQueryNoise:
+    def test_normal_rows_equal_default_rng(self):
+        # one- and two-word seeds at the edges, then 14,000 derived query seeds
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        seeds += [derive_seed(7, "augment", i, j) for i in range(2000) for j in range(1, 8)]
+        expected = np.stack([np.random.default_rng(s).normal(0.0, 0.3, 16) for s in seeds])
+        assert normal_rows(seeds, 0.3, 16).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_queries, std", [(8, 0.25), (8, 0.0), (1, 0.25)],
+                             ids=["noisy", "zero-noise", "one-query"])
+    def test_perturbed_queries_equal_per_stream_draws(self, num_queries, std):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2000, 5))
+        ids = [int(i) for i in rng.permutation(10_000)[:2000]]
+        q = QueryConfig(num_queries=num_queries, augmentation_noise_std=std, seed=12)
+        got, expected = perturbed_queries(x, ids, q), per_stream_queries(x, ids, q)
+        assert len(got) == len(expected) == (num_queries if std else 1)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestScoreTable:

@@ -16,6 +16,11 @@
 #     paths: the gradnorm signal, the confidence signal with logit scaling,
 #     one query per sample, and an [attacker_data] source with attacks
 #     shortcut_lira, rapid and loss (seed 31),
+#   - three more `run`s on those 1200 samples, one per way the pipeline groups
+#     its models for stacked training: reference models on random subsets
+#     ([reference] sampling = random), a [train.shadow] that differs from
+#     [train.target] (so target and shadow train apart), and DP-SGD on the
+#     target alone (DP models train one per call),
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
 #     on the written file, which is compared too (it is written to one fixed
 #     path, as the path is part of the run's config digest).
@@ -84,6 +89,17 @@ n_samples = 1200
 
 [attacks]
 enabled = shortcut_lira,rapid,loss"
+ini random_refs "$small
+[reference]
+sampling = random"
+ini shadow_epochs "$small
+[train.shadow]
+epochs = 40"
+ini dp_target "$small
+[dp]
+clip_norm = 10.0
+noise_multiplier = 1.0
+apply_to = target"
 ini small "$small"
 ini csv "[data]
 source = csv
@@ -105,7 +121,7 @@ run_side() {  # <src dir> <output dir>
     mia sweep "$work/rapid.ini" --axis num_queries --values 1,4,8 \
         --seeds 4243 -o "$out/sweep_queries"
     local name
-    for name in gradnorm logit one_query attacker; do
+    for name in gradnorm logit one_query attacker random_refs shadow_epochs dp_target; do
         mia run "$work/$name.ini" -o "$out/$name"
     done
     mia gen-data "$work/small.ini" -o "$work/data.csv"
