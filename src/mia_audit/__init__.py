@@ -1,23 +1,20 @@
 """Desk-scale membership-inference auditing toolkit.
 
-Implements the challenger/attacker security game, the difficulty-calibration
-attack family (loss threshold, calibration, offline LiRA), and the
-scoring-model attack that re-uses raw scores to correct calibration errors,
-over small from-scratch MLP classifiers on tabular or synthetic data.
+Implements the difficulty-calibration attack family (loss threshold,
+calibration, offline LiRA) and the scoring-model attack that re-uses raw
+scores to correct calibration errors, over small from-scratch MLP classifiers
+on tabular or synthetic data, and reports each attack's ROC metrics.
 """
 
-from .attacks import (AttackOutput, GaussianFit, GaussianPair, ScoringModel, calibrate,
-                      fit_gaussian, gaussian_difference, train_scoring_models)
+from .attacks import AttackOutput, ScoringModel, calibrate, train_scoring_models
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                       generate_synthetic, load_csv, make_split, random_means,
                       sample_reference_subset, write_csv)
-from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr,
-                         balanced_accuracy, compute_metrics, loss_bucket_report, roc,
-                         run_security_game, sweep)
-from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward,
-                 cross_entropy, forward, init_classifier, per_sample_loss, sgd_step,
-                 softmax, train)
+from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr, compute_metrics,
+                         loss_bucket_report, roc, sweep)
+from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward, forward,
+                 init_classifier, per_sample_loss, softmax, train)
 from .pipeline import RunResult, run_pipeline, write_artifacts
 from .seeding import derive_rng, derive_seed
 from .signals import QueryConfig, ScoreTable, SignalKind

@@ -23,8 +23,6 @@ from .dataset import finite_float, read_rows, write_columns
 VARIANCE_FLOOR = 1e-8
 SCORES_HEADER = ("id", "score")
 
-SCORING_HIDDEN_SIZES = (64, 64, 64)
-
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 # Each threshold attack's score of one eval set, from its raw scores and its
@@ -38,24 +36,6 @@ THRESHOLD_SCORES = {
 # The scoring attacks: one scoring net over (raw, second feature), keyed by the
 # threshold score that serves as the second feature.
 SCORING_FEATURES = {"rapid": "calibration", "shortcut_lira": "lira_offline"}
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    """Mean and variance of a score population (variance floored at 1e-8)."""
-
-    mu: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 < VARIANCE_FLOOR:
-            raise ValueError(f"sigma2 below the variance floor: {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    tar: GaussianFit
-    ref: GaussianFit
 
 
 @dataclass(frozen=True)
@@ -80,23 +60,6 @@ def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """(ids, scores) from an attack-output CSV, skipping digest comments."""
     rows = read_rows(path, SCORES_HEADER, (str, finite_float))
     return [r[0] for r in rows], np.array([r[1] for r in rows], dtype=np.float64)
-
-
-def fit_gaussian(samples) -> GaussianFit:
-    """Sample mean and unbiased variance, floored so a degenerate population
-    (all scores identical, as for a memorized point) stays usable."""
-    xs = np.asarray(samples, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("cannot fit a Gaussian to an empty sample")
-    mu = float(xs.mean())
-    sigma2 = float(xs.var(ddof=1)) if xs.size > 1 else 0.0
-    return GaussianFit(mu, max(sigma2, VARIANCE_FLOOR))
-
-
-def gaussian_difference(pair: GaussianPair) -> GaussianFit:
-    """Distribution of tar - ref for independent Gaussians: N(mu_tar - mu_ref,
-    sigma2_tar + sigma2_ref)."""
-    return GaussianFit(pair.tar.mu - pair.ref.mu, pair.tar.sigma2 + pair.ref.sigma2)
 
 
 def calibrate(raw: np.ndarray, ref_scores: np.ndarray) -> np.ndarray:
@@ -129,6 +92,9 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     Fits (mu, sigma) to each sample's scores across the OUT models and returns
     Phi((raw - mu) / sigma): the probability that the observation exceeds a
     draw from the OUT distribution. Monotone in raw for fixed OUT scores.
+    The fit is the sample mean and the unbiased (ddof=1) variance, floored at
+    VARIANCE_FLOOR so a degenerate population (all scores identical, or a
+    single OUT model) stays usable.
     """
     raw = np.asarray(raw, dtype=np.float64)
     out = np.atleast_2d(np.asarray(out_scores, dtype=np.float64))
@@ -176,8 +142,7 @@ class ScoringModel:
         return np.clip(raw, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-def train_scoring_models(features, is_member, configs,
-                         hidden_sizes=SCORING_HIDDEN_SIZES) -> list[ScoringModel]:
+def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:
     """Fit one scoring MLP per (n, 2) shadow feature matrix against the shared
     shadow membership with BCE loss, all in one nn.train_many loop.
 

@@ -1,4 +1,4 @@
-"""Security-game harness, ROC analysis, threshold calibration, and ablation sweeps.
+"""ROC analysis, headline attack metrics, loss-bucket histograms and ablation sweeps.
 
 All curves are empirical with a strict `score > threshold` decision rule and
 no interpolation; the TPR-at-FPR rule is conservative (largest threshold set
@@ -14,7 +14,6 @@ import numpy as np
 
 from .dataset import (finite_float, nonnegative_int, not_nan_float, read_rows,
                       write_columns)
-from .seeding import derive_rng
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
 ROC_HEADER = ("threshold", "fpr", "tpr")
@@ -65,7 +64,7 @@ class RocCurve:
         """
         if not (0.0 < target_fpr < 1.0):
             raise ValueError(f"target_fpr must lie in (0, 1), got {target_fpr}")
-        i = _last_within(self.fpr, target_fpr)
+        i = int(np.nonzero(self.fpr <= target_fpr)[0][-1])
         return TprAtFpr(float(self.tpr[i]), float(self.thresholds[i]), float(self.fpr[i]))
 
     def best_balanced_accuracy(self) -> float:
@@ -81,102 +80,23 @@ class RocCurve:
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
 
-def _check_classes(scores, is_member):
-    scores = np.asarray(scores, dtype=np.float64)
-    member = np.asarray(is_member, dtype=bool)
-    if scores.shape != member.shape or scores.ndim != 1:
-        raise ValueError("scores and is_member must be matching 1-D arrays")
-    if member.all() or not member.any():
-        raise ValueError("need at least one member and one non-member")
-    return scores, member
-
-
-def _threshold_grid(scores: np.ndarray) -> np.ndarray:
-    """+inf, every distinct score in descending order, then -inf."""
-    return np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
-
-
 def _share_above(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Share of values strictly greater than each threshold."""
     values = np.sort(values)
     return (len(values) - np.searchsorted(values, thresholds, side="right")) / len(values)
 
 
-def _last_within(fpr: np.ndarray, target_fpr: float) -> int:
-    """Last index of a nondecreasing fpr array whose value does not exceed target."""
-    return int(np.nonzero(fpr <= target_fpr)[0][-1])
-
-
 def roc(scores, is_member) -> RocCurve:
     """Empirical ROC over the distinct score values plus +/-inf sentinels."""
-    scores, member = _check_classes(scores, is_member)
-    thresholds = _threshold_grid(scores)
+    scores = np.asarray(scores, dtype=np.float64)
+    member = np.asarray(is_member, dtype=bool)
+    if scores.shape != member.shape or scores.ndim != 1:
+        raise ValueError("scores and is_member must be matching 1-D arrays")
+    if member.all() or not member.any():
+        raise ValueError("need at least one member and one non-member")
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
     return RocCurve(thresholds, _share_above(scores[~member], thresholds),
                     _share_above(scores[member], thresholds))
-
-
-def balanced_accuracy(scores, is_member, threshold: float) -> float:
-    """(TPR + TNR) / 2 at the given threshold with the strict > rule."""
-    scores, member = _check_classes(scores, is_member)
-    tpr = float(np.mean(scores[member] > threshold))
-    tnr = float(np.mean(scores[~member] <= threshold))
-    return (tpr + tnr) / 2.0
-
-
-def calibrate_threshold(shadow_scores, shadow_is_member, target_fpr: float) -> float:
-    """Smallest threshold whose FPR on the shadow non-members is within target.
-
-    The returned threshold is meant to be applied to target-model scores; a
-    target_fpr >= 1 degenerates to the accept-all threshold -inf.
-    """
-    if not target_fpr >= 0.0:  # also rejects NaN
-        raise ValueError(f"target_fpr must be a nonnegative number, got {target_fpr}")
-    scores = np.asarray(shadow_scores, dtype=np.float64)
-    member = np.asarray(shadow_is_member, dtype=bool)
-    neg = scores[~member]
-    if len(neg) == 0:
-        raise ValueError("no shadow non-members to calibrate against")
-    thresholds = _threshold_grid(scores)
-    return float(thresholds[_last_within(_share_above(neg, thresholds), target_fpr)])
-
-
-@dataclass(frozen=True)
-class GameRound:
-    challenge_member: bool
-    sample_id: object
-    guess_member: bool
-    correct: bool
-
-    def __post_init__(self):
-        if self.correct != (self.challenge_member == self.guess_member):
-            raise ValueError("correct flag inconsistent with challenge and guess")
-
-
-def run_security_game(scores, is_member, threshold: float, num_rounds: int, seed: int,
-                      ids=None):
-    """Play the coin-flip membership game.
-
-    Each round flips an unbiased coin, draws a sample uniformly from the
-    matching class, and guesses member iff score > threshold. Returns
-    (rounds, mean correctness); the summary is None when num_rounds is 0.
-    """
-    scores, member = _check_classes(scores, is_member)
-    if ids is None:
-        ids = list(range(len(scores)))
-    pos_idx = np.nonzero(member)[0]
-    neg_idx = np.nonzero(~member)[0]
-    rng = derive_rng(seed, "security-game")
-    rounds: list[GameRound] = []
-    correct_count = 0
-    for _ in range(num_rounds):
-        b = bool(rng.integers(0, 2))
-        idx = int(rng.choice(pos_idx if b else neg_idx))
-        guess = bool(scores[idx] > threshold)
-        correct = guess == b
-        correct_count += correct
-        rounds.append(GameRound(b, ids[idx], guess, correct))
-    summary = correct_count / num_rounds if num_rounds > 0 else None
-    return rounds, summary
 
 
 @dataclass(frozen=True)
@@ -221,16 +141,6 @@ def read_bucket_csv(path) -> list[dict]:
     rows = read_rows(path, BUCKET_HEADER,
                      (str, finite_float, finite_float, nonnegative_int, nonnegative_int))
     return [dict(zip(BUCKET_HEADER, r)) for r in rows]
-
-
-def bucket_of_loss(loss: float) -> str:
-    """Bucket name for a cross-entropy value; intervals are closed on the left."""
-    if loss < 0:
-        raise ValueError(f"negative loss {loss}")
-    for name, lo, hi in LOSS_BUCKETS:
-        if lo <= loss < hi:
-            return name
-    raise AssertionError("unreachable")
 
 
 def loss_bucket_report(losses, calibrated, is_member, num_bins: int = 20) -> LossBucketReport:

@@ -9,8 +9,8 @@ ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 
 `train_many` is the one training loop: it trains K models of one shape on raw
 parameter arrays stacked along a leading model axis, updated in place; `train`
-is its one-model case. `backward`, `grad_sq_norms` and `sgd_step` are
-validated wrappers over the same kernels for a single model.
+is its one-model case. `backward` and `grad_sq_norms` are validated wrappers
+over the same kernels for a single model.
 """
 
 from __future__ import annotations
@@ -176,18 +176,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed in log-sum-exp form."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not (0 <= label < z.shape[-1]):
-        raise ValueError(f"label {label} out of range for {z.shape[-1]} classes")
-    return float(-_log_softmax(z)[..., label])
-
-
 def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each sample under the model, shape (n,)."""
+    """Cross-entropy of each sample under the model, shape (n,); labels must be
+    integer classes in [0, output_dim), one per sample."""
     batch, single = _as_batch(model, x)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    y = _targets(y, "ce", model.output_dim)
+    if len(y) != batch.shape[0]:
+        raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     logp = _log_softmax(_forward_cached(model.weights, model.biases, batch)[-1])
     out = -logp[np.arange(len(y)), y]
     return out[0] if single else out
@@ -314,27 +309,6 @@ def _momentum_update(params, gradients, velocity, config: TrainingConfig, lr: fl
         p -= lr * v
 
 
-def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int = 0, total_steps: int = 1):
-    """One momentum-SGD update; returns (updated model, updated velocity).
-
-    Effective gradient is g + weight_decay * theta; velocity accumulates it
-    with the momentum factor and the scheduled learning rate scales the step.
-    The model and velocity passed in are left unchanged.
-    """
-    params = [p.copy() for p in model.parameters()]
-    if len(gradients) != len(params):
-        raise ValueError(f"{len(gradients)} gradients for {len(params)} parameters")
-    for g, p in zip(gradients, params):
-        if np.shape(g) != p.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.shape}")
-    if velocity is None:
-        velocity = [np.zeros_like(p) for p in params]
-    else:
-        velocity = [np.array(v, dtype=np.float64) for v in velocity]
-    _momentum_update(params, gradients, velocity, config, schedule_lr(config, step, total_steps))
-    return model.with_parameters(params), velocity
-
-
 def dp_noise(gradients: list[np.ndarray], config: TrainingConfig, batch_size: int,
              rng: np.random.Generator) -> list[np.ndarray]:
     """Add DP-SGD Gaussian noise to an already-clipped mean gradient.
@@ -421,12 +395,10 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     step = 0
     for epoch in range(config.epochs):
         perm = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        # shuffle once per epoch so that every batch is a slice
-        x_epoch, y_epoch = x[rows, perm], y[rows, perm]
         epoch_loss = np.zeros(jobs)
         for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            bx, by = x_epoch[:, batch], y_epoch[:, batch]
+            batch = perm[:, start : start + config.batch_size]
+            bx, by = x[rows, batch], y[rows, batch]
             batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
             for k, rng in enumerate(noise_rngs):
                 for g, noisy in zip(grads, dp_noise([g[k] for g in grads], config, bx.shape[1], rng)):

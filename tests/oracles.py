@@ -1,0 +1,108 @@
+"""Reference implementations that tests compare the package against.
+
+None of these is part of an audit run, so they live beside the tests:
+  - `GaussianFit`, `GaussianPair` and `gaussian_difference`: the
+    difference-of-Gaussians model of a calibrated score (acceptance
+    criterion 2);
+  - `run_security_game` and `GameRound`: the coin-flip membership game that a
+    null attack must not win (acceptance criterion 3);
+  - `sgd_step`: one momentum-SGD update of a single model, the step of the
+    spelled-out training loop that `nn.train_many` must match bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from mia_audit.attacks import VARIANCE_FLOOR
+from mia_audit.nn import TrainingConfig, _momentum_update, schedule_lr
+from mia_audit.seeding import derive_rng
+
+
+@dataclass(frozen=True)
+class GaussianFit:
+    """Mean and variance of a score population (variance floored at 1e-8)."""
+
+    mu: float
+    sigma2: float
+
+    def __post_init__(self):
+        if self.sigma2 < VARIANCE_FLOOR:
+            raise ValueError(f"sigma2 below the variance floor: {self.sigma2}")
+
+
+@dataclass(frozen=True)
+class GaussianPair:
+    tar: GaussianFit
+    ref: GaussianFit
+
+
+def gaussian_difference(pair: GaussianPair) -> GaussianFit:
+    """Distribution of tar - ref for independent Gaussians: N(mu_tar - mu_ref,
+    sigma2_tar + sigma2_ref)."""
+    return GaussianFit(pair.tar.mu - pair.ref.mu, pair.tar.sigma2 + pair.ref.sigma2)
+
+
+@dataclass(frozen=True)
+class GameRound:
+    challenge_member: bool
+    sample_id: object
+    guess_member: bool
+    correct: bool
+
+    def __post_init__(self):
+        if self.correct != (self.challenge_member == self.guess_member):
+            raise ValueError("correct flag inconsistent with challenge and guess")
+
+
+def run_security_game(scores, is_member, threshold: float, num_rounds: int, seed: int,
+                      ids=None):
+    """Play the coin-flip membership game.
+
+    Each round flips an unbiased coin, draws a sample uniformly from the
+    matching class, and guesses member iff score > threshold. Returns
+    (rounds, mean correctness); the summary is None when num_rounds is 0.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    member = np.asarray(is_member, dtype=bool)
+    if member.all() or not member.any():
+        raise ValueError("need at least one member and one non-member")
+    if ids is None:
+        ids = list(range(len(scores)))
+    pos_idx = np.nonzero(member)[0]
+    neg_idx = np.nonzero(~member)[0]
+    rng = derive_rng(seed, "security-game")
+    rounds: list[GameRound] = []
+    correct_count = 0
+    for _ in range(num_rounds):
+        b = bool(rng.integers(0, 2))
+        idx = int(rng.choice(pos_idx if b else neg_idx))
+        guess = bool(scores[idx] > threshold)
+        correct = guess == b
+        correct_count += correct
+        rounds.append(GameRound(b, ids[idx], guess, correct))
+    summary = correct_count / num_rounds if num_rounds > 0 else None
+    return rounds, summary
+
+
+def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int = 0, total_steps: int = 1):
+    """One momentum-SGD update; returns (updated model, updated velocity).
+
+    Effective gradient is g + weight_decay * theta; velocity accumulates it
+    with the momentum factor and the scheduled learning rate scales the step.
+    The model and velocity passed in are left unchanged.
+    """
+    params = [p.copy() for p in model.parameters()]
+    if len(gradients) != len(params):
+        raise ValueError(f"{len(gradients)} gradients for {len(params)} parameters")
+    for g, p in zip(gradients, params):
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.shape}")
+    if velocity is None:
+        velocity = [np.zeros_like(p) for p in params]
+    else:
+        velocity = [np.array(v, dtype=np.float64) for v in velocity]
+    _momentum_update(params, gradients, velocity, config, schedule_lr(config, step, total_steps))
+    return model.with_parameters(params), velocity

@@ -13,16 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from mia_audit import (DPConfig, TrainingConfig, backward, calibrate,
-                       gaussian_difference, init_classifier, roc, run_pipeline,
-                       run_security_game, softmax, sweep)
-from mia_audit.attacks import GaussianFit, GaussianPair, read_attack_scores_csv
+from mia_audit import (DPConfig, TrainingConfig, backward, calibrate, init_classifier, roc,
+                       run_pipeline, softmax, sweep)
+from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.cli import main as cli_main
 from mia_audit.config import ExperimentConfig, SyntheticSource
 from mia_audit.evaluation import MetricsReport, RocCurve, read_bucket_csv
 from mia_audit.nn import per_sample_loss
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
+
+from oracles import GaussianFit, GaussianPair, gaussian_difference, run_security_game
 
 SEED_SUITE = (1, 2, 3, 4, 5)
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from mia_audit import (AttackOutput, GaussianFit, GaussianPair, TrainingConfig, calibrate,
-                       fit_gaussian, gaussian_difference, roc, train_scoring_models)
+from mia_audit import AttackOutput, TrainingConfig, calibrate, roc, train_scoring_models
 from mia_audit.attacks import (THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores,
                                normal_cdf, read_attack_scores_csv)
+from mia_audit.config import ExperimentConfig
+
+from oracles import GaussianFit, GaussianPair, gaussian_difference
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
+SCORING_SIZES = ExperimentConfig().scoring_hidden_sizes
 
 
 class TestAttackLoss:
@@ -77,28 +80,31 @@ class TestCalibrate:
 
 
 class TestFitGaussian:
+    """The OUT-score fit inside lira_offline_scores: mean, ddof=1 variance,
+    floored at VARIANCE_FLOOR. A raw score one fitted sigma above the mean
+    scores Phi(1)."""
+
     def test_degenerate_variance_floored(self):
-        fit = fit_gaussian([1.0, 1.0, 1.0])
-        assert fit.mu == 1.0
-        assert fit.sigma2 == VARIANCE_FLOOR
+        sigma = np.sqrt(VARIANCE_FLOOR)
+        got = lira_offline_scores(np.array([1.0 + sigma]), np.array([[1.0, 1.0, 1.0]]))
+        assert got[0] == pytest.approx(PHI_1, abs=1e-6)
 
     def test_two_point_unbiased_variance(self):
-        fit = fit_gaussian([0.0, 2.0])
-        assert fit.mu == 1.0
-        assert fit.sigma2 == 2.0
+        # mean 1, ddof=1 variance 2 (ddof=0 would give 1)
+        got = lira_offline_scores(np.array([1.0 + np.sqrt(2.0)]), np.array([[0.0, 2.0]]))
+        assert got[0] == pytest.approx(PHI_1, abs=1e-12)
 
     def test_single_point_floored(self):
-        assert fit_gaussian([5.0]).sigma2 == VARIANCE_FLOOR
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_gaussian([])
+        sigma = np.sqrt(VARIANCE_FLOOR)
+        got = lira_offline_scores(np.array([5.0 + sigma, 5.0]), np.array([[5.0], [5.0]]))
+        assert got[0] == pytest.approx(PHI_1, abs=1e-6)
+        assert got[1] == 0.5
 
     def test_monte_carlo_recovery(self):
-        draws = np.random.default_rng(42).normal(3.0, 2.0, size=10000)
-        fit = fit_gaussian(draws)
-        assert abs(fit.mu - 3.0) < 0.1
-        assert abs(fit.sigma2 - 4.0) < 0.3
+        # 10^4 OUT draws of N(3, 4): raw 5 sits one fitted sigma above the mean
+        draws = np.random.default_rng(42).normal(3.0, 2.0, size=(1, 10000))
+        got = lira_offline_scores(np.array([5.0]), draws)
+        assert abs(got[0] - PHI_1) < 0.01
 
 
 class TestGaussianDifference:
@@ -201,12 +207,11 @@ def scoring_config(**kw):
 
 class TestScoringModel:
     def test_separable_shadow_reaches_full_accuracy(self):
-        from mia_audit import balanced_accuracy
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config()])[0]
+        model = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.mean((scores > 0.5) == member) == 1.0
-        assert balanced_accuracy(scores, member, 0.5) == 1.0
+        assert roc(scores, member).best_balanced_accuracy() == 1.0
 
     def test_zero_epochs_uninformative(self):
         # exchangeable shadow scores: membership carries no signal, so an
@@ -217,7 +222,8 @@ class TestScoringModel:
             n = 400
             member = np.array([True] * (n // 2) + [False] * (n // 2))
             feats = np.column_stack([rng.normal(-1.0, 0.7, n), rng.normal(0.5, 0.7, n)])
-            model = train_scoring_models([feats], member, [scoring_config(epochs=0, seed=seed)])[0]
+            model = train_scoring_models([feats], member, [scoring_config(epochs=0, seed=seed)],
+                                         SCORING_SIZES)[0]
             scores = model.score(feats)
             assert np.all((scores > 0) & (scores < 1))
             aucs.append(roc(scores, member).auc)
@@ -225,17 +231,17 @@ class TestScoringModel:
 
     def test_deterministic(self):
         feats, member = toy_shadow()
-        a = train_scoring_models([feats], member, [scoring_config()])[0]
-        b = train_scoring_models([feats], member, [scoring_config()])[0]
+        a = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
+        b = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
         for wa, wb in zip(a.mlp.parameters(), b.mlp.parameters()):
             assert np.array_equal(wa, wb)
 
     def test_stacked_nets_equal_nets_trained_alone(self):
         (first, member), (second, _) = toy_shadow(), toy_shadow(seed=9)
         configs = [scoring_config(epochs=3, seed=1), scoring_config(epochs=3, seed=2)]
-        stacked = train_scoring_models([first, second], member, configs)
+        stacked = train_scoring_models([first, second], member, configs, SCORING_SIZES)
         for feats, config, model in zip([first, second], configs, stacked):
-            alone = train_scoring_models([feats], member, [config])[0]
+            alone = train_scoring_models([feats], member, [config], SCORING_SIZES)[0]
             assert np.array_equal(model.feature_mean, alone.feature_mean)
             assert np.array_equal(model.feature_std, alone.feature_std)
             for a, b in zip(model.mlp.parameters(), alone.mlp.parameters()):
@@ -245,20 +251,20 @@ class TestScoringModel:
         feats, member = toy_shadow()
         for one_class in (np.ones_like(member), np.zeros_like(member)):
             with pytest.raises(ValueError, match="both members and non-members"):
-                train_scoring_models([feats], one_class, [scoring_config()])
+                train_scoring_models([feats], one_class, [scoring_config()], SCORING_SIZES)
 
     def test_missing_calibrated_rejected(self):
         # the feature matrix must be (n, 2): the raw score and a second feature
         feats, member = toy_shadow()
         for bad in (feats[:, :1], feats[:, 0], np.column_stack([feats, feats[:, :1]]), feats[1:]):
             with pytest.raises(ValueError, match="scoring features have shape"):
-                train_scoring_models([bad], member, [scoring_config()])
+                train_scoring_models([bad], member, [scoring_config()], SCORING_SIZES)
 
 
 class TestAttackRapid:
     def test_outputs_in_unit_interval(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.all((scores > 0) & (scores < 1))
 
@@ -272,7 +278,8 @@ class TestAttackRapid:
         cal = np.concatenate([rng.normal(2.0, 0.5, n),
                               rng.normal(2.0, 0.5, n)])      # calibration fooled for both
         member = np.array([True] * n + [False] * n)
-        model = train_scoring_models([np.column_stack([raw, cal])], member, [scoring_config()])[0]
+        model = train_scoring_models([np.column_stack([raw, cal])], member, [scoring_config()],
+                                     SCORING_SIZES)[0]
         fooled_nonmember = model.score(np.array([[-3.0, 2.0]]))[0]
         true_member = model.score(np.array([[-0.01, 2.0]]))[0]
         assert fooled_nonmember < true_member
@@ -281,22 +288,23 @@ class TestAttackRapid:
         # power-of-two rescaling of both shadow and target inputs is exact
         shadow, member = toy_shadow()
         target, _ = toy_shadow(seed=9)
-        model = train_scoring_models([shadow], member, [scoring_config(epochs=10)])[0]
+        model = train_scoring_models([shadow], member, [scoring_config(epochs=10)], SCORING_SIZES)[0]
         base = model.score(target)
 
-        scaled_model = train_scoring_models([4.0 * shadow], member, [scoring_config(epochs=10)])[0]
+        scaled_model = train_scoring_models([4.0 * shadow], member, [scoring_config(epochs=10)],
+                                            SCORING_SIZES)[0]
         scaled = scaled_model.score(4.0 * target)
         assert np.array_equal(base, scaled)
 
     def test_missing_columns_rejected(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=2)])[0]
+        model = train_scoring_models([feats], member, [scoring_config(epochs=2)], SCORING_SIZES)[0]
         with pytest.raises(ValueError):
             model.score(np.array([[0.0]]))
 
     def test_open_interval_holds_even_for_saturating_inputs(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
         extreme = np.array([[1e12, 1e12], [-1e12, -1e12], [1e12, -1e12]])
         scores = model.score(extreme)
         assert np.all((scores > 0.0) & (scores < 1.0))
@@ -305,7 +313,7 @@ class TestAttackRapid:
 class TestAttackShortcutLira:
     def test_outputs_in_unit_interval(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)])[0]
+        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.all((scores > 0) & (scores < 1))
 
@@ -315,7 +323,7 @@ class TestAttackShortcutLira:
         raw = np.concatenate([rng.normal(-0.2, 0.2, n), rng.normal(-2.0, 0.5, n)])
         member = np.array([True] * n + [False] * n)
         shadow = np.column_stack([raw, np.full(2 * n, 0.7)])
-        model = train_scoring_models([shadow], member, [scoring_config()])[0]
+        model = train_scoring_models([shadow], member, [scoring_config()], SCORING_SIZES)[0]
         target_raw = rng.normal(-1.0, 1.0, 100)
         scores = model.score(np.column_stack([target_raw, np.full(100, 0.7)]))
         member_t = target_raw > np.median(target_raw)

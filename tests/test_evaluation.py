@@ -3,13 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import (balanced_accuracy, compute_metrics, loss_bucket_report, roc,
-                       run_security_game)
+from mia_audit import compute_metrics, loss_bucket_report, roc
 from mia_audit.attacks import read_attack_scores_csv
-from mia_audit.evaluation import (SWEEP_AXES, RocCurve, bucket_of_loss, calibrate_threshold,
-                                  read_bucket_csv, sweep)
+from mia_audit.evaluation import SWEEP_AXES, RocCurve, read_bucket_csv, sweep
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
+
+from oracles import run_security_game
 
 
 def mann_whitney_auc(scores, is_member):
@@ -168,15 +168,20 @@ class TestTprAtFpr:
 
 class TestBalancedAccuracy:
     def test_arithmetic(self):
-        # TPR 0.8 (4/5 members above), TNR 0.6 (3/5 non-members at or below)
+        # (TPR + TNR) / 2 per threshold with the strict > rule: 0.3 gives
+        # (4/5 + 3/5) / 2 = 0.7, and the best, 0.9, gives (4/5 + 5/5) / 2 = 0.9
         members = [1.0, 1.0, 1.0, 1.0, 0.1]
         non = [0.9, 0.9, 0.3, 0.3, 0.3]
-        scores = members + non
-        member = [True] * 5 + [False] * 5
-        assert balanced_accuracy(scores, member, 0.5) == pytest.approx(0.7)
+        curve = roc(members + non, [True] * 5 + [False] * 5)
+        at = {t: (tpr + 1.0 - fpr) / 2 for t, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr)}
+        assert at[0.3] == pytest.approx(0.7)
+        assert curve.best_balanced_accuracy() == pytest.approx(0.9)
 
     def test_infinite_threshold_scores_half(self):
-        assert balanced_accuracy([1.0, 0.0], [True, False], np.inf) == 0.5
+        # the +inf sentinel accepts nothing: TPR 0, TNR 1
+        curve = roc([1.0, 0.0], [True, False])
+        assert curve.thresholds[0] == np.inf
+        assert (curve.tpr[0] + 1.0 - curve.fpr[0]) / 2 == 0.5
 
     def test_best_over_thresholds_at_least_half(self):
         rng = derive_rng("bal")
@@ -189,24 +194,20 @@ class TestBalancedAccuracy:
 
 
 class TestCalibrateThreshold:
+    """The threshold an attacker reads off a shadow ROC curve at a target FPR
+    (RocCurve.tpr_at_fpr): the smallest one whose non-member FPR is within
+    the target."""
+
     def test_nine_value_example(self):
-        scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-        member = [False] * 9
-        got = calibrate_threshold(scores, member, 1 / 9)
+        scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        member = [False] * 9 + [True]
+        got = roc(scores, member).tpr_at_fpr(1 / 9).threshold
         assert got == pytest.approx(0.8)
-
-    def test_accept_all_when_target_at_least_one(self):
-        got = calibrate_threshold([0.5, 0.1], [False, False], 1.0)
-        assert got == -np.inf
-
-    def test_no_nonmembers_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_threshold([0.5], [True], 0.1)
 
     @pytest.mark.parametrize("target_fpr", [-0.1, float("nan")], ids=["negative", "nan"])
     def test_negative_or_nan_target_rejected(self, target_fpr):
         with pytest.raises(ValueError, match="target_fpr"):
-            calibrate_threshold([0.5, 0.1], [True, False], target_fpr)
+            roc([0.5, 0.1], [True, False]).tpr_at_fpr(target_fpr)
 
     def test_transfers_to_iid_target_within_binomial_bound(self):
         rng = derive_rng("cal-thresh")
@@ -215,8 +216,8 @@ class TestCalibrateThreshold:
         shadow = rng.random(n)
         target = rng.random(n)
         member = np.zeros(n, dtype=bool)
-        member[:1] = True  # calibration only reads non-members
-        t = calibrate_threshold(shadow, member, target_fpr)
+        member[:1] = True  # the threshold only depends on non-members
+        t = roc(shadow, member).tpr_at_fpr(target_fpr).threshold
         achieved = float(np.mean(target[~member[: len(target)]] > t))
         assert abs(achieved - target_fpr) <= 3 * np.sqrt(target_fpr / n)
 
@@ -256,6 +257,12 @@ class TestSecurityGame:
                                       ids=["m", "n"])
         for r in rounds:
             assert r.sample_id == ("m" if r.challenge_member else "n")
+
+
+def bucket_of_loss(loss: float) -> str:
+    """The bucket loss_bucket_report counts a single member of this loss in."""
+    report = loss_bucket_report([loss, 0.5], [0.0, 0.0], [True, False])
+    return next(b.name for b in report.buckets if b.member_count)
 
 
 class TestLossBuckets:

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from mia_audit import (DPConfig, DistributionSpec, TrainingConfig,
-                       accuracy, backward, cross_entropy, derive_seed, forward,
-                       generate_synthetic, init_classifier, sgd_step, softmax, train)
+from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
+                       derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
 from mia_audit.nn import (_forward_cached, _output_delta, _targets, dp_noise, per_sample_loss,
                           schedule_lr, train_many)
 from mia_audit.seeding import derive_rng
+
+from oracles import sgd_step
 
 # -log(e^3 / (e^1 + e^2 + e^3)), frozen from a 50-digit mpmath evaluation
 CE_123_LABEL2 = 0.4076059644443803
@@ -147,6 +148,13 @@ class TestForward:
             assert np.allclose(batch[i], forward(model, x[i]), rtol=1e-12, atol=0)
 
 
+def cross_entropy(logits, label):
+    """per_sample_loss of one sample under an identity model, whose logits are its input."""
+    k = len(logits)
+    model = init_classifier([k, k], 0).with_parameters([np.eye(k), np.zeros(k)])
+    return float(per_sample_loss(model, np.asarray(logits, dtype=np.float64), label))
+
+
 class TestCrossEntropy:
     def test_uniform_two_class(self):
         assert cross_entropy(np.zeros(2), 0) == pytest.approx(LN2, abs=1e-15)
@@ -160,8 +168,16 @@ class TestCrossEntropy:
             CE_123_LABEL2, abs=1e-15)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros(2), 2)
+        # past the last class, negative, and fractional labels all raise
+        for label in (2, -1, 0.7):
+            with pytest.raises(ValueError, match="integer classes"):
+                cross_entropy(np.zeros(2), label)
+
+    def test_one_label_per_sample(self):
+        model = init_classifier([2, 2], 0)
+        for rows, labels in ((3, [0, 1]), (2, [0, 1, 1])):
+            with pytest.raises(ValueError, match="labels for"):
+                per_sample_loss(model, np.zeros((rows, 2)), np.array(labels))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
