@@ -142,29 +142,22 @@ class ScoringModel:
         return np.clip(raw, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:
-    """Fit one scoring MLP per (n, 2) shadow feature matrix against the shared
-    shadow membership with BCE loss, all in one nn.train_many loop.
+def scoring_features(features, is_member) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one (n, 2) shadow feature matrix against the shadow membership and
+    z-score it per column: returns (standardized features, mean, std).
 
-    configs[k] goes with features[k]; each net equals one trained alone.
-    Features are z-scored per matrix with statistics computed here and stored
-    in the model; a constant column keeps std 1 so it standardizes to exact
+    A scoring net trains on the standardized features against the membership
+    with BCE loss, and ScoringModel(net, mean, std) reapplies the statistics
+    at inference. A constant column keeps std 1 so it standardizes to exact
     zeros.
     """
     member = np.asarray(is_member, dtype=bool)
     if member.ndim != 1 or member.all() or not member.any():
         raise ValueError("shadow membership must contain both members and non-members")
-    inputs, stats = [], []
-    for feats in features:
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.shape != (len(member), 2):
-            raise ValueError(f"scoring features have shape {feats.shape}, expected ({len(member)}, 2)")
-        mean = feats.mean(axis=0)
-        std = feats.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        inputs.append((feats - mean) / std)
-        stats.append((mean, std))
-    targets = [member.astype(np.float64)] * len(inputs)
-    layer_sizes = (2, *hidden_sizes, 1)
-    mlps = nn.train_many(inputs, targets, configs, layer_sizes, loss="bce")
-    return [ScoringModel(mlp, mean, std) for mlp, (mean, std) in zip(mlps, stats)]
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.shape != (len(member), 2):
+        raise ValueError(f"scoring features have shape {feats.shape}, expected ({len(member)}, 2)")
+    mean = feats.mean(axis=0)
+    std = feats.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return (feats - mean) / std, mean, std

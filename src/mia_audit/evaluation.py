@@ -274,20 +274,28 @@ def sweep(config, axis: str, values, seeds=None, trained: dict | None = None) ->
     perturbs the other stages, so differences along the axis reflect the axis
     alone.
 
-    All runs of one call share one `trained` dict (see
-    `pipeline.run_pipeline`): each distinct (training slice, training config,
-    layer sizes) is trained once and reused by every run that needs it, and
-    every row equals that of a direct run. The dict lives for the call, or as
-    long as the caller keeps the one it passes.
+    The runs of one master seed go through one `pipeline.run_pipelines` call,
+    stage by stage: each distinct model, scoring nets included, trains once,
+    in stacked loops that never span two seeds; each eval set's queries are
+    built once and each distinct model is scored on them once. All calls share
+    one `trained` dict, which lives for the call, or as long as the caller
+    keeps the one it passes. Every row equals that of a direct run, and rows
+    come in `sweep_runs` order.
     """
     from . import pipeline  # runtime import; pipeline depends on this module
 
-    rows = []
+    runs = sweep_runs(config, axis, values, seeds)
     trained = {} if trained is None else trained
-    for value, seed, cfg in sweep_runs(config, axis, values, seeds):
-        result = pipeline.run_pipeline(cfg, trained)
+    metrics = [None] * len(runs)
+    for seed in dict.fromkeys(seed for _, seed, _ in runs):
+        batch = [i for i, (_, run_seed, _) in enumerate(runs) if run_seed == seed]
+        results = pipeline.run_pipelines([runs[i][2] for i in batch], trained)
+        for i, result in zip(batch, results):
+            metrics[i] = result.metrics
+    rows = []
+    for (value, seed, cfg), run_metrics in zip(runs, metrics):
         for attack in cfg.attacks:
-            report = result.metrics[attack]
+            report = run_metrics[attack]
             entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]
             entries += [(f"tpr_at_fpr_{repr(level)}", entry.tpr)
                         for level, entry in sorted(report.tpr_at_fpr.items())]

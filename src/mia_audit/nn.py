@@ -333,13 +333,13 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     bit: it keeps its own initialization, batch-order and DP-noise streams,
     derived from its config's seed. The jobs must share their row count and
     every TrainingConfig field except seed, so they share one step count and
-    learning-rate schedule. `pipeline.run_pipeline` trains a run's target,
-    shadow and reference models in such groups, and the two scoring nets
-    share one call. Weights are stacked to (K, out, in) and biases to
-    (K, 1, out), as views of one flat vector updated in place; the gradients
-    are written in place into views of another. Inputs are checked once here,
-    and each MLPClassifier is built once, at the end. Parameters are checked
-    for finiteness after every epoch, so a diverged run stops early.
+    learning-rate schedule. `pipeline.run_pipelines` trains its runs' target,
+    shadow, reference and scoring models in such groups. Weights are stacked
+    to (K, out, in) and biases to (K, 1, out), as views of one flat vector
+    updated in place; the gradients are written in place into views of
+    another. Inputs are checked once here, and each MLPClassifier is built
+    once, at the end. Parameters are checked for finiteness after every
+    epoch, so a diverged run stops early.
 
     Returns the K models, or K (model, per-epoch mean loss list) pairs with
     return_loss_history.

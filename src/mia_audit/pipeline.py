@@ -2,23 +2,40 @@
 build score tables, train scoring models, run the selected attacks, and
 persist artifacts.
 
+`run_pipelines` takes a list of configs and runs each stage across all of
+them before the next:
+  1. every run's datasets, splits and training jobs (target, references,
+     shadow), then one `_train_missing` over their union;
+  2. per distinct eval set, its query matrices, built once for the most
+     queries any run asks of it and dropped before the next set's, and the
+     query-averaged signal of each distinct model on them, scored once per
+     query index; each run then reads its score tables off those signals;
+  3. the scoring nets of every run, as training jobs like those of stage 1;
+  4. per run, the attack scores, ROC curves, metrics, loss buckets and
+     target accuracy.
+`run_pipeline` is its one-config case, so a single run takes the same path.
+
 Stages run lazily: a loss-only run trains no shadow or reference models.
 Every stage draws its seed from the master seed by labeled hashing, so adding
 reference models or queries never perturbs earlier stages, and rerunning an
-identical config reproduces every artifact byte for byte.
+identical config reproduces every artifact byte for byte. Query noise is keyed
+on (sample id, query index), so a run's Q query matrices are the first Q of a
+longer list.
 
 A trained model is a pure function of its training inputs (the training
-slice, its `TrainingConfig` with derived seed and DP, and the layer sizes), so
-`run_pipeline` takes a `trained` dict mapping those inputs to models. Each
-target, shadow and reference model is looked up there before it is trained;
-the caller decides how long the dict lives (one `evaluation.sweep` call shares
-one across all its runs). Scoring nets are never memoized.
+slice and targets, its `TrainingConfig` with derived seed and DP, the layer
+sizes and the loss), so the pipeline takes a `trained` dict mapping those
+inputs to models. Every model, scoring nets included, is looked up there
+before it is trained; the caller decides how long the dict lives (one
+`evaluation.sweep` call shares one across all its runs).
 
-A run first builds all its training jobs (target, references, shadow), then
-trains the ones missing from `trained` in stacked groups: one `nn.train_many`
-call per set of jobs with the same row count, layer sizes and training config
-up to the seed. By default that is target and shadow together, then the
-reference models together. DP jobs train one per call.
+The missing models train in stacked groups: one `nn.train_many` call per set
+of jobs with the same row count, layer sizes, loss and training config up to
+the seed, across all runs passed together. For one default run that is target
+and shadow together, then the reference models, then the two scoring nets.
+DP jobs train one per call. Pass one master seed's runs at a time: their
+models share seeds and recur, while a group that spans seeds is only larger,
+and 20 reference-shape models in one loop trained slower than 5 loops of 4.
 """
 
 from __future__ import annotations
@@ -74,73 +91,124 @@ class RunResult:
     target_accuracy: dict
 
 
+def _job(x: np.ndarray, y: np.ndarray, train_cfg: nn.TrainingConfig, layer_sizes,
+         loss: str = "ce") -> tuple:
+    """(key, x, y) of one model to train; the key holds every training input
+    (see the module docstring) and indexes `trained`."""
+    digest = hashlib.sha256(x.tobytes() + y.tobytes()).digest()
+    return (x.shape, digest, train_cfg, tuple(layer_sizes), loss), x, y
+
+
 def _training_job(dataset: TabularDataset, indices, cfg: ExperimentConfig, role: str,
                   seed_parts: tuple) -> tuple:
-    """(key, x, y) of one target, shadow or reference model; the key holds
-    every training input (see the module docstring) and indexes `trained`."""
+    """The job of one target, shadow or reference model."""
     x, y = dataset.subset(indices)
     base = {"target": cfg.target_train, "shadow": cfg.shadow_train,
             "reference": cfg.reference_train}[role]
     dp = cfg.dp if (cfg.dp is not None and role in cfg.dp_apply_to) else None
     train_cfg = dataclasses.replace(base, seed=derive_seed(cfg.master_seed, *seed_parts), dp=dp)
-    layer_sizes = (dataset.feature_dim, *cfg.hidden_sizes, dataset.num_classes)
-    key = (x.shape, hashlib.sha256(x.tobytes() + y.tobytes()).digest(), train_cfg, layer_sizes)
-    return key, x, y
+    return _job(x, y, train_cfg, (dataset.feature_dim, *cfg.hidden_sizes, dataset.num_classes))
 
 
 def _train_missing(jobs, trained: dict) -> None:
     """Train every job whose key is not in `trained` and add it there.
 
-    Jobs that share a row count, layer sizes and every TrainingConfig field
-    but the seed train in one stacked nn.train_many call, which gives each
-    model bit for bit what training it alone would.
+    Jobs that share a row count, layer sizes, loss and every TrainingConfig
+    field but the seed train in one stacked nn.train_many call, which gives
+    each model bit for bit what training it alone would.
     """
     groups: dict = {}
     for key, x, y in jobs:
         if key in trained:
             continue
-        shape, _, train_cfg, layer_sizes = key
+        shape, _, train_cfg, layer_sizes, loss = key
         # DP jobs train one per call: stacking the 4 DP reference models of a
         # default DP run made that run slower, not faster, in 3 of 4 paired runs
         group = key if train_cfg.dp is not None else (
-            shape[0], layer_sizes, dataclasses.replace(train_cfg, seed=0))
+            shape[0], layer_sizes, loss, dataclasses.replace(train_cfg, seed=0))
         groups.setdefault(group, {})[key] = (x, y)
     for members in groups.values():
         keys = list(members)
         models = nn.train_many([members[k][0] for k in keys], [members[k][1] for k in keys],
-                               [k[2] for k in keys], keys[0][3])
+                               [k[2] for k in keys], keys[0][3], keys[0][4])
         trained.update(zip(keys, models))
 
 
-def _eval_set(dataset: TabularDataset, train_idx, test_idx):
+@dataclass(frozen=True)
+class _EvalSet:
+    """The rows one run scores: members first, then non-members."""
+
+    ids: list
+    x: np.ndarray
+    y: np.ndarray
+    member: np.ndarray
+    key: tuple  # the content of ids, x and y
+
+
+def _eval_set(dataset: TabularDataset, train_idx, test_idx) -> _EvalSet:
     ids = list(train_idx) + list(test_idx)
     x, y = dataset.subset(ids)
     member = np.array([True] * len(train_idx) + [False] * len(test_idx))
-    return ids, x, y, member
+    digest = hashlib.sha256(np.asarray(ids, dtype=np.int64).tobytes() + x.tobytes()
+                            + y.tobytes()).digest()
+    return _EvalSet(ids, x, y, member, (x.shape, digest))
 
 
-def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunResult:
-    """Execute the configured pipeline in memory; see write_artifacts for disk output.
+@dataclass
+class _Run:
+    """One config's datasets, splits, training jobs and eval sets (stage 1)."""
 
-    `trained` maps training inputs to trained models (see the module
-    docstring); the run reads models from it and adds the ones it trains.
-    Passing the same dict to several runs lets them share models without
-    changing any result; None gives each run a fresh dict.
-    """
-    trained = {} if trained is None else trained
-    digest = config.digest()
+    config: ExperimentConfig
+    target_ds: TabularDataset
+    target_plan: SplitPlan
+    attacker_plan: SplitPlan | None
+    target_job: tuple
+    reference_jobs: list
+    shadow_job: tuple | None
+    scoring: list  # the selected scoring attacks, in SCORING_FEATURES order
+    # (eval set, key of the model it audits): the target set, then the shadow
+    # set when a scoring attack is selected
+    eval_sets: list
+
+    def jobs(self) -> list:
+        return [self.target_job, *self.reference_jobs] + ([self.shadow_job] if self.scoring else [])
+
+    def signal_key(self, eval_set: _EvalSet, model_key) -> tuple:
+        """Everything the query-averaged signal of a model on an eval set depends on."""
+        cfg = self.config
+        return (eval_set.key, derive_seed(cfg.master_seed, "queries"), cfg.augmentation_noise_std,
+                model_key, cfg.signal_kind, cfg.logit_scaling)
+
+
+def _plan(config: ExperimentConfig, shared: dict) -> _Run:
+    """Stage 1 for one run. A dataset, training job or eval set equal to one
+    that an earlier run of the call put in `shared` is taken from there, so
+    the runs hold one copy of each."""
     master = config.master_seed
     selected = set(config.attacks)
-    needs_refs = bool(selected - {"loss"})
     scoring = [name for name in atk.SCORING_FEATURES if name in selected]
 
-    target_ds = resolve_dataset(config.data, master, "data")
+    def dataset(source, label: str) -> TabularDataset:
+        key = ("dataset", source, master, label)
+        if key not in shared:
+            shared[key] = resolve_dataset(source, master, label)
+        return shared[key]
+
+    def job(*args) -> tuple:
+        new = _training_job(*args)
+        return shared.setdefault(("job", new[0]), new)
+
+    def eval_set(*args) -> _EvalSet:
+        new = _eval_set(*args)
+        return shared.setdefault(("eval set", new.key), new)
+
+    target_ds = dataset(config.data, "data")
     attacker_ds = None
     attacker_plan = None
     split_seed = config.split_seed if config.split_seed is not None else derive_seed(master, "split")
     target_plan = make_split(target_ds, split_seed)
     if config.attacker_data is not None:
-        attacker_ds = resolve_dataset(config.attacker_data, master, "attacker-data")
+        attacker_ds = dataset(config.attacker_data, "attacker-data")
         for key in ("feature_dim", "num_classes"):
             if getattr(attacker_ds, key) != getattr(target_ds, key):
                 raise ConfigError(f"[attacker_data] {key}: {getattr(attacker_ds, key)} "
@@ -155,56 +223,96 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
                                            derive_seed(master, "ref-subset", i))
         return shadow_plan.reference_pool
 
-    target_job = _training_job(target_ds, target_plan.target_train, config, "target", ("target",))
-    reference_jobs = [_training_job(shadow_ds, reference_indices(i), config, "reference", ("ref", i))
-                      for i in range(config.num_reference_models)] if needs_refs else []
-    shadow_job = (_training_job(shadow_ds, shadow_plan.shadow_train, config, "shadow", ("shadow",))
-                  if scoring else None)
-    _train_missing([target_job, *reference_jobs] + ([shadow_job] if scoring else []), trained)
-    target_model = trained[target_job[0]]
-    reference_models = [trained[job[0]] for job in reference_jobs]
-    shadow_model = trained[shadow_job[0]] if scoring else None
-
-    query_cfg = QueryConfig(
-        num_queries=config.num_queries,
-        augmentation_noise_std=config.augmentation_noise_std,
-        seed=derive_seed(master, "queries"),
-    )
-
-    def score_set(ids, x, y, member, model):
-        """The eval set's table and every threshold score, read off its raw
-        scores and reference matrix (only "loss" when the run has none)."""
-        queries = perturbed_queries(x, ids, query_cfg)
-
-        def raw_for(m):
-            return averaged_signal_batch(m, queries, y, config.signal_kind, config.logit_scaling)
-
-        raw = raw_for(model)
-        refs = np.column_stack([raw_for(m) for m in reference_models]) if needs_refs else None
-        scores = {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
-                  if needs_refs or name == "loss"}
-        return ScoreTable(ids=ids, is_member=member, raw=raw,
-                          calibrated=scores.get("calibration")), scores
-
-    ids_t, x_t, y_t, member_t = _eval_set(target_ds, target_plan.target_train, target_plan.target_test)
-    target_table, target_scores = score_set(ids_t, x_t, y_t, member_t, target_model)
-
-    shadow_table = None
+    target_job = job(target_ds, target_plan.target_train, config, "target", ("target",))
+    reference_jobs = ([job(shadow_ds, reference_indices(i), config, "reference", ("ref", i))
+                       for i in range(config.num_reference_models)]
+                      if selected - {"loss"} else [])
+    eval_sets = [(eval_set(target_ds, target_plan.target_train, target_plan.target_test),
+                  target_job[0])]
+    shadow_job = None
     if scoring:
-        ids_s, x_s, y_s, member_s = _eval_set(shadow_ds, shadow_plan.shadow_train,
-                                              shadow_plan.shadow_test)
-        shadow_table, shadow_scores = score_set(ids_s, x_s, y_s, member_s, shadow_model)
+        shadow_job = job(shadow_ds, shadow_plan.shadow_train, config, "shadow", ("shadow",))
+        eval_sets.append((eval_set(shadow_ds, shadow_plan.shadow_train, shadow_plan.shadow_test),
+                          shadow_job[0]))
+    return _Run(config, target_ds, target_plan, attacker_plan, target_job, reference_jobs,
+                shadow_job, scoring, eval_sets)
 
-        def pairs(scores, name):
-            return np.column_stack([scores["loss"], scores[atk.SCORING_FEATURES[name]]])
 
-        # both scoring nets train on the same shadow rows, so they share one loop
-        configs = [dataclasses.replace(config.scoring_train, seed=derive_seed(master, "scoring", name))
-                   for name in scoring]
-        nets = atk.train_scoring_models([pairs(shadow_scores, name) for name in scoring],
-                                        shadow_table.is_member, configs, config.scoring_hidden_sizes)
-        for name, net in zip(scoring, nets):
-            target_scores[name] = net.score(pairs(target_scores, name))
+def _signals(runs: list[_Run], trained: dict) -> dict:
+    """Stage 2: {(signal key, query count): query-averaged signal} of every
+    model on every eval set that the runs read (see _Run.signal_key).
+
+    One eval set's queries are built once, for the most queries any run asks
+    of it, and dropped before the next set's. Each distinct model is scored
+    once per query index, and each count's mean comes off one running sum in
+    query order, so it equals the mean over that run's own queries bit for bit.
+    """
+    wanted: dict = {}  # (eval set key, query seed, noise std) -> (eval set, {signal key: counts})
+    for run in runs:
+        for eval_set, model_key in run.eval_sets:
+            for key in [model_key] + [job[0] for job in run.reference_jobs]:
+                signal_key = run.signal_key(eval_set, key)
+                _, counts = wanted.setdefault(signal_key[:3], (eval_set, {}))
+                counts.setdefault(signal_key, set()).add(run.config.num_queries)
+    signals = {}
+    for (_, seed, std), (eval_set, counts) in wanted.items():
+        most = max(max(c) for c in counts.values())
+        queries = perturbed_queries(eval_set.x, eval_set.ids, QueryConfig(most, std, seed))
+        for signal_key, wanted_counts in counts.items():
+            *_, model_key, kind, logit_scale = signal_key
+            # with one query or zero noise there is one matrix, whatever the count
+            read = {q: min(q, len(queries)) for q in wanted_counts}
+            means = averaged_signal_batch(trained[model_key], queries, eval_set.y, kind,
+                                          logit_scale, read.values())
+            signals.update(((signal_key, q), means[r]) for q, r in read.items())
+        del queries
+    return signals
+
+
+def _score_table(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> tuple:
+    """(ScoreTable, threshold scores) of one eval set, read off its raw scores
+    and reference matrix (only "loss" when the run has none)."""
+    def signal(key):
+        return signals[(run.signal_key(eval_set, key), run.config.num_queries)]
+
+    raw = signal(model_key)
+    refs = (np.column_stack([signal(job[0]) for job in run.reference_jobs])
+            if run.reference_jobs else None)
+    scores = {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
+              if refs is not None or name == "loss"}
+    table = ScoreTable(ids=eval_set.ids, is_member=eval_set.member, raw=raw,
+                       calibrated=scores.get("calibration"))
+    return table, scores
+
+
+def _pairs(scores: dict, name: str) -> np.ndarray:
+    """The (raw, second feature) inputs of the scoring attack `name`."""
+    return np.column_stack([scores["loss"], scores[atk.SCORING_FEATURES[name]]])
+
+
+def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> list:
+    """(name, job, feature mean, feature std) of each scoring net of a run,
+    trained on its shadow scores against the shadow membership."""
+    cfg = run.config
+    member = shadow_table.is_member.astype(np.float64)
+    out = []
+    for name in run.scoring:
+        z, mean, std = atk.scoring_features(_pairs(shadow_scores, name), shadow_table.is_member)
+        train_cfg = dataclasses.replace(cfg.scoring_train,
+                                        seed=derive_seed(cfg.master_seed, "scoring", name))
+        out.append((name, _job(z, member, train_cfg, (2, *cfg.scoring_hidden_sizes, 1), "bce"),
+                    mean, std))
+    return out
+
+
+def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunResult:
+    """Stage 4: a run's attack outputs, ROC curves, metrics and loss buckets."""
+    config = run.config
+    (target_table, target_scores), *shadow = tables
+    for name, job, mean, std in scoring_jobs:
+        net = atk.ScoringModel(trained[job[0]], mean, std)
+        target_scores[name] = net.score(_pairs(target_scores, name))
+    target_model = trained[run.target_job[0]]
 
     outputs = {name: atk.AttackOutput(name, target_scores[name]) for name in config.attacks}
     # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
@@ -215,24 +323,56 @@ def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunRe
 
     bucket_report = None
     if target_table.calibrated is not None:
-        bucket_report = evaluation.loss_bucket_report(nn.per_sample_loss(target_model, x_t, y_t),
-                                                      target_table.calibrated,
-                                                      target_table.is_member)
+        target_set = run.eval_sets[0][0]
+        bucket_report = evaluation.loss_bucket_report(
+            nn.per_sample_loss(target_model, target_set.x, target_set.y),
+            target_table.calibrated, target_table.is_member)
 
+    plan = run.target_plan
     target_accuracy = {
-        "train": nn.accuracy(target_model, *target_ds.subset(target_plan.target_train)),
-        "test": nn.accuracy(target_model, *target_ds.subset(target_plan.target_test)),
+        "train": nn.accuracy(target_model, *run.target_ds.subset(plan.target_train)),
+        "test": nn.accuracy(target_model, *run.target_ds.subset(plan.target_test)),
     }
 
     return RunResult(
-        config=config, digest=digest,
-        target_plan=target_plan, attacker_plan=attacker_plan,
-        target_model=target_model, shadow_model=shadow_model,
-        reference_models=reference_models,
-        target_table=target_table, shadow_table=shadow_table,
+        config=config, digest=config.digest(),
+        target_plan=plan, attacker_plan=run.attacker_plan,
+        target_model=target_model,
+        shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
+        reference_models=[trained[job[0]] for job in run.reference_jobs],
+        target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
         outputs=outputs, curves=curves, metrics=metrics,
         bucket_report=bucket_report, target_accuracy=target_accuracy,
     )
+
+
+def run_pipelines(configs, trained: dict | None = None) -> list[RunResult]:
+    """Execute the configured runs in memory, stage by stage (see the module
+    docstring); see write_artifacts for disk output. Each result equals that
+    of its config run alone.
+
+    `trained` maps training inputs to trained models; the runs read models
+    from it and add the ones they train. Passing the same dict to several
+    calls lets them share models without changing any result; None gives the
+    call a fresh dict.
+    """
+    trained = {} if trained is None else trained
+    shared: dict = {}
+    runs = [_plan(config, shared) for config in configs]
+    _train_missing([job for run in runs for job in run.jobs()], trained)
+    signals = _signals(runs, trained)
+    tables = [[_score_table(run, eval_set, key, signals) for eval_set, key in run.eval_sets]
+              for run in runs]
+    scoring_jobs = [_scoring_jobs(run, *run_tables[1]) if run.scoring else []
+                    for run, run_tables in zip(runs, tables)]
+    _train_missing([job for jobs in scoring_jobs for _, job, _, _ in jobs], trained)
+    return [_result(run, run_tables, jobs, trained)
+            for run, run_tables, jobs in zip(runs, tables, scoring_jobs)]
+
+
+def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunResult:
+    """run_pipelines on one config."""
+    return run_pipelines([config], trained)[0]
 
 
 def _write_json(path, payload: dict) -> None:

@@ -52,9 +52,9 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
     """
     kind = SignalKind(kind)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if len(y) and (y.min() < 0 or y.max() >= model.output_dim):
-        raise ValueError(f"labels out of range for {model.output_dim} classes")
+    y = nn._targets(y, "ce", model.output_dim)
+    if len(y) != x.shape[0]:
+        raise ValueError(f"{len(y)} labels for {x.shape[0]} samples")
     if kind is SignalKind.LOSS:
         return -nn.per_sample_loss(model, x, y)
     if kind is SignalKind.CONFIDENCE:
@@ -89,13 +89,24 @@ def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
 
 
 def averaged_signal_batch(model: nn.MLPClassifier, queries: list[np.ndarray], y: np.ndarray,
-                          kind: SignalKind, logit_scale: bool = False) -> np.ndarray:
-    """Mean of the per-query signal over the given query matrices (see
-    perturbed_queries); one matrix gives signal_batch on it unchanged."""
-    total = signal_batch(model, queries[0], y, kind, logit_scale)
-    for xq in queries[1:]:
-        total = total + signal_batch(model, xq, y, kind, logit_scale)
-    return total / len(queries)
+                          kind: SignalKind, logit_scale: bool = False, counts=None) -> dict:
+    """{q: mean of the per-query signal over queries[:q]} for each q in counts
+    (default: all the matrices; see perturbed_queries).
+
+    One running sum in query order serves every q, so each mean equals the
+    one over queries[:q] alone bit for bit, and only the matrices up to the
+    largest q are scored. q = 1 gives signal_batch on queries[0] unchanged.
+    """
+    counts = {len(queries)} if counts is None else set(counts)
+    if not counts or min(counts) < 1 or max(counts) > len(queries):
+        raise ValueError(f"query counts must lie in [1, {len(queries)}], got {sorted(counts)}")
+    means = {}
+    for q, xq in enumerate(queries[:max(counts)], start=1):
+        signal = signal_batch(model, xq, y, kind, logit_scale)
+        total = signal if q == 1 else total + signal
+        if q in counts:
+            means[q] = total / q
+    return means
 
 
 @dataclass

@@ -7,7 +7,9 @@ None of these is part of an audit run, so they live beside the tests:
   - `run_security_game` and `GameRound`: the coin-flip membership game that a
     null attack must not win (acceptance criterion 3);
   - `sgd_step`: one momentum-SGD update of a single model, the step of the
-    spelled-out training loop that `nn.train_many` must match bit for bit.
+    spelled-out training loop that `nn.train_many` must match bit for bit;
+  - `train_scoring_models`: scoring nets fitted straight from shadow feature
+    matrices, the composition the pipeline spreads over its stages.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mia_audit.attacks import VARIANCE_FLOOR
-from mia_audit.nn import TrainingConfig, _momentum_update, schedule_lr
+from mia_audit.attacks import VARIANCE_FLOOR, ScoringModel, scoring_features
+from mia_audit.nn import TrainingConfig, _momentum_update, schedule_lr, train_many
 from mia_audit.seeding import derive_rng
 
 
@@ -106,3 +108,13 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
         velocity = [np.array(v, dtype=np.float64) for v in velocity]
     _momentum_update(params, gradients, velocity, config, schedule_lr(config, step, total_steps))
     return model.with_parameters(params), velocity
+
+
+def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:
+    """One scoring net per (n, 2) shadow feature matrix against the shared
+    shadow membership, with BCE loss, all in one train_many loop; configs[k]
+    goes with features[k]."""
+    inputs = [scoring_features(feats, is_member) for feats in features]
+    targets = [np.asarray(is_member, dtype=np.float64)] * len(inputs)
+    mlps = train_many([z for z, _, _ in inputs], targets, configs, (2, *hidden_sizes, 1), loss="bce")
+    return [ScoringModel(mlp, mean, std) for mlp, (_, mean, std) in zip(mlps, inputs)]

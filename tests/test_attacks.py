@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mia_audit import AttackOutput, TrainingConfig, calibrate, roc, train_scoring_models
+from mia_audit import AttackOutput, TrainingConfig, calibrate, roc
 from mia_audit.attacks import (THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores,
                                normal_cdf, read_attack_scores_csv)
 from mia_audit.config import ExperimentConfig
 
-from oracles import GaussianFit, GaussianPair, gaussian_difference
+from oracles import GaussianFit, GaussianPair, gaussian_difference, train_scoring_models
 
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1, frozen from mpmath
 SCORING_SIZES = ExperimentConfig().scoring_hidden_sizes

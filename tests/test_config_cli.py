@@ -240,6 +240,7 @@ class TestPipeline:
         ("calibration_reference_sweep", 3),  # 1 target + 2 references
         ("rapid_query_sweep", 5),  # target, 1 reference, shadow, 2 scoring nets
         ("full_run", 8),  # target, 4 references, shadow, 2 scoring nets
+        ("rerun_sharing_a_dict", 0),  # the same 8 models, all found in the dict
     ])
     def test_each_distinct_model_trained_once(self, monkeypatch, case, calls):
         from mia_audit import nn
@@ -255,8 +256,14 @@ class TestPipeline:
             sweep(fast_config(attacks=("calibration",)), "num_reference_models", [1, 2])
         elif case == "rapid_query_sweep":
             sweep(fast_config(attacks=("rapid",), num_reference_models=1), "num_queries", [1, 2])
-        else:
+        elif case == "full_run":
             run_pipeline(fast_config(num_reference_models=4))
+        else:
+            trained = {}
+            run_pipeline(fast_config(num_reference_models=4), trained)
+            assert len(train_calls) == 8
+            train_calls.clear()
+            run_pipeline(fast_config(num_reference_models=4), trained)
         assert len(train_calls) == calls
 
     @staticmethod
@@ -307,6 +314,39 @@ class TestPipeline:
                                  dp_apply_to=("target", "reference")))
         dp_calls = [call for call in calls if any(job[2].dp is not None for job in call)]
         assert [len(call) for call in dp_calls] == [1, 1, 1]  # target, 2 references
+        self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_query_sweep_stacks_its_scoring_nets(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        sweep(fast_config(attacks=("rapid",)), "num_queries", [1, 2, 3])
+        # one rapid net per query count, all in one loop
+        assert [len(call) for call in calls if call[0][4] == "bce"] == [3]
+        self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_reference_sweep_builds_queries_once(self, monkeypatch):
+        from mia_audit import signals
+        draws = []
+        real_normal_rows = signals.normal_rows
+
+        def counting_normal_rows(*args, **kwargs):
+            draws.append(args)
+            return real_normal_rows(*args, **kwargs)
+
+        monkeypatch.setattr(signals, "normal_rows", counting_normal_rows)
+        sweep(fast_config(attacks=("calibration",), num_queries=3), "num_reference_models", [1, 2])
+        assert len(draws) == 3 - 1  # one draw per jittered copy of the one eval set
+
+    def test_stacked_groups_stay_within_a_master_seed(self, monkeypatch):
+        from mia_audit.seeding import derive_seed
+        calls = self.record_train_many(monkeypatch)
+        sweep(fast_config(), "num_queries", [1, 2], seeds=[5, 6])
+        labels = [("target",), ("shadow",), ("ref", 0), ("ref", 1),
+                  ("scoring", "rapid"), ("scoring", "shortcut_lira")]
+        seeds_of = {master: {derive_seed(master, *label) for label in labels} for master in (5, 6)}
+        for call in calls:
+            assert any({job[2].seed for job in call} <= seeds for seeds in seeds_of.values())
+        # per seed: target + shadow, the 2 references, the 4 scoring nets
+        assert sorted(len(call) for call in calls) == [2, 2, 2, 2, 4, 4]
         self.assert_equal_to_training_alone(monkeypatch, calls)
 
     def test_nested_query_prefix_property(self):

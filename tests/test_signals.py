@@ -20,7 +20,8 @@ def zero_model(num_classes=2, dim=2):
 def averaged(model, x, y, kind, q, ids=None):
     """Query-averaged scores of a batch, as the pipeline computes them."""
     ids = list(range(len(x))) if ids is None else ids
-    return averaged_signal_batch(model, perturbed_queries(x, ids, q), y, kind)
+    queries = perturbed_queries(x, ids, q)
+    return averaged_signal_batch(model, queries, y, kind)[len(queries)]
 
 
 class TestSignal:
@@ -66,6 +67,13 @@ class TestSignal:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             signal_batch(zero_model(), np.zeros((1, 2)), [5], SignalKind.LOSS)
+        # a fractional label is no class, whatever it would truncate to
+        for kind in SignalKind:
+            for label in (0.7, 2.9):
+                with pytest.raises(ValueError, match="integer classes"):
+                    signal_batch(zero_model(3), np.zeros((1, 2)), [label], kind)
+        with pytest.raises(ValueError, match="2 labels for 1 samples"):
+            signal_batch(zero_model(), np.zeros((1, 2)), [0, 1], SignalKind.CONFIDENCE)
 
     def test_logit_scaling_monotone_in_confidence(self):
         rng = np.random.default_rng(1)
@@ -110,6 +118,22 @@ class TestAveragedSignal:
         c = self.score(0, q, sample_id=18)
         assert a == b
         assert a != c
+
+    def test_prefix_means_equal_means_over_the_prefix(self):
+        # one pass serves several query counts, each bit for bit the mean over
+        # its own prefix of the queries
+        x = np.random.default_rng(4).normal(size=(5, 2))
+        y = [0, 1, 1, 0, 1]
+        queries = perturbed_queries(x, range(5), QueryConfig(8, 0.3, seed=2))
+        means = averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, counts=[1, 3, 8])
+        assert sorted(means) == [1, 3, 8]
+        for q, mean in means.items():
+            alone = averaged_signal_batch(self.model, queries[:q], y, SignalKind.LOSS)[q]
+            assert mean.tobytes() == alone.tobytes()
+        assert means[1].tobytes() == signal_batch(self.model, x, y, SignalKind.LOSS).tobytes()
+        for bad in ([0], [9], []):
+            with pytest.raises(ValueError, match="query counts"):
+                averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, counts=bad)
 
     def test_averaging_does_not_increase_variance(self):
         # variance of the 8-query mean is at most that of one perturbed query

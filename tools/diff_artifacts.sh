@@ -11,7 +11,9 @@
 #     models, attacks loss, calibration and lira_offline (seed 919),
 #   - `run` of the loss attack alone (seed 777),
 #   - the two benchmark sweep shapes: num_reference_models 1,2,4 with
-#     calibration, and num_queries 1,4,8 with rapid (seed 4243),
+#     calibration, and num_queries 1,4,8 with rapid (seeds 4243 and 4244, so
+#     each sweep shares models, queries and stacked loops across its values
+#     and keeps them apart across its seeds),
 #   - four `run`s on 1200 samples that cover the other signal and query
 #     paths: the gradnorm signal, the confidence signal with logit scaling,
 #     one query per sample, and an [attacker_data] source with attacks
@@ -21,6 +23,8 @@
 #     ([reference] sampling = random), a [train.shadow] that differs from
 #     [train.target] (so target and shadow train apart), and DP-SGD on the
 #     target alone (DP models train one per call),
+#   - a reference_sampling_mode fixed,random sweep of all five attacks on
+#     those 1200 samples (seeds 31 and 32),
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
 #     on the written file, which is compared too (it is written to one fixed
 #     path, as the path is part of the run's config digest).
@@ -117,9 +121,11 @@ run_side() {  # <src dir> <output dir>
     mia run "$work/dp.ini" -o "$out/dp"
     mia run "$work/loss.ini" -o "$out/loss"
     mia sweep "$work/calibration.ini" --axis num_reference_models --values 1,2,4 \
-        --seeds 4243 -o "$out/sweep_references"
+        --seeds 4243,4244 -o "$out/sweep_references"
     mia sweep "$work/rapid.ini" --axis num_queries --values 1,4,8 \
-        --seeds 4243 -o "$out/sweep_queries"
+        --seeds 4243,4244 -o "$out/sweep_queries"
+    mia sweep "$work/small.ini" --axis reference_sampling_mode --values fixed,random \
+        --seeds 31,32 -o "$out/sweep_sampling"
     local name
     for name in gradnorm logit one_query attacker random_refs shadow_epochs dp_target; do
         mia run "$work/$name.ini" -o "$out/$name"
