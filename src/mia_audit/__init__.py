@@ -6,7 +6,7 @@ scores to correct calibration errors, over small from-scratch MLP classifiers
 on tabular or synthetic data, and reports each attack's ROC metrics.
 """
 
-from .attacks import AttackOutput, ScoringModel, calibrate
+from .attacks import ScoringModel, calibrate
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                       generate_synthetic, load_csv, make_split, random_means,
@@ -17,6 +17,6 @@ from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward, fo
                  init_classifier, per_sample_loss, softmax, train)
 from .pipeline import RunResult, run_pipeline, run_pipelines, write_artifacts
 from .seeding import derive_rng, derive_seed
-from .signals import QueryConfig, ScoreTable, SignalKind
+from .signals import ScoreTable, SignalKind
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ Every attack is a function of one eval set's raw scores and its reference
 matrix. Difficulty calibration subtracts the mean reference-model score from
 the raw score, removing a sample's intrinsic easiness. The scoring-model
 attack feeds the raw score and a second feature (the calibrated score for
-rapid, the offline-LiRA score for shortcut_lira) into a small sigmoid-output
+rapid, Phi of the offline-LiRA z for shortcut_lira) into a small sigmoid-output
 MLP trained on shadow data, so extreme raw scores can veto calibration errors
 on high-loss non-members.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import finite_float, read_rows, write_columns
+from .dataset import finite_float, read_rows
 
 VARIANCE_FLOOR = 1e-8
 SCORES_HEADER = ("id", "score")
@@ -33,27 +33,13 @@ THRESHOLD_SCORES = {
     "calibration": lambda raw, refs: calibrate(raw, refs),
     "lira_offline": lambda raw, refs: lira_offline_scores(raw, refs),
 }
-# The scoring attacks: one scoring net over (raw, second feature), keyed by the
-# threshold score that serves as the second feature.
-SCORING_FEATURES = {"rapid": "calibration", "shortcut_lira": "lira_offline"}
-
-
-@dataclass(frozen=True)
-class AttackOutput:
-    """Final per-sample membership scores of one attack."""
-
-    name: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        if self.scores.size and not np.isfinite(self.scores).all():
-            raise ValueError(f"attack {self.name!r} produced non-finite scores")
-
-    def to_csv(self, path, ids=None, config_digest: str | None = None) -> None:
-        if ids is None:
-            ids = list(range(len(self.scores)))
-        write_columns(path, SCORES_HEADER, [ids, self.scores], config_digest)
+# The scoring attacks: one scoring net over (raw, second feature), each with
+# its second feature read off one eval set's threshold scores. shortcut_lira
+# takes Phi(z), not z: the heavy-tailed z does not survive standardization.
+SCORING_FEATURES = {
+    "rapid": lambda scores: scores["calibration"],
+    "shortcut_lira": lambda scores: normal_cdf(scores["lira_offline"]),
+}
 
 
 def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
@@ -90,11 +76,12 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     """Per-sample one-sided test against the OUT-score Gaussian.
 
     Fits (mu, sigma) to each sample's scores across the OUT models and returns
-    Phi((raw - mu) / sigma): the probability that the observation exceeds a
-    draw from the OUT distribution. Monotone in raw for fixed OUT scores.
-    The fit is the sample mean and the unbiased (ddof=1) variance, floored at
-    VARIANCE_FLOOR so a degenerate population (all scores identical, or a
-    single OUT model) stays usable.
+    z = (raw - mu) / sigma; Phi(z) is the probability that the observation
+    exceeds a draw from the OUT distribution. The test thresholds z itself:
+    Phi rounds to exactly 0 or 1 for large |z|, where those scores would tie.
+    Monotone in raw for fixed OUT scores. The fit is the sample mean and the
+    unbiased (ddof=1) variance, floored at VARIANCE_FLOOR so a degenerate
+    population (all scores identical, or a single OUT model) stays usable.
     """
     raw = np.asarray(raw, dtype=np.float64)
     out = np.atleast_2d(np.asarray(out_scores, dtype=np.float64))
@@ -105,7 +92,7 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     mu = out.mean(axis=1)
     sigma2 = out.var(axis=1, ddof=1) if out.shape[1] > 1 else np.zeros(len(raw))
     sigma = np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
-    return normal_cdf((raw - mu) / sigma)
+    return (raw - mu) / sigma
 
 
 @dataclass(frozen=True)

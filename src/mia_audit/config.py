@@ -126,6 +126,13 @@ class ExperimentConfig:
         for role in self.dp_apply_to:
             if role not in DP_ROLES:
                 raise ConfigError(f"[dp] apply_to: unknown role {role!r}; expected from {DP_ROLES}")
+        if self.dp is not None and not self.dp_apply_to:
+            raise ConfigError("[dp] apply_to: must name at least one role when [dp] is set")
+        for where, values in (("[attacks] enabled", self.attacks),
+                              ("[dp] apply_to", self.dp_apply_to),
+                              ("[eval] fpr_levels", self.fpr_levels)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{where}: a value is repeated in {list(values)}")
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         """Replace top-level fields (used by sweeps and tests)."""

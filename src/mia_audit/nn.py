@@ -154,21 +154,16 @@ def _forward_cached(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _as_batch(model: MLPClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(model: MLPClassifier, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"input of shape {x.shape} does not match input dim {model.input_dim}")
-    return x, single
+    return x
 
 
 def forward(model: MLPClassifier, x: np.ndarray) -> np.ndarray:
-    """Logits for one feature vector or a (n, d) batch."""
-    batch, single = _as_batch(model, x)
-    logits = _forward_cached(model.weights, model.biases, batch)[-1]
-    return logits[0] if single else logits
+    """Logits for a (n, d) batch."""
+    return _forward_cached(model.weights, model.biases, _as_batch(model, x))[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -179,13 +174,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample under the model, shape (n,); labels must be
     integer classes in [0, output_dim), one per sample."""
-    batch, single = _as_batch(model, x)
+    batch = _as_batch(model, x)
     y = _targets(y, "ce", model.output_dim)
     if len(y) != batch.shape[0]:
         raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     logp = _log_softmax(_forward_cached(model.weights, model.biases, batch)[-1])
-    out = -logp[np.arange(len(y)), y]
-    return out[0] if single else out
+    return -logp[np.arange(len(y)), y]
 
 
 def _targets(y, loss: str, output_dim: int) -> np.ndarray:
@@ -270,7 +264,7 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
-    batch, _ = _as_batch(model, np.atleast_2d(x))
+    batch = _as_batch(model, np.atleast_2d(x))
     y = _targets(y, loss, model.output_dim)
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
@@ -285,7 +279,7 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
 def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each sample's full cross-entropy gradient."""
-    batch, _ = _as_batch(model, np.atleast_2d(x))
+    batch = _as_batch(model, np.atleast_2d(x))
     acts = _forward_cached(model.weights, model.biases, batch)
     delta, _ = _output_delta(acts[-1], _targets(y, "ce", model.output_dim), "ce")
     return _sq_norms(model.weights, acts, delta)
@@ -298,31 +292,6 @@ def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:
     if total_steps <= 0:
         return config.learning_rate
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-
-
-def _momentum_update(params, gradients, velocity, config: TrainingConfig, lr: float) -> None:
-    """In place: v <- momentum * v + (g + weight_decay * p), then p <- p - lr * v."""
-    for p, g, v in zip(params, gradients, velocity):
-        eff = g + config.weight_decay * p
-        v *= config.momentum
-        v += eff
-        p -= lr * v
-
-
-def dp_noise(gradients: list[np.ndarray], config: TrainingConfig, batch_size: int,
-             rng: np.random.Generator) -> list[np.ndarray]:
-    """Add DP-SGD Gaussian noise to an already-clipped mean gradient.
-
-    Noise has per-coordinate standard deviation noise_multiplier * clip_norm /
-    batch_size, drawn parameter by parameter in parameters() order. With
-    noise_multiplier 0 the gradients come back unchanged and no rng draw is made.
-    """
-    if config.dp is None:
-        raise ValueError("dp_noise requires a TrainingConfig with dp set")
-    if config.dp.noise_multiplier == 0:
-        return gradients
-    std = config.dp.noise_multiplier * config.dp.clip_norm / batch_size
-    return [g + rng.normal(0.0, std, size=g.shape) for g in gradients]
 
 
 def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
@@ -386,9 +355,11 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     # bias gradients as (K, out), the shape of an error summed over the batch
     grads = [g[:, 0] if i % 2 else g for i, g in enumerate(views(flat_grad))]
     shuffle_rngs = [derive_rng(c.seed, "batch-order") for c in configs]
-    noise_rngs = ([derive_rng(c.seed, "dp-noise") for c in configs]
-                  if config.dp is not None and config.dp.noise_multiplier > 0 else [])
     clip_norm = config.dp.clip_norm if config.dp is not None else None
+    # DP-SGD noise on the clipped mean gradient: per-coordinate std
+    # noise_multiplier * clip_norm / (rows in the batch); none with sigma 0
+    noise_scale = config.dp.noise_multiplier * clip_norm if clip_norm is not None else 0.0
+    noise_rngs = [derive_rng(c.seed, "dp-noise") for c in configs] if noise_scale > 0 else []
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     rows = np.arange(jobs)[:, None]
     history = []
@@ -400,11 +371,14 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
             batch = perm[:, start : start + config.batch_size]
             bx, by = x[rows, batch], y[rows, batch]
             batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
-            for k, rng in enumerate(noise_rngs):
-                for g, noisy in zip(grads, dp_noise([g[k] for g in grads], config, bx.shape[1], rng)):
-                    g[k] = noisy
-            _momentum_update([flat], [flat_grad], [velocity], config,
-                             schedule_lr(config, step, total_steps))
+            for k, rng in enumerate(noise_rngs):  # parameter by parameter, in parameters() order
+                for g in grads:
+                    g[k] += rng.normal(0.0, noise_scale / bx.shape[1], g.shape[1:])
+            # v <- momentum * v + (g + weight_decay * p), then p <- p - lr * v
+            flat_grad += config.weight_decay * flat
+            velocity *= config.momentum
+            velocity += flat_grad
+            flat -= schedule_lr(config, step, total_steps) * velocity
             epoch_loss += batch_loss * bx.shape[1]
             step += 1
         history.append(epoch_loss / n)

@@ -52,9 +52,10 @@ from . import attacks as atk
 from . import evaluation, nn
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource
 from .dataset import (DistributionSpec, SplitPlan, TabularDataset, generate_synthetic,
-                      load_csv, make_split, random_means, sample_reference_subset)
+                      load_csv, make_split, random_means, sample_reference_subset,
+                      write_columns)
 from .seeding import derive_seed
-from .signals import QueryConfig, ScoreTable, averaged_signal_batch, perturbed_queries
+from .signals import ScoreTable, averaged_signal_batch, perturbed_queries
 
 
 def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
@@ -84,7 +85,7 @@ class RunResult:
     reference_models: list
     target_table: ScoreTable
     shadow_table: ScoreTable | None
-    outputs: dict
+    scores: dict  # attack name -> its per-sample scores of the target eval set
     curves: dict
     metrics: dict
     bucket_report: evaluation.LossBucketReport | None
@@ -257,7 +258,7 @@ def _signals(runs: list[_Run], trained: dict) -> dict:
     signals = {}
     for (_, seed, std), (eval_set, counts) in wanted.items():
         most = max(max(c) for c in counts.values())
-        queries = perturbed_queries(eval_set.x, eval_set.ids, QueryConfig(most, std, seed))
+        queries = perturbed_queries(eval_set.x, eval_set.ids, most, std, seed)
         for signal_key, wanted_counts in counts.items():
             *_, model_key, kind, logit_scale = signal_key
             # with one query or zero noise there is one matrix, whatever the count
@@ -287,7 +288,7 @@ def _score_table(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> tup
 
 def _pairs(scores: dict, name: str) -> np.ndarray:
     """The (raw, second feature) inputs of the scoring attack `name`."""
-    return np.column_stack([scores["loss"], scores[atk.SCORING_FEATURES[name]]])
+    return np.column_stack([scores["loss"], atk.SCORING_FEATURES[name](scores)])
 
 
 def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> list:
@@ -306,7 +307,7 @@ def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> l
 
 
 def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunResult:
-    """Stage 4: a run's attack outputs, ROC curves, metrics and loss buckets."""
+    """Stage 4: a run's attack scores, ROC curves, metrics and loss buckets."""
     config = run.config
     (target_table, target_scores), *shadow = tables
     for name, job, mean, std in scoring_jobs:
@@ -314,10 +315,13 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunRe
         target_scores[name] = net.score(_pairs(target_scores, name))
     target_model = trained[run.target_job[0]]
 
-    outputs = {name: atk.AttackOutput(name, target_scores[name]) for name in config.attacks}
+    scores = {name: target_scores[name] for name in config.attacks}
+    for name, values in scores.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"attack {name!r} produced non-finite scores")
     # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
-    curves = {name: evaluation.roc(output.scores, target_table.is_member)
-              for name, output in outputs.items()}
+    curves = {name: evaluation.roc(values, target_table.is_member)
+              for name, values in scores.items()}
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
@@ -341,7 +345,7 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunRe
         shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
         reference_models=[trained[job[0]] for job in run.reference_jobs],
         target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
-        outputs=outputs, curves=curves, metrics=metrics,
+        scores=scores, curves=curves, metrics=metrics,
         bucket_report=bucket_report, target_accuracy=target_accuracy,
     )
 
@@ -382,8 +386,10 @@ def _write_json(path, payload: dict) -> None:
 
 
 def write_artifacts(result: RunResult, outdir) -> list[str]:
-    """Persist every artifact of a run; returns the artifact file names."""
+    """Persist every artifact of a run, after deleting the artifacts that the
+    directory's manifest lists; returns the artifact file names."""
     os.makedirs(outdir, exist_ok=True)
+    _remove_listed_artifacts(outdir)
     digest = result.digest
     written: list[str] = []
 
@@ -407,7 +413,8 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
         result.shadow_table.to_csv(record("shadow_scores.csv"), digest)
 
     for name, curve in result.curves.items():
-        result.outputs[name].to_csv(record(f"scores_{name}.csv"), result.target_table.ids, digest)
+        write_columns(record(f"scores_{name}.csv"), atk.SCORES_HEADER,
+                      [result.target_table.ids, result.scores[name]], digest)
         _write_json(record(f"scores_{name}.json"),
                     {"attack": name, "config_digest": digest, "seed": result.config.master_seed})
         curve.to_csv(record(f"roc_{name}.csv"), digest)
@@ -445,10 +452,9 @@ def read_manifest(outdir) -> dict | None:
     return manifest
 
 
-def mark_failed(outdir, digest: str, error: str) -> None:
-    """Leave a clearly-marked manifest when a stage fails after partial output,
-    first deleting the artifacts the previous manifest lists (no other file)."""
-    os.makedirs(outdir, exist_ok=True)
+def _remove_listed_artifacts(outdir) -> None:
+    """Delete the artifacts that the directory's manifest lists, and no other
+    file, so no artifact of an earlier run outlives the next one."""
     try:
         listed = (read_manifest(outdir) or {}).get("artifacts", [])
     except ValueError:  # a truncated or malformed manifest lists nothing
@@ -457,6 +463,13 @@ def mark_failed(outdir, digest: str, error: str) -> None:
         if (isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name
                 and os.path.isfile(os.path.join(outdir, name))):
             os.remove(os.path.join(outdir, name))
+
+
+def mark_failed(outdir, digest: str, error: str) -> None:
+    """Leave a clearly-marked manifest when a stage fails after partial output,
+    first deleting the artifacts the previous manifest lists."""
+    os.makedirs(outdir, exist_ok=True)
+    _remove_listed_artifacts(outdir)
     _write_json(os.path.join(outdir, "manifest.json"), {
         "config_digest": digest,
         "status": "failed",

@@ -28,21 +28,6 @@ class SignalKind(str, enum.Enum):
     GRADNORM = "gradnorm"
 
 
-@dataclass(frozen=True)
-class QueryConfig:
-    """Multi-query settings: query 1 is always the unperturbed sample."""
-
-    num_queries: int = 1
-    augmentation_noise_std: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be at least 1")
-        if self.augmentation_noise_std < 0:
-            raise ValueError("augmentation_noise_std must be nonnegative")
-
-
 def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
                  kind: SignalKind, logit_scale: bool = False) -> np.ndarray:
     """Raw membership scores for a (n, d) batch, higher = more member-like.
@@ -67,37 +52,40 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
     return -np.sqrt(nn.grad_sq_norms(model, x, y))
 
 
-def perturbed_queries(x: np.ndarray, ids, q: QueryConfig) -> list[np.ndarray]:
+def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,
+                      seed: int) -> list[np.ndarray]:
     """The distinct query matrices for a batch: the original plus num_queries - 1
     jittered copies, or the original alone with one query or zero noise.
 
-    Per-sample noise is drawn from an rng stream keyed on (q.seed, sample id,
+    Per-sample noise is drawn from an rng stream keyed on (seed, sample id,
     query index), never on evaluation order, so the same ids always see the
     same augmentations regardless of batching or which model is queried. Row
-    `row` of copy j is x[row] plus default_rng(derive_seed(q.seed, "augment",
-    ids[row], j)).normal(0, std, d); normal_rows draws all of one copy's
+    `row` of copy j is x[row] plus default_rng(derive_seed(seed, "augment",
+    ids[row], j)).normal(0, noise_std, d); normal_rows draws all of one copy's
     streams at once.
     """
+    if num_queries < 1:
+        raise ValueError("num_queries must be at least 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = [x]
-    if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
+    if noise_std == 0.0:
         return out
-    for j in range(1, q.num_queries):
-        seeds = [derive_seed(q.seed, "augment", sample_id, j) for sample_id in ids]
-        out.append(x + normal_rows(seeds, q.augmentation_noise_std, x.shape[1]))
+    for j in range(1, num_queries):
+        seeds = [derive_seed(seed, "augment", sample_id, j) for sample_id in ids]
+        out.append(x + normal_rows(seeds, noise_std, x.shape[1]))
     return out
 
 
 def averaged_signal_batch(model: nn.MLPClassifier, queries: list[np.ndarray], y: np.ndarray,
-                          kind: SignalKind, logit_scale: bool = False, counts=None) -> dict:
+                          kind: SignalKind, logit_scale: bool, counts) -> dict:
     """{q: mean of the per-query signal over queries[:q]} for each q in counts
-    (default: all the matrices; see perturbed_queries).
+    (see perturbed_queries for the matrices).
 
     One running sum in query order serves every q, so each mean equals the
     one over queries[:q] alone bit for bit, and only the matrices up to the
     largest q are scored. q = 1 gives signal_batch on queries[0] unchanged.
     """
-    counts = {len(queries)} if counts is None else set(counts)
+    counts = set(counts)
     if not counts or min(counts) < 1 or max(counts) > len(queries):
         raise ValueError(f"query counts must lie in [1, {len(queries)}], got {sorted(counts)}")
     means = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mia_audit.attacks import VARIANCE_FLOOR, ScoringModel, scoring_features
-from mia_audit.nn import TrainingConfig, _momentum_update, schedule_lr, train_many
+from mia_audit.nn import TrainingConfig, schedule_lr, train_many
 from mia_audit.seeding import derive_rng
 
 
@@ -106,7 +106,11 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
         velocity = [np.zeros_like(p) for p in params]
     else:
         velocity = [np.array(v, dtype=np.float64) for v in velocity]
-    _momentum_update(params, gradients, velocity, config, schedule_lr(config, step, total_steps))
+    lr = schedule_lr(config, step, total_steps)
+    for p, g, v in zip(params, gradients, velocity):
+        v *= config.momentum
+        v += g + config.weight_decay * p
+        p -= lr * v
     return model.with_parameters(params), velocity
 
 

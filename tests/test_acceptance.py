@@ -143,9 +143,9 @@ def test_criterion_3_null_attack_sanity():
     result = run_pipeline(cfg)
     for name, metrics in result.metrics.items():
         assert 0.45 <= metrics.auc <= 0.55, f"{name} auc {metrics.auc}"
-    for name, output in result.outputs.items():
-        threshold = float(np.median(output.scores))
-        _, acc = run_security_game(output.scores, result.target_table.is_member,
+    for name, scores in result.scores.items():
+        threshold = float(np.median(scores))
+        _, acc = run_security_game(scores, result.target_table.is_member,
                                    threshold, 10_000, seed=11)
         assert 0.48 <= acc <= 0.52, f"{name} game accuracy {acc}"
     assert time.time() - started < 300

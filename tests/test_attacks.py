@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mia_audit import AttackOutput, TrainingConfig, calibrate, roc
-from mia_audit.attacks import (THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores,
-                               normal_cdf, read_attack_scores_csv)
+from mia_audit import TrainingConfig, calibrate, roc
+from mia_audit.attacks import THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores, normal_cdf
 from mia_audit.config import ExperimentConfig
 
 from oracles import GaussianFit, GaussianPair, gaussian_difference, train_scoring_models
@@ -15,13 +14,10 @@ SCORING_SIZES = ExperimentConfig().scoring_hidden_sizes
 class TestAttackLoss:
     def test_identity_passthrough(self):
         raw = np.array([-0.1, -2.0])
-        out = AttackOutput("loss", THRESHOLD_SCORES["loss"](raw, None))
-        assert np.array_equal(out.scores, [-0.1, -2.0])
-        assert out.name == "loss"
+        assert np.array_equal(THRESHOLD_SCORES["loss"](raw, None), [-0.1, -2.0])
 
     def test_empty_table(self):
-        out = AttackOutput("loss", THRESHOLD_SCORES["loss"](np.zeros(0), None))
-        assert len(out.scores) == 0
+        assert len(THRESHOLD_SCORES["loss"](np.zeros(0), None)) == 0
 
 
 class TestCalibrate:
@@ -82,29 +78,29 @@ class TestCalibrate:
 class TestFitGaussian:
     """The OUT-score fit inside lira_offline_scores: mean, ddof=1 variance,
     floored at VARIANCE_FLOOR. A raw score one fitted sigma above the mean
-    scores Phi(1)."""
+    scores z = 1."""
 
     def test_degenerate_variance_floored(self):
         sigma = np.sqrt(VARIANCE_FLOOR)
         got = lira_offline_scores(np.array([1.0 + sigma]), np.array([[1.0, 1.0, 1.0]]))
-        assert got[0] == pytest.approx(PHI_1, abs=1e-6)
+        assert got[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_two_point_unbiased_variance(self):
         # mean 1, ddof=1 variance 2 (ddof=0 would give 1)
         got = lira_offline_scores(np.array([1.0 + np.sqrt(2.0)]), np.array([[0.0, 2.0]]))
-        assert got[0] == pytest.approx(PHI_1, abs=1e-12)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_point_floored(self):
         sigma = np.sqrt(VARIANCE_FLOOR)
         got = lira_offline_scores(np.array([5.0 + sigma, 5.0]), np.array([[5.0], [5.0]]))
-        assert got[0] == pytest.approx(PHI_1, abs=1e-6)
-        assert got[1] == 0.5
+        assert got[0] == pytest.approx(1.0, abs=1e-6)
+        assert got[1] == 0.0
 
     def test_monte_carlo_recovery(self):
         # 10^4 OUT draws of N(3, 4): raw 5 sits one fitted sigma above the mean
         draws = np.random.default_rng(42).normal(3.0, 2.0, size=(1, 10000))
         got = lira_offline_scores(np.array([5.0]), draws)
-        assert abs(got[0] - PHI_1) < 0.01
+        assert abs(got[0] - 1.0) < 0.04  # about 0.01 in Phi(z)
 
 
 class TestGaussianDifference:
@@ -145,20 +141,23 @@ class TestLiraOffline:
     def test_at_out_mean_scores_half(self):
         out = np.array([[-1.0, -3.0, -2.0, -2.0]])
         mu = out.mean()
-        assert lira_offline_scores(np.array([mu]), out)[0] == pytest.approx(0.5, abs=1e-12)
+        got = lira_offline_scores(np.array([mu]), out)
+        assert got[0] == pytest.approx(0.0, abs=1e-12)
+        assert normal_cdf(got)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_one_sigma_above_matches_phi(self):
         out = np.array([[-1.0, -3.0, -2.0, -2.0]])
         mu, sigma = out.mean(), out.std(ddof=1)
-        got = lira_offline_scores(np.array([mu + sigma]), out)[0]
-        assert got == pytest.approx(PHI_1, abs=1e-12)
+        got = lira_offline_scores(np.array([mu + sigma]), out)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        assert normal_cdf(got)[0] == pytest.approx(PHI_1, abs=1e-12)
 
     def test_deep_tail_is_tiny_but_valid(self):
         out = np.array([[-1.0, -3.0, -2.0, -2.0]])
         mu, sigma = out.mean(), out.std(ddof=1)
-        got = lira_offline_scores(np.array([mu - 10 * sigma]), out)[0]
-        assert 0.0 <= got < 1e-15
-        assert np.isfinite(got)
+        got = lira_offline_scores(np.array([mu - 10 * sigma]), out)
+        assert got[0] == pytest.approx(-10.0, abs=1e-12)
+        assert 0.0 <= normal_cdf(got)[0] < 1e-15
 
     def test_monotone_in_raw(self):
         rng = np.random.default_rng(2)
@@ -169,8 +168,16 @@ class TestLiraOffline:
 
     def test_identical_out_scores_floored_not_crashing(self):
         got = lira_offline_scores(np.array([0.5, -0.5]), np.zeros((2, 4)))
-        assert got[0] == 1.0  # far above a zero-variance-floored population
-        assert got[1] == 0.0
+        # far above and below a zero-variance-floored population (sigma 1e-4)
+        assert np.allclose(got, [5000.0, -5000.0], rtol=1e-12, atol=0)
+
+    def test_far_tail_scores_do_not_tie(self):
+        # Phi(9) and Phi(10) both round to 1.0; their z keep the order
+        out = np.array([[-1.0, -3.0, -2.0, -2.0]] * 2)
+        mu, sigma = out[0].mean(), out[0].std(ddof=1)
+        got = lira_offline_scores(mu + np.array([9.0, 10.0]) * sigma, out)
+        assert np.all(normal_cdf(got) == 1.0)
+        assert got[0] < got[1]
 
     def test_empty_out_scores_rejected(self):
         with pytest.raises(ValueError):
@@ -330,19 +337,3 @@ class TestAttackShortcutLira:
         assert roc(scores, member_t).auc == pytest.approx(
             roc(target_raw, member_t).auc, abs=1e-9)
 
-
-class TestAttackOutput:
-    def test_nonfinite_scores_rejected(self):
-        with pytest.raises(ValueError):
-            AttackOutput("x", [np.nan])
-
-    def test_csv_round_trip(self, tmp_path):
-        out = AttackOutput("loss", [-0.5, -1.25])
-        path = tmp_path / "scores_loss.csv"
-        out.to_csv(path, ids=["s1", "s2"], config_digest="abc123")
-        text = path.read_text()
-        assert "# config_digest=abc123" in text
-        assert "s1,-0.5" in text
-        ids, scores = read_attack_scores_csv(path)
-        assert ids == ["s1", "s2"]
-        assert np.array_equal(scores, out.scores)

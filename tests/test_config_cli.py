@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
+from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
 from mia_audit.evaluation import SWEEP_AXES, RocCurve, sweep
@@ -137,6 +138,21 @@ class TestConfigParsing:
         assert cfg.dp.clip_norm == 10.0
         assert cfg.dp_apply_to == ("target",)
 
+    @pytest.mark.parametrize("ini, where", [
+        (SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
+                            "enabled = loss,calibration,calibration"), r"\[attacks\] enabled"),
+        (SAMPLE_INI + "\n[dp]\napply_to = target,reference,target\n", r"\[dp\] apply_to"),
+        (SAMPLE_INI.replace("fpr_levels = 0.1", "fpr_levels = 0.1,0.01,0.10"), r"\[eval\] fpr_levels"),
+    ], ids=["attacks", "dp_roles", "fpr_levels"])
+    def test_repeated_list_value_named(self, tmp_path, ini, where):
+        with pytest.raises(ConfigError, match=f"{where}: a value is repeated"):
+            load_config(self.write(tmp_path, ini))
+
+    def test_empty_dp_roles_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[dp\] apply_to: must name at least one role"):
+            load_config(self.write(tmp_path, SAMPLE_INI + "\n[dp]\nclip_norm = 10\napply_to =\n"))
+        assert load_config(self.write(tmp_path, SAMPLE_INI + "\n[dp]\napply_to = shadow\n"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
@@ -196,17 +212,17 @@ class TestPipeline:
         assert result.shadow_model is None
         assert result.reference_models == []
         assert result.target_table.calibrated is None
-        assert set(result.outputs) == {"loss"}
+        assert set(result.scores) == {"loss"}
         assert result.bucket_report is None
 
     def test_full_run_produces_all_outputs(self):
         result = run_pipeline(fast_config())
-        assert set(result.outputs) == {"loss", "calibration", "lira_offline",
+        assert set(result.scores) == {"loss", "calibration", "lira_offline",
                                        "rapid", "shortcut_lira"}
         assert result.bucket_report is not None
         assert result.target_table.calibrated is not None
-        assert np.array_equal(result.outputs["loss"].scores, result.target_table.raw)
-        assert np.array_equal(result.outputs["calibration"].scores,
+        assert np.array_equal(result.scores["loss"], result.target_table.raw)
+        assert np.array_equal(result.scores["calibration"],
                               result.target_table.calibrated)
 
     def test_eval_set_is_balanced_train_vs_test(self):
@@ -374,11 +390,9 @@ class TestPipeline:
 
     def test_shortcut_lira_only_selection(self):
         result = run_pipeline(fast_config(attacks=("shortcut_lira",)))
-        assert set(result.outputs) == {"shortcut_lira"}
+        assert set(result.scores) == {"shortcut_lira"}
         assert result.shadow_model is not None
-        assert result.outputs["shortcut_lira"].name == "shortcut_lira"
-        assert np.all((result.outputs["shortcut_lira"].scores > 0)
-                      & (result.outputs["shortcut_lira"].scores < 1))
+        assert np.all((result.scores["shortcut_lira"] > 0) & (result.scores["shortcut_lira"] < 1))
 
     def test_split_json_keeps_interface_fields(self, tmp_path):
         from mia_audit import SplitPlan
@@ -393,7 +407,7 @@ class TestPipeline:
             n_samples=300, seed=123))
         result = run_pipeline(cfg)
         assert result.attacker_plan is not None
-        assert set(result.outputs) == set(cfg.attacks)
+        assert set(result.scores) == set(cfg.attacks)
 
     def test_dp_applies_to_target_only_by_default(self):
         from mia_audit.nn import DPConfig
@@ -404,6 +418,13 @@ class TestPipeline:
         for a, b in zip(base.reference_models, dp.reference_models):
             for wa, wb in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(wa, wb)
+
+    def test_nonfinite_attack_scores_rejected(self, monkeypatch):
+        from mia_audit import attacks
+        monkeypatch.setitem(attacks.THRESHOLD_SCORES, "loss",
+                            lambda raw, refs: np.full_like(raw, np.nan))
+        with pytest.raises(ValueError, match="attack 'loss' produced non-finite scores"):
+            run_pipeline(fast_config(attacks=("loss",)))
 
     def test_attacker_data_shape_must_match(self):
         cfg = fast_config(attacker_data=SyntheticSource(feature_dim=6, n_samples=300, seed=1))
@@ -474,6 +495,13 @@ class TestArtifacts:
             sidecar = json.loads((outdir / f"scores_{attack}.json").read_text())
             assert sidecar == {"attack": attack, "config_digest": result.digest,
                                "seed": result.config.master_seed}
+
+    def test_attack_scores_csv_round_trip(self, tmp_path):
+        outdir, result, _ = self.run_to_dir(tmp_path)
+        for attack in result.config.attacks:
+            ids, scores = read_attack_scores_csv(outdir / f"scores_{attack}.csv")
+            assert ids == [str(i) for i in result.target_table.ids]
+            assert scores.tobytes() == result.scores[attack].tobytes()
 
     def test_manifest_reports_ok(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)
@@ -686,6 +714,21 @@ class TestCli:
         assert main(["run", self.write_config(tmp_path, missing), "-o", str(outdir)]) == 1
         assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "notes.txt"]
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
+
+    def test_rerun_removes_the_previous_runs_artifacts(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        (outdir / "notes.txt").write_text("kept")
+        loss_only = SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
+                                       "enabled = loss")
+        assert main(["run", self.write_config(tmp_path, loss_only), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(listed + ["notes.txt"])
+        assert (outdir / "notes.txt").read_text() == "kept"
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["loss"]
 
     def test_gen_data_round_trips(self, tmp_path):
         from mia_audit import load_csv

@@ -6,8 +6,8 @@ import pytest
 
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
-from mia_audit.nn import (_forward_cached, _output_delta, _targets, dp_noise, per_sample_loss,
-                          schedule_lr, train_many)
+from mia_audit.nn import (_forward_cached, _output_delta, _targets, per_sample_loss, schedule_lr,
+                          train_many)
 from mia_audit.seeding import derive_rng
 
 from oracles import sgd_step
@@ -61,7 +61,7 @@ def clipped_mean_reference(per_grads, clip_norm):
 
 
 def reference_train(x, y, config, layer_sizes, loss="ce"):
-    """The training loop spelled out step by step with backward, dp_noise and sgd_step."""
+    """The training loop spelled out step by step with backward, DP-SGD noise and sgd_step."""
     model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
     n = len(x)
     total_steps = config.epochs * math.ceil(n / config.batch_size)
@@ -75,8 +75,9 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             grads, batch_loss = backward(model, x[idx], y[idx], loss, clip_norm)
-            if config.dp is not None:
-                grads = dp_noise(grads, config, len(idx), noise_rng)
+            if config.dp is not None and config.dp.noise_multiplier > 0:
+                std = config.dp.noise_multiplier * config.dp.clip_norm / len(idx)
+                grads = [g + noise_rng.normal(0.0, std, size=g.shape) for g in grads]
             model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
             epoch_loss += batch_loss * len(idx)
             step += 1
@@ -118,19 +119,20 @@ class TestInit:
 class TestForward:
     def test_zero_model_uniform_softmax(self):
         model = init_classifier([2, 3], 0).with_parameters([np.zeros((3, 2)), np.zeros(3)])
-        logits = forward(model, np.array([5.0, -2.0]))
-        assert np.array_equal(logits, np.zeros(3))
-        assert np.allclose(softmax(logits), np.full(3, 1 / 3))
+        logits = forward(model, np.array([[5.0, -2.0]]))
+        assert np.array_equal(logits, np.zeros((1, 3)))
+        assert np.allclose(softmax(logits), np.full((1, 3), 1 / 3))
 
     def test_identity_single_layer(self):
         model = init_classifier([2, 2], 0).with_parameters([np.eye(2), np.zeros(2)])
-        x = np.array([0.3, -1.7])
+        x = np.array([[0.3, -1.7]])
         assert np.array_equal(forward(model, x), x)
 
     def test_dimension_mismatch(self):
         model = init_classifier([3, 2], 0)
-        with pytest.raises(ValueError):
-            forward(model, np.zeros(4))
+        for x in (np.zeros((1, 4)), np.zeros(3)):  # a 1-D vector is no batch
+            with pytest.raises(ValueError):
+                forward(model, x)
 
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_softmax_normalized(self, scale):
@@ -145,14 +147,14 @@ class TestForward:
         x = np.random.default_rng(3).normal(size=(6, 4))
         batch = forward(model, x)
         for i in range(6):
-            assert np.allclose(batch[i], forward(model, x[i]), rtol=1e-12, atol=0)
+            assert np.allclose(batch[i], forward(model, x[i : i + 1])[0], rtol=1e-12, atol=0)
 
 
 def cross_entropy(logits, label):
     """per_sample_loss of one sample under an identity model, whose logits are its input."""
     k = len(logits)
     model = init_classifier([k, k], 0).with_parameters([np.eye(k), np.zeros(k)])
-    return float(per_sample_loss(model, np.asarray(logits, dtype=np.float64), label))
+    return float(per_sample_loss(model, np.asarray(logits, dtype=np.float64)[None], label)[0])
 
 
 class TestCrossEntropy:
@@ -329,27 +331,28 @@ class TestDpSgdStep:
             backward(model, np.zeros((1, 2)), np.array([0]), clip_norm=0.0)
 
     def test_noise_std_matches_monte_carlo(self):
-        # sigma=0.1, C=10, |B|=32 -> per-coordinate update-noise std 0.03125
-        model = init_classifier([5, 5], 0)
-        cfg = self.cfg(clip=10.0, sigma=0.1, learning_rate=1.0)
-        zero = [np.zeros((5, 5)), np.zeros(5)]
-        rng = derive_rng(123)
-        draws = []
-        for _ in range(10000 // 25):  # 400 steps x 25 weight coords
-            updated, _ = sgd_step(model, dp_noise(zero, cfg, 32, rng), cfg)
-            draws.append((model.weights[0] - updated.weights[0]).reshape(-1))
-        std = float(np.std(np.concatenate(draws)))
-        assert std == pytest.approx(0.03125, rel=0.05)
+        # one step on 40 rows with batch_size 64: the noise is scaled by the 40
+        # rows in the batch, not by batch_size; the 4866 parameter coordinates
+        # estimate its std
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 16)), rng.integers(0, 2, size=40)
+        cfg = self.cfg(clip=2.0, sigma=0.8, learning_rate=0.5, batch_size=64)
+        noisy = train(x, y, cfg, (16, 256, 2))
+        plain = train(x, y, dataclasses.replace(cfg, dp=DPConfig(2.0, 0.0)), (16, 256, 2))
+        diff = np.concatenate([(a - b).reshape(-1)
+                               for a, b in zip(noisy.parameters(), plain.parameters())])
+        assert diff.size == 4866
+        assert float(np.std(diff)) == pytest.approx(0.5 * 0.8 * 2.0 / 40, rel=0.05)
 
     def test_sigma_zero_draws_no_noise(self):
-        grads = [np.ones((2, 2)), np.ones(2)]
-        rng = derive_rng(0)
-        assert dp_noise(grads, self.cfg(sigma=0.0), 8, rng) is grads
-        assert rng.normal() == derive_rng(0).normal()
-
-    def test_missing_dp_config_rejected(self):
-        with pytest.raises(ValueError):
-            dp_noise([np.zeros((2, 2)), np.zeros(2)], TrainingConfig(), 1, derive_rng(0))
+        # a DP run with sigma 0 is the clipped run without noise, byte for byte
+        ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.5, 11), 100)
+        cfg = TrainingConfig(epochs=3, batch_size=32, seed=3, dp=DPConfig(0.5, 0.0))
+        model, history = train(ds.features, ds.labels, cfg, (2, 8, 2), return_loss_history=True)
+        ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, (2, 8, 2))
+        assert history == ref_history
+        for a, b in zip(model.parameters(), ref_model.parameters()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTrain:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import (DistributionSpec, QueryConfig, ScoreTable, SignalKind,
+from mia_audit import (DistributionSpec, ScoreTable, SignalKind,
                        TrainingConfig, generate_synthetic, init_classifier, train)
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
 from mia_audit.signals import averaged_signal_batch, perturbed_queries, signal_batch
@@ -17,11 +17,16 @@ def zero_model(num_classes=2, dim=2):
     return base.with_parameters([np.zeros((num_classes, dim)), np.zeros(num_classes)])
 
 
+# (num_queries, noise std, seed) of one unperturbed query
+ONE_QUERY = (1, 0.0, 0)
+
+
 def averaged(model, x, y, kind, q, ids=None):
-    """Query-averaged scores of a batch, as the pipeline computes them."""
+    """Query-averaged scores of a batch, as the pipeline computes them; q is
+    (num_queries, noise std, seed)."""
     ids = list(range(len(x))) if ids is None else ids
-    queries = perturbed_queries(x, ids, q)
-    return averaged_signal_batch(model, queries, y, kind)[len(queries)]
+    queries = perturbed_queries(x, ids, *q)
+    return averaged_signal_batch(model, queries, y, kind, False, [len(queries)])[len(queries)]
 
 
 class TestSignal:
@@ -97,22 +102,24 @@ class TestAveragedSignal:
         return signal_batch(self.model, self.x, [y], SignalKind.LOSS)[0]
 
     def test_single_query_equals_signal(self):
-        q = QueryConfig(num_queries=1, augmentation_noise_std=0.5, seed=1)
-        assert len(perturbed_queries(self.x, [0], q)) == 1
+        q = (1, 0.5, 1)
+        assert len(perturbed_queries(self.x, [0], *q)) == 1
         assert self.score(1, q) == self.exact(1)
+        with pytest.raises(ValueError, match="num_queries"):
+            perturbed_queries(self.x, [0], 0, 0.5, 1)
 
     def test_zero_noise_equals_signal_for_any_query_count(self):
-        q = QueryConfig(num_queries=8, augmentation_noise_std=0.0, seed=1)
-        assert len(perturbed_queries(self.x, [0], q)) == 1
+        q = (8, 0.0, 1)
+        assert len(perturbed_queries(self.x, [0], *q)) == 1
         assert self.score(0, q) == self.exact(0)
 
     def test_noise_changes_score(self):
-        q = QueryConfig(num_queries=8, augmentation_noise_std=0.3, seed=1)
-        assert len(perturbed_queries(self.x, [0], q)) == 8
+        q = (8, 0.3, 1)
+        assert len(perturbed_queries(self.x, [0], *q)) == 8
         assert self.score(0, q) != self.exact(0)
 
     def test_deterministic_per_sample_id(self):
-        q = QueryConfig(num_queries=4, augmentation_noise_std=0.3, seed=9)
+        q = (4, 0.3, 9)
         a = self.score(0, q, sample_id=17)
         b = self.score(0, q, sample_id=17)
         c = self.score(0, q, sample_id=18)
@@ -124,40 +131,40 @@ class TestAveragedSignal:
         # its own prefix of the queries
         x = np.random.default_rng(4).normal(size=(5, 2))
         y = [0, 1, 1, 0, 1]
-        queries = perturbed_queries(x, range(5), QueryConfig(8, 0.3, seed=2))
-        means = averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, counts=[1, 3, 8])
+        queries = perturbed_queries(x, range(5), 8, 0.3, 2)
+        means = averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, False, [1, 3, 8])
         assert sorted(means) == [1, 3, 8]
         for q, mean in means.items():
-            alone = averaged_signal_batch(self.model, queries[:q], y, SignalKind.LOSS)[q]
+            alone = averaged_signal_batch(self.model, queries[:q], y, SignalKind.LOSS, False, [q])[q]
             assert mean.tobytes() == alone.tobytes()
         assert means[1].tobytes() == signal_batch(self.model, x, y, SignalKind.LOSS).tobytes()
         for bad in ([0], [9], []):
             with pytest.raises(ValueError, match="query counts"):
-                averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, counts=bad)
+                averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, False, bad)
 
     def test_averaging_does_not_increase_variance(self):
         # variance of the 8-query mean is at most that of one perturbed query
         single, averaged = [], []
         for rep in range(200):
-            q1 = QueryConfig(num_queries=2, augmentation_noise_std=0.05, seed=rep)
-            q8 = QueryConfig(num_queries=8, augmentation_noise_std=0.05, seed=rep)
+            q1 = (2, 0.05, rep)
+            q8 = (8, 0.05, rep)
             # a 2-query mean isolates one perturbed evaluation: 2*mean - exact
             single.append(2 * self.score(0, q1) - self.exact(0))
             averaged.append(self.score(0, q8))
         assert np.var(averaged) <= np.var(single)
 
 
-def per_stream_queries(x, ids, q):
+def per_stream_queries(x, ids, num_queries, noise_std, seed):
     """perturbed_queries as one default_rng stream per (sample id, query index):
     the reference the bulk seeding must match bit for bit."""
     out = [x]
-    if q.num_queries == 1 or q.augmentation_noise_std == 0.0:
+    if num_queries == 1 or noise_std == 0.0:
         return out
-    for j in range(1, q.num_queries):
+    for j in range(1, num_queries):
         noise = np.empty_like(x)
         for row, sample_id in enumerate(ids):
-            rng = derive_rng(q.seed, "augment", sample_id, j)
-            noise[row] = rng.normal(0.0, q.augmentation_noise_std, size=x.shape[1])
+            rng = derive_rng(seed, "augment", sample_id, j)
+            noise[row] = rng.normal(0.0, noise_std, size=x.shape[1])
         out.append(x + noise)
     return out
 
@@ -176,8 +183,8 @@ class TestQueryNoise:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2000, 5))
         ids = [int(i) for i in rng.permutation(10_000)[:2000]]
-        q = QueryConfig(num_queries=num_queries, augmentation_noise_std=std, seed=12)
-        got, expected = perturbed_queries(x, ids, q), per_stream_queries(x, ids, q)
+        got = perturbed_queries(x, ids, num_queries, std, 12)
+        expected = per_stream_queries(x, ids, num_queries, std, 12)
         assert len(got) == len(expected) == (num_queries if std else 1)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
@@ -192,7 +199,7 @@ class TestScoreTable:
 
     def test_build_fills_raw_only(self):
         ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 4)
-        raw = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, QueryConfig())
+        raw = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, ONE_QUERY)
         table = ScoreTable(ids=range(4), is_member=[True, True, False, False], raw=raw)
         assert len(table) == 4
         assert np.all(np.isfinite(table.raw))
@@ -200,7 +207,7 @@ class TestScoreTable:
 
     def test_deterministic(self):
         ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 10)
-        q = QueryConfig(num_queries=4, augmentation_noise_std=0.2, seed=5)
+        q = (4, 0.2, 5)
         r1 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
         r2 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
         assert np.array_equal(r1, r2)
@@ -208,13 +215,13 @@ class TestScoreTable:
     def test_overfit_model_separates_members(self):
         ds, model = self.overfit_setup()
         members = averaged(model, ds.features[:100], ds.labels[:100], SignalKind.LOSS,
-                           QueryConfig())
-        non = averaged(model, ds.features[100:], ds.labels[100:], SignalKind.LOSS, QueryConfig())
+                           ONE_QUERY)
+        non = averaged(model, ds.features[100:], ds.labels[100:], SignalKind.LOSS, ONE_QUERY)
         assert members.mean() > non.mean()
 
     def test_order_independence(self):
         ds = generate_synthetic(DistributionSpec(2, 3, [[-1, -1, 0], [1, 1, 0]], 1.0, 8), 30)
-        q = QueryConfig(num_queries=3, augmentation_noise_std=0.1, seed=2)
+        q = (3, 0.1, 2)
         model = init_classifier([3, 8, 2], 1)
         ids = list(range(30))
         base = averaged(model, ds.features, ds.labels, SignalKind.LOSS, q, ids=ids)
