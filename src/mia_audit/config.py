@@ -224,12 +224,15 @@ def _convert(where: str, raw: str, kind):
 
 
 def parse_field_list(where: str, name: str, raw: str) -> list:
-    """A nonempty comma-separated list of values of ExperimentConfig field
-    `name`, each read as the field's INI key reads one (a sweep's `--values`
-    and `--seeds`). Errors name `where`."""
+    """A nonempty comma-separated list of distinct values of ExperimentConfig
+    field `name`, each read as the field's INI key reads one (a sweep's
+    `--values` and `--seeds`). Errors name `where`."""
     values = list(_convert(where, raw, tuple[_field_types(ExperimentConfig)[name], ...]))
     if not values:
         raise ConfigError(f"{where}: no values in {raw!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{where}: value {value!r} is repeated in {raw!r}")
     return values
 
 

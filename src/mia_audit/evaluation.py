@@ -260,8 +260,11 @@ def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
     values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
-    if seeds is None:
-        seeds = [config.master_seed]
+    seeds = [config.master_seed] if seeds is None else list(seeds)
+    for name, entries in (("value", values), ("seed", seeds)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:  # each (value, seed) row would repeat
+                raise ValueError(f"sweep {name} {entry!r} is repeated")
     return [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
             for value in values for seed in seeds]
 

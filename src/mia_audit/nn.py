@@ -11,6 +11,16 @@ ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 parameter arrays stacked along a leading model axis, updated in place; `train`
 is its one-model case. `backward` and `grad_sq_norms` are validated wrappers
 over the same kernels for a single model.
+
+Training runs in float32 unless the config sets DP, which trains in float64.
+A step is bound by its `tanh` and small matmul kernels, which float32 makes
+about twice as fast. A DP-SGD step gains nothing from it: DP-SGD drives its
+models to logit gaps of about 220, so some softmax probabilities, and the
+errors built from them, fall below float32's normal range, and the kernels
+slow down several times on those subnormal values. Every returned model
+widens exactly to float64, and all else (`forward`, `backward`, signals,
+attacks) computes in float64. The kernels keep their inputs' dtype, so both
+dtypes share them.
 """
 
 from __future__ import annotations
@@ -134,7 +144,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
+    """Stable logistic function; keeps a float32 input's dtype."""
+    z = np.asarray(z)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -171,19 +182,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _labelled_batch(model: MLPClassifier, x: np.ndarray, y, loss: str = "ce"):
+    """x as a (n, d) batch and y as the loss reads it, one label per row."""
+    batch = _as_batch(model, x)
+    y = _targets(y, loss, model.output_dim)
+    if len(y) != batch.shape[0]:
+        raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
+    return batch, y
+
+
 def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample under the model, shape (n,); labels must be
     integer classes in [0, output_dim), one per sample."""
-    batch = _as_batch(model, x)
-    y = _targets(y, "ce", model.output_dim)
-    if len(y) != batch.shape[0]:
-        raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
+    batch, y = _labelled_batch(model, x, y)
     logp = _log_softmax(_forward_cached(model.weights, model.biases, batch)[-1])
     return -logp[np.arange(len(y)), y]
 
 
-def _targets(y, loss: str, output_dim: int) -> np.ndarray:
-    """Labels as the loss reads them: class indices for ce, 0/1 floats for bce."""
+def _targets(y, loss: str, output_dim: int, dtype=np.float64) -> np.ndarray:
+    """Labels as the loss reads them: class indices for ce, 0/1 floats of
+    `dtype` (the training dtype) for bce."""
     y = np.atleast_1d(np.asarray(y))
     if loss == "ce":
         if not np.issubdtype(y.dtype, np.integer) or (y.size and not 0 <= y.min() <= y.max() < output_dim):
@@ -192,7 +210,7 @@ def _targets(y, loss: str, output_dim: int) -> np.ndarray:
     if loss == "bce":
         if output_dim != 1:
             raise ValueError("bce loss requires a single output unit")
-        return y.astype(np.float64)
+        return y.astype(dtype)
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -228,7 +246,7 @@ def _sq_norms(weights, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
     Uses ||outer(d, a)||_F^2 = |d|^2 |a|^2 per layer (plus |d|^2 for the
     bias), so nothing is materialized per example.
     """
-    norms = np.zeros(delta.shape[:-1])
+    norms = np.zeros(delta.shape[:-1], dtype=delta.dtype)
     for l, d in _layer_errors(weights, acts, delta):
         d2 = (d**2).sum(axis=-1)
         norms += d2 * (acts[l] ** 2).sum(axis=-1) + d2
@@ -238,9 +256,10 @@ def _sq_norms(weights, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
 def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_norm: float | None,
                out: list[np.ndarray]):
     """Write the mean gradients into `out` (parameters() order) and return the
-    mean loss; see backward. Each bias gradient is shaped as its error summed
-    over the batch axis, (out,) or (K, out), and each weight gradient as its
-    weight; train_many passes views into its flat gradient vector."""
+    mean loss, both in the dtype of the parameters and x; see backward. Each
+    bias gradient is shaped as its error summed over the batch axis, (out,) or
+    (K, out), and each weight gradient as its weight; train_many passes views
+    into its flat gradient vector."""
     acts = _forward_cached(weights, biases, x)
     delta, mean_loss = _output_delta(acts[-1], y, loss)
     if clip_norm is not None:
@@ -264,12 +283,9 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
-    batch = _as_batch(model, np.atleast_2d(x))
-    y = _targets(y, loss, model.output_dim)
+    batch, y = _labelled_batch(model, np.atleast_2d(x), y, loss)
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
-    if len(y) != batch.shape[0]:
-        raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     if clip_norm is not None and not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
     grads = [np.empty_like(p) for p in model.parameters()]
@@ -279,9 +295,9 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
 def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each sample's full cross-entropy gradient."""
-    batch = _as_batch(model, np.atleast_2d(x))
+    batch, y = _labelled_batch(model, np.atleast_2d(x), y)
     acts = _forward_cached(model.weights, model.biases, batch)
-    delta, _ = _output_delta(acts[-1], _targets(y, "ce", model.output_dim), "ce")
+    delta, _ = _output_delta(acts[-1], y, "ce")
     return _sq_norms(model.weights, acts, delta)
 
 
@@ -310,6 +326,11 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     once, at the end. Parameters are checked for finiteness after every
     epoch, so a diverged run stops early.
 
+    The loop runs in float32, or in float64 when the configs set DP (see the
+    module docstring): data, targets, parameters, gradients, velocity and
+    losses all take that dtype, starting from the float64 initialization
+    rounded to it. The models returned hold it widened to float64.
+
     Returns the K models, or K (model, per-epoch mean loss list) pairs with
     return_loss_history.
     """
@@ -319,10 +340,11 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     config = configs[0]
     if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("stacked jobs must share every TrainingConfig field except seed")
+    dtype = np.float64 if config.dp is not None else np.float32
     inits = [init_classifier(layer_sizes, derive_seed(c.seed, "model-init")) for c in configs]
     sizes = inits[0].layer_sizes
-    xs = [np.asarray(v, dtype=np.float64) for v in xs]
-    ys = [_targets(t, loss, sizes[-1]) for t in ys]
+    xs = [np.asarray(v, dtype=dtype) for v in xs]
+    ys = [_targets(t, loss, sizes[-1], dtype) for t in ys]
     if any(v.ndim != 2 or v.shape[0] == 0 for v in xs):
         raise ValueError("training slice must be a nonempty (n, d) matrix")
     n = xs[0].shape[0]
@@ -348,7 +370,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
         return out
 
     flat = np.concatenate([p.reshape(-1) for group in zip(*(m.parameters() for m in inits))
-                           for p in group])
+                           for p in group], dtype=dtype)
     params = views(flat)
     weights, biases = params[0::2], params[1::2]
     flat_grad, velocity = np.empty_like(flat), np.zeros_like(flat)
@@ -386,8 +408,8 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
             layer = next(i // 2 for i, p in enumerate(params) if not np.isfinite(p).all())
             raise ValueError(f"training diverged: layer {layer} has non-finite parameters "
                              f"after epoch {epoch + 1}")
-    models = [MLPClassifier(sizes, tuple(w[k].copy() for w in weights),
-                            tuple(b[k, 0].copy() for b in biases))
+    models = [MLPClassifier(sizes, tuple(w[k].astype(np.float64) for w in weights),
+                            tuple(b[k, 0].astype(np.float64) for b in biases))
               for k in range(jobs)]
     if return_loss_history:
         return [(m, [float(h[k]) for h in history]) for k, m in enumerate(models)]
@@ -408,10 +430,10 @@ def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
 
 
 def accuracy(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of samples whose argmax logit matches the label (ties -> lowest index)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y))
-    if x.shape[0] == 0:
+    """Fraction of samples whose argmax logit matches the label (ties -> lowest
+    index); labels must be integer classes in [0, output_dim), one per sample."""
+    batch, y = _labelled_batch(model, x, y)
+    if batch.shape[0] == 0:
         raise ValueError("empty slice")
-    preds = np.argmax(forward(model, x), axis=1)
+    preds = np.argmax(forward(model, batch), axis=1)
     return float(np.mean(preds == y))

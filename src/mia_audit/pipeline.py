@@ -33,7 +33,9 @@ The missing models train in stacked groups: one `nn.train_many` call per set
 of jobs with the same row count, layer sizes, loss and training config up to
 the seed, across all runs passed together. For one default run that is target
 and shadow together, then the reference models, then the two scoring nets.
-DP jobs train one per call. Pass one master seed's runs at a time: their
+DP jobs train one per call, in float64; every other group trains in float32
+(see `nn`). Every model comes back widened to float64, the dtype that all
+later stages compute in. Pass one master seed's runs at a time: their
 models share seeds and recur, while a group that spans seeds is only larger,
 and 20 reference-shape models in one loop trained slower than 5 loops of 4.
 """

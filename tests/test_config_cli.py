@@ -17,6 +17,8 @@ from mia_audit.evaluation import SWEEP_AXES, RocCurve, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.signals import SignalKind
 
+from oracles import reference_train
+
 FAST_TRAIN = TrainingConfig(epochs=3, batch_size=32)
 FAST_SCORING = TrainingConfig(learning_rate=0.05, weight_decay=0.0, epochs=10)
 
@@ -331,6 +333,26 @@ class TestPipeline:
         dp_calls = [call for call in calls if any(job[2].dp is not None for job in call)]
         assert [len(call) for call in dp_calls] == [1, 1, 1]  # target, 2 references
         self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_non_dp_models_train_in_float32(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        run_pipeline(fast_config())
+        models = [job[5] for call in calls for job in call]
+        assert len(models) == 6  # target, shadow, 2 references, 2 scoring nets
+        for p in (p for m in models for p in m.parameters()):
+            assert p.dtype == np.float64
+            assert np.array_equal(p.astype(np.float32), p)
+
+    def test_dp_models_equal_float64_oracle(self, monkeypatch):
+        calls = self.record_train_many(monkeypatch)
+        run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
+                                 dp_apply_to=("target", "reference")))
+        dp_jobs = [job for call in calls for job in call if job[2].dp is not None]
+        assert len(dp_jobs) == 3
+        for x, y, cfg, layer_sizes, loss, model in dp_jobs:
+            oracle, _ = reference_train(x, y, cfg, layer_sizes, loss)
+            for a, b in zip(oracle.parameters(), model.parameters()):
+                assert a.tobytes() == b.tobytes()
 
     def test_query_sweep_stacks_its_scoring_nets(self, monkeypatch):
         calls = self.record_train_many(monkeypatch)
@@ -679,6 +701,18 @@ class TestCli:
                          *(t for kv in args.items() for t in kv), "-o", str(outdir)]) == 1
             assert flag in capsys.readouterr().err
             assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag, raw, repeated", [("--values", "2,1,2", "2"),
+                                                     ("--seeds", "1,1", "1")])
+    def test_sweep_repeated_value_names_flag(self, tmp_path, capsys, flag, raw, repeated):
+        # each repeat would write its (value, seed) rows again
+        args = {"--values": "1", "--seeds": "1", flag: raw}
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", self.write_config(tmp_path), "--axis", "num_queries",
+                     *(t for kv in args.items() for t in kv), "-o", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and f"value {repeated} is repeated" in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("axis, values, key", [
         ("reference_sampling_mode", "fixed,bogus", "[reference] sampling"),

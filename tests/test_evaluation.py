@@ -334,3 +334,13 @@ class TestSweepValidation:
         from mia_audit.config import ExperimentConfig
         with pytest.raises(ValueError, match="nonempty"):
             sweep(ExperimentConfig(), SWEEP_AXES[0], [])
+
+    @pytest.mark.parametrize("values, seeds, message", [
+        ([2, 1, 2], None, "sweep value 2 is repeated"),
+        ([2], [1, 1], "sweep seed 1 is repeated"),
+    ])
+    def test_repeated_value_or_seed_rejected(self, values, seeds, message):
+        # a repeated value or seed would write each of its rows more than once
+        from mia_audit.config import ExperimentConfig
+        with pytest.raises(ValueError, match=message):
+            sweep(ExperimentConfig(), "num_reference_models", values, seeds)

@@ -6,11 +6,10 @@ import pytest
 
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
-from mia_audit.nn import (_forward_cached, _output_delta, _targets, per_sample_loss, schedule_lr,
-                          train_many)
-from mia_audit.seeding import derive_rng
+from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
+                          per_sample_loss, schedule_lr, train_many)
 
-from oracles import sgd_step
+from oracles import reference_train, sgd_step
 
 # -log(e^3 / (e^1 + e^2 + e^3)), frozen from a 50-digit mpmath evaluation
 CE_123_LABEL2 = 0.4076059644443803
@@ -58,31 +57,6 @@ def clipped_mean_reference(per_grads, clip_norm):
     norms = per_example_norms(per_grads)
     scale = np.where(norms > clip_norm, clip_norm / np.maximum(norms, 1e-300), 1.0)
     return [(g * scale.reshape((-1,) + (1,) * (g.ndim - 1))).mean(axis=0) for g in per_grads]
-
-
-def reference_train(x, y, config, layer_sizes, loss="ce"):
-    """The training loop spelled out step by step with backward, DP-SGD noise and sgd_step."""
-    model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
-    n = len(x)
-    total_steps = config.epochs * math.ceil(n / config.batch_size)
-    shuffle_rng = derive_rng(config.seed, "batch-order")
-    noise_rng = derive_rng(config.seed, "dp-noise")
-    clip_norm = config.dp.clip_norm if config.dp is not None else None
-    velocity, history, step = None, [], 0
-    for _ in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            grads, batch_loss = backward(model, x[idx], y[idx], loss, clip_norm)
-            if config.dp is not None and config.dp.noise_multiplier > 0:
-                std = config.dp.noise_multiplier * config.dp.clip_norm / len(idx)
-                grads = [g + noise_rng.normal(0.0, std, size=g.shape) for g in grads]
-            model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
-            epoch_loss += batch_loss * len(idx)
-            step += 1
-        history.append(epoch_loss / n)
-    return model, history
 
 
 def random_model(rng, sizes):
@@ -370,7 +344,9 @@ class TestTrain:
         model = train(ds.features, ds.labels, cfg, (2, 8, 2))
         init = init_classifier((2, 8, 2), derive_seed(cfg.seed, "model-init"))
         for a, b in zip(model.parameters(), init.parameters()):
-            assert np.array_equal(a, b)
+            # a non-DP model trains in float32 from the init rounded to it
+            assert a.dtype == np.float64
+            assert np.array_equal(a, b.astype(np.float32).astype(np.float64))
 
     def test_deterministic(self):
         ds = self.separable(100)
@@ -453,6 +429,50 @@ class TestTrain:
         assert all(np.isfinite(p).all() for p in model.parameters())
 
 
+class TestTrainingDtype:
+    """Float32 training: every kernel keeps its inputs' dtype, so nothing in
+    the loop is promoted back to float64."""
+
+    @staticmethod
+    def stacked(sizes, loss, dtype, k=2, n=8):
+        rng = np.random.default_rng(7)
+        models = [random_model(rng, sizes) for _ in range(k)]
+        weights = [np.stack([m.weights[i] for m in models]).astype(dtype) for i in range(len(sizes) - 1)]
+        biases = [np.stack([m.biases[i] for m in models])[:, None].astype(dtype)
+                  for i in range(len(sizes) - 1)]
+        x = rng.normal(size=(k, n, sizes[0])).astype(dtype)
+        y = np.stack([_targets(rng.integers(0, 2, n), loss, sizes[-1], dtype) for _ in range(k)])
+        return weights, biases, x, y
+
+    @pytest.mark.parametrize("sizes,loss", [((3, 4, 2), "ce"), ((3, 4, 4, 1), "bce")])
+    def test_gradients_stay_float32(self, sizes, loss):
+        weights, biases, x, y = self.stacked(sizes, loss, np.float32)
+        if loss == "bce":
+            assert y.dtype == np.float32
+        acts = _forward_cached(weights, biases, x)
+        delta, _ = _output_delta(acts[-1], y, loss)
+        assert acts[-1].dtype == delta.dtype == np.float32
+        out = []
+        for w in weights:
+            out.extend((np.full(w.shape, np.nan, np.float32), np.full(w.shape[:2], np.nan, np.float32)))
+        mean_loss = _gradients(weights, biases, x, y, loss, None, out)
+        assert mean_loss.dtype == np.float32 and mean_loss.shape == (2,)
+        # the same stacked gradients in float64, to float32's precision
+        ref = [np.empty(g.shape) for g in out]
+        ref_loss = _gradients(*self.stacked(sizes, loss, np.float64), loss, None, ref)
+        assert np.allclose(mean_loss, ref_loss, rtol=1e-5)
+        for g, r in zip(out, ref):
+            assert np.allclose(g, r, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sq_norms_keep_dtype(self, dtype):
+        weights, biases, x, y = self.stacked((3, 4, 2), "ce", dtype)
+        acts = _forward_cached(weights, biases, x)
+        delta, _ = _output_delta(acts[-1], y, "ce")
+        assert delta.dtype == dtype
+        assert _sq_norms(weights, acts, delta).dtype == dtype
+
+
 class TestAccuracy:
     def test_single_sample_correct_and_incorrect(self):
         model = init_classifier([2, 2], 0).with_parameters([np.eye(2), np.zeros(2)])
@@ -463,6 +483,15 @@ class TestAccuracy:
         model = init_classifier([2, 3], 0).with_parameters([np.zeros((3, 2)), np.zeros(3)])
         assert accuracy(model, np.array([[1.0, 1.0]]), np.array([0])) == 1.0
         assert accuracy(model, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
+
+    def test_one_label_per_sample(self):
+        model = init_classifier([2, 2], 0)
+        x = np.zeros((100, 2))
+        with pytest.raises(ValueError, match="1 labels for 100 samples"):
+            accuracy(model, x, np.array([1]))
+        for bad in (np.full(100, 2), np.full(100, 0.5), np.full(100, -1)):
+            with pytest.raises(ValueError, match="integer classes"):
+                accuracy(model, x, bad)
 
     def test_random_models_near_chance_on_balanced_data(self):
         ds = generate_synthetic(DistributionSpec(2, 4, [[1, 1, 1, 1], [-1, -1, -1, -1]], 1.0, 3), 2000)
