@@ -52,7 +52,7 @@ def cmd_sweep(args) -> int:
     values = parse_field_list(f"--values ({args.axis})", args.axis, args.values)
     seeds = parse_field_list("--seeds", "master_seed", args.seeds) if args.seeds else None
     try:
-        evaluation.sweep_runs(cfg, args.axis, values, seeds)  # a bad config leaves no -o
+        pipeline.sweep_runs(cfg, args.axis, values, seeds)  # a bad config leaves no -o
     except ValueError as exc:
         print(f"error: sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -60,7 +60,7 @@ def cmd_sweep(args) -> int:
         return 1
     path = os.path.join(args.output, "sweep.csv")
     try:
-        result = evaluation.sweep(cfg, args.axis, values, seeds=seeds)
+        result = pipeline.sweep(cfg, args.axis, values, seeds=seeds)
     except Exception as exc:
         if os.path.isfile(path):  # an earlier config's table must not outlive this failure
             os.remove(path)
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="rerun the pipeline along one ablation axis")
     swp.add_argument("config")
-    swp.add_argument("--axis", required=True, choices=evaluation.SWEEP_AXES)
+    swp.add_argument("--axis", required=True, choices=pipeline.SWEEP_AXES)
     swp.add_argument("--values", required=True, help="comma-separated axis values")
     swp.add_argument("--seeds", default="", help="comma-separated master seeds (default: config seed)")
     swp.add_argument("-o", "--output", required=True)

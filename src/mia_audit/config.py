@@ -17,10 +17,11 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from .attacks import SCORING_FEATURES, THRESHOLD_SCORES
 from .nn import DPConfig, TrainingConfig
 from .signals import SignalKind
 
-KNOWN_ATTACKS = ("loss", "calibration", "lira_offline", "rapid", "shortcut_lira")
+KNOWN_ATTACKS = (*THRESHOLD_SCORES, *SCORING_FEATURES)
 DP_ROLES = ("target", "shadow", "reference")
 SAMPLING_MODES = ("fixed", "random")
 

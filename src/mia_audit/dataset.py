@@ -295,12 +295,8 @@ class SplitPlan:
             "reference_pool": self.reference_pool,
         }
 
-    def to_json(self, config_digest: str | None = None) -> str:
-        payload = {name: list(idx) for name, idx in self._groups().items()}
-        payload["seed"] = self.seed
-        if config_digest is not None:
-            payload["config_digest"] = config_digest
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {**{name: list(idx) for name, idx in self._groups().items()}, "seed": self.seed}
 
     @classmethod
     def from_json(cls, text: str) -> "SplitPlan":

@@ -1,4 +1,4 @@
-"""ROC analysis, headline attack metrics, loss-bucket histograms and ablation sweeps.
+"""ROC analysis, headline attack metrics and loss-bucket histograms.
 
 All curves are empirical with a strict `score > threshold` decision rule and
 no interpolation; the TPR-at-FPR rule is conservative (largest threshold set
@@ -220,89 +220,3 @@ def compute_metrics(curve: RocCurve, fpr_levels) -> MetricsReport:
         auc=curve.auc,
         tpr_at_fpr={float(level): curve.tpr_at_fpr(level) for level in fpr_levels},
     )
-
-
-SWEEP_AXES = ("num_reference_models", "num_queries", "reference_sampling_mode")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Per (axis value, seed) metrics for every attack, in long format."""
-
-    axis: str
-    rows: tuple[dict, ...]  # keys: axis, value, seed, metric, result
-
-    def write_csv(self, path, config_digest: str | None = None) -> None:
-        header = ("axis", "value", "seed", "metric", "result")
-        write_columns(path, header, [[row[key] for row in self.rows] for key in header],
-                      config_digest)
-
-    def metric_by_value(self, metric: str) -> dict:
-        """value -> mean of a metric over seeds."""
-        sums: dict = {}
-        counts: dict = {}
-        for row in self.rows:
-            if row["metric"] != metric:
-                continue
-            sums[row["value"]] = sums.get(row["value"], 0.0) + row["result"]
-            counts[row["value"]] = counts.get(row["value"], 0) + 1
-        return {v: sums[v] / counts[v] for v in sums}
-
-
-def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
-    """Every (value, seed, config) run of a sweep, value-major.
-
-    Every config is built, and so validated, before the first run trains:
-    a bad later value fails here, not after the earlier runs.
-    """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    seeds = [config.master_seed] if seeds is None else list(seeds)
-    for name, entries in (("value", values), ("seed", seeds)):
-        for i, entry in enumerate(entries):
-            if entry in entries[:i]:  # each (value, seed) row would repeat
-                raise ValueError(f"sweep {name} {entry!r} is repeated")
-    return [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
-            for value in values for seed in seeds]
-
-
-def sweep(config, axis: str, values, seeds=None, trained: dict | None = None) -> SweepResult:
-    """Rerun the pipeline per axis value (and per seed), all other seeds fixed.
-
-    Because every stage seed is derived from the master seed by labeled
-    hashing, changing the number of reference models or queries never
-    perturbs the other stages, so differences along the axis reflect the axis
-    alone.
-
-    The runs of one master seed go through one `pipeline.run_pipelines` call,
-    stage by stage: each distinct model, scoring nets included, trains once,
-    in stacked loops that never span two seeds; each eval set's queries are
-    built once and each distinct model is scored on them once. All calls share
-    one `trained` dict, which lives for the call, or as long as the caller
-    keeps the one it passes. Every row equals that of a direct run, and rows
-    come in `sweep_runs` order.
-    """
-    from . import pipeline  # runtime import; pipeline depends on this module
-
-    runs = sweep_runs(config, axis, values, seeds)
-    trained = {} if trained is None else trained
-    metrics = [None] * len(runs)
-    for seed in dict.fromkeys(seed for _, seed, _ in runs):
-        batch = [i for i, (_, run_seed, _) in enumerate(runs) if run_seed == seed]
-        results = pipeline.run_pipelines([runs[i][2] for i in batch], trained)
-        for i, result in zip(batch, results):
-            metrics[i] = result.metrics
-    rows = []
-    for (value, seed, cfg), run_metrics in zip(runs, metrics):
-        for attack in cfg.attacks:
-            report = run_metrics[attack]
-            entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]
-            entries += [(f"tpr_at_fpr_{repr(level)}", entry.tpr)
-                        for level, entry in sorted(report.tpr_at_fpr.items())]
-            for metric, res in entries:
-                rows.append({"axis": axis, "value": value, "seed": seed,
-                             "metric": f"{attack}.{metric}", "result": float(res)})
-    return SweepResult(axis, tuple(rows))

@@ -201,7 +201,7 @@ def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.nd
 
 def _targets(y, loss: str, output_dim: int, dtype=np.float64) -> np.ndarray:
     """Labels as the loss reads them: class indices for ce, 0/1 floats of
-    `dtype` (the training dtype) for bce."""
+    `dtype` (the training dtype) for bce, from labels 0 or 1 (or bools)."""
     y = np.atleast_1d(np.asarray(y))
     if loss == "ce":
         if not np.issubdtype(y.dtype, np.integer) or (y.size and not 0 <= y.min() <= y.max() < output_dim):
@@ -210,6 +210,8 @@ def _targets(y, loss: str, output_dim: int, dtype=np.float64) -> np.ndarray:
     if loss == "bce":
         if output_dim != 1:
             raise ValueError("bce loss requires a single output unit")
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError("bce labels must be 0 or 1")
         return y.astype(dtype)
     raise ValueError(f"unknown loss {loss!r}")
 
@@ -283,7 +285,7 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
-    batch, y = _labelled_batch(model, np.atleast_2d(x), y, loss)
+    batch, y = _labelled_batch(model, x, y, loss)
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     if clip_norm is not None and not clip_norm > 0:
@@ -295,7 +297,7 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
 def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each sample's full cross-entropy gradient."""
-    batch, y = _labelled_batch(model, np.atleast_2d(x), y)
+    batch, y = _labelled_batch(model, x, y)
     acts = _forward_cached(model.weights, model.biases, batch)
     delta, _ = _output_delta(acts[-1], y, "ce")
     return _sq_norms(model.weights, acts, delta)
@@ -435,5 +437,5 @@ def accuracy(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> float:
     batch, y = _labelled_batch(model, x, y)
     if batch.shape[0] == 0:
         raise ValueError("empty slice")
-    preds = np.argmax(forward(model, batch), axis=1)
+    preds = np.argmax(_forward_cached(model.weights, model.biases, batch)[-1], axis=1)
     return float(np.mean(preds == y))

@@ -1,9 +1,10 @@
 """End-to-end attack pipeline: split, train victim/shadow/reference models,
-build score tables, train scoring models, run the selected attacks, and
-persist artifacts.
+build score tables, train scoring models, run the selected attacks, persist
+artifacts, and sweep one ablation axis.
 
-`run_pipelines` takes a list of configs and runs each stage across all of
-them before the next:
+`run_pipelines` takes a list of configs and, for each master seed among them
+in order of first appearance, runs each stage across that seed's configs
+before the next:
   1. every run's datasets, splits and training jobs (target, references,
      shadow), then one `_train_missing` over their union;
   2. per distinct eval set, its query matrices, built once for the most
@@ -13,7 +14,8 @@ them before the next:
   3. the scoring nets of every run, as training jobs like those of stage 1;
   4. per run, the attack scores, ROC curves, metrics, loss buckets and
      target accuracy.
-`run_pipeline` is its one-config case, so a single run takes the same path.
+`run_pipeline` is its one-config case, so a single run takes the same path,
+and a `sweep` is one call on all of its configs.
 
 Stages run lazily: a loss-only run trains no shadow or reference models.
 Every stage draws its seed from the master seed by labeled hashing, so adding
@@ -27,17 +29,17 @@ slice and targets, its `TrainingConfig` with derived seed and DP, the layer
 sizes and the loss), so the pipeline takes a `trained` dict mapping those
 inputs to models. Every model, scoring nets included, is looked up there
 before it is trained; the caller decides how long the dict lives (one
-`evaluation.sweep` call shares one across all its runs).
+`sweep` call shares one across all its runs).
 
 The missing models train in stacked groups: one `nn.train_many` call per set
 of jobs with the same row count, layer sizes, loss and training config up to
-the seed, across all runs passed together. For one default run that is target
-and shadow together, then the reference models, then the two scoring nets.
-DP jobs train one per call, in float64; every other group trains in float32
-(see `nn`). Every model comes back widened to float64, the dtype that all
-later stages compute in. Pass one master seed's runs at a time: their
-models share seeds and recur, while a group that spans seeds is only larger,
-and 20 reference-shape models in one loop trained slower than 5 loops of 4.
+the seed, across the runs of one master seed. For one default run that is
+target and shadow together, then the reference models, then the two scoring
+nets. DP jobs train one per call, in float64; every other group trains in
+float32 (see `nn`). Every model comes back widened to float64, the dtype that
+all later stages compute in. A group never spans two master seeds: their
+models share no training inputs, and 20 reference-shape models in one loop
+trained slower than 5 loops of 4.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class RunResult:
     digest: str
     target_plan: SplitPlan
     attacker_plan: SplitPlan | None
-    target_model: nn.MLPClassifier
     shadow_model: nn.MLPClassifier | None
     reference_models: list
     target_table: ScoreTable
@@ -343,7 +344,6 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunRe
     return RunResult(
         config=config, digest=config.digest(),
         target_plan=plan, attacker_plan=run.attacker_plan,
-        target_model=target_model,
         shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
         reference_models=[trained[job[0]] for job in run.reference_jobs],
         target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
@@ -353,9 +353,10 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunRe
 
 
 def run_pipelines(configs, trained: dict | None = None) -> list[RunResult]:
-    """Execute the configured runs in memory, stage by stage (see the module
-    docstring); see write_artifacts for disk output. Each result equals that
-    of its config run alone.
+    """Execute the configured runs in memory, stage by stage and one master
+    seed at a time (see the module docstring); see write_artifacts for disk
+    output. Results come in config order, each equal to that of its config
+    run alone.
 
     `trained` maps training inputs to trained models; the runs read models
     from it and add the ones they train. Passing the same dict to several
@@ -363,22 +364,106 @@ def run_pipelines(configs, trained: dict | None = None) -> list[RunResult]:
     call a fresh dict.
     """
     trained = {} if trained is None else trained
-    shared: dict = {}
-    runs = [_plan(config, shared) for config in configs]
-    _train_missing([job for run in runs for job in run.jobs()], trained)
-    signals = _signals(runs, trained)
-    tables = [[_score_table(run, eval_set, key, signals) for eval_set, key in run.eval_sets]
-              for run in runs]
-    scoring_jobs = [_scoring_jobs(run, *run_tables[1]) if run.scoring else []
-                    for run, run_tables in zip(runs, tables)]
-    _train_missing([job for jobs in scoring_jobs for _, job, _, _ in jobs], trained)
-    return [_result(run, run_tables, jobs, trained)
-            for run, run_tables, jobs in zip(runs, tables, scoring_jobs)]
+    configs = list(configs)
+    by_seed: dict = {}
+    for i, config in enumerate(configs):
+        by_seed.setdefault(config.master_seed, []).append((i, config))
+    results = [None] * len(configs)
+    for batch in by_seed.values():
+        shared: dict = {}
+        runs = [_plan(config, shared) for _, config in batch]
+        _train_missing([job for run in runs for job in run.jobs()], trained)
+        signals = _signals(runs, trained)
+        tables = [[_score_table(run, eval_set, key, signals) for eval_set, key in run.eval_sets]
+                  for run in runs]
+        scoring_jobs = [_scoring_jobs(run, *run_tables[1]) if run.scoring else []
+                        for run, run_tables in zip(runs, tables)]
+        _train_missing([job for jobs in scoring_jobs for _, job, _, _ in jobs], trained)
+        for (i, _), run, run_tables, jobs in zip(batch, runs, tables, scoring_jobs):
+            results[i] = _result(run, run_tables, jobs, trained)
+    return results
 
 
 def run_pipeline(config: ExperimentConfig, trained: dict | None = None) -> RunResult:
     """run_pipelines on one config."""
     return run_pipelines([config], trained)[0]
+
+
+SWEEP_AXES = ("num_reference_models", "num_queries", "reference_sampling_mode")
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Per (axis value, seed) metrics for every attack, in long format."""
+
+    axis: str
+    rows: tuple[dict, ...]  # keys: axis, value, seed, metric, result
+
+    def write_csv(self, path, config_digest: str | None = None) -> None:
+        header = ("axis", "value", "seed", "metric", "result")
+        write_columns(path, header, [[row[key] for row in self.rows] for key in header],
+                      config_digest)
+
+    def metric_by_value(self, metric: str) -> dict:
+        """value -> mean of a metric over seeds."""
+        sums: dict = {}
+        counts: dict = {}
+        for row in self.rows:
+            if row["metric"] != metric:
+                continue
+            sums[row["value"]] = sums.get(row["value"], 0.0) + row["result"]
+            counts[row["value"]] = counts.get(row["value"], 0) + 1
+        return {v: sums[v] / counts[v] for v in sums}
+
+
+def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
+    """Every (value, seed, config) run of a sweep, value-major.
+
+    Every config is built, and so validated, before the first run trains:
+    a bad later value fails here, not after the earlier runs.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    values = list(values)
+    if not values:
+        raise ValueError("values must be nonempty")
+    seeds = [config.master_seed] if seeds is None else list(seeds)
+    for name, entries in (("value", values), ("seed", seeds)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:  # each (value, seed) row would repeat
+                raise ValueError(f"sweep {name} {entry!r} is repeated")
+    return [(value, seed, config.with_overrides(master_seed=seed, **{axis: value}))
+            for value in values for seed in seeds]
+
+
+def sweep(config, axis: str, values, seeds=None, trained: dict | None = None) -> SweepResult:
+    """Rerun the pipeline per axis value (and per seed), all other seeds fixed.
+
+    Because every stage seed is derived from the master seed by labeled
+    hashing, changing the number of reference models or queries never
+    perturbs the other stages, so differences along the axis reflect the axis
+    alone.
+
+    All runs go through one `run_pipelines` call, so each distinct model,
+    scoring nets included, trains once, and each eval set's queries are built
+    once and each distinct model is scored on them once. The runs share one
+    `trained` dict, which lives for the call, or as long as the caller keeps
+    the one it passes. Every row equals that of a direct run, and rows come
+    in `sweep_runs` order.
+    """
+    runs = sweep_runs(config, axis, values, seeds)
+    results = run_pipelines([cfg for _, _, cfg in runs], trained)
+    rows = []
+    for (value, seed, cfg), result in zip(runs, results):
+        for attack in cfg.attacks:
+            report = result.metrics[attack]
+            entries = [("auc", report.auc), ("balanced_accuracy", report.balanced_accuracy)]
+            entries += [(f"tpr_at_fpr_{repr(level)}", entry.tpr)
+                        for level, entry in sorted(report.tpr_at_fpr.items())]
+            for metric, res in entries:
+                rows.append({"axis": axis, "value": value, "seed": seed,
+                             "metric": f"{attack}.{metric}", "result": float(res)})
+    return SweepResult(axis, tuple(rows))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -402,13 +487,10 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     _write_json(record("config.json"),
                 {"config_digest": digest, "config": result.config.canonical_dict()})
 
-    with open(record("split.json"), "w", encoding="utf-8") as fh:
-        fh.write(result.target_plan.to_json(digest))
-        fh.write("\n")
+    _write_json(record("split.json"), {**result.target_plan.to_dict(), "config_digest": digest})
     if result.attacker_plan is not None:
-        with open(record("attacker_split.json"), "w", encoding="utf-8") as fh:
-            fh.write(result.attacker_plan.to_json(digest))
-            fh.write("\n")
+        _write_json(record("attacker_split.json"),
+                    {**result.attacker_plan.to_dict(), "config_digest": digest})
 
     result.target_table.to_csv(record("target_scores.csv"), digest)
     if result.shadow_table is not None:

@@ -36,10 +36,7 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
     for the other kinds.
     """
     kind = SignalKind(kind)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = nn._targets(y, "ce", model.output_dim)
-    if len(y) != x.shape[0]:
-        raise ValueError(f"{len(y)} labels for {x.shape[0]} samples")
+    x, y = nn._labelled_batch(model, x, y)
     if kind is SignalKind.LOSS:
         return -nn.per_sample_loss(model, x, y)
     if kind is SignalKind.CONFIDENCE:
@@ -66,7 +63,10 @@ def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,
     """
     if num_queries < 1:
         raise ValueError("num_queries must be at least 1")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or len(ids) != x.shape[0]:
+        raise ValueError(f"need one id per row of a (n, d) batch, got {len(ids)} ids "
+                         f"for shape {x.shape}")
     out = [x]
     if noise_std == 0.0:
         return out

@@ -13,7 +13,8 @@ from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
 from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
-from mia_audit.evaluation import SWEEP_AXES, RocCurve, sweep
+from mia_audit.evaluation import RocCurve
+from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.signals import SignalKind
 
@@ -386,6 +387,23 @@ class TestPipeline:
         # per seed: target + shadow, the 2 references, the 4 scoring nets
         assert sorted(len(call) for call in calls) == [2, 2, 2, 2, 4, 4]
         self.assert_equal_to_training_alone(monkeypatch, calls)
+
+    def test_run_pipelines_keeps_each_master_seed_apart(self, monkeypatch):
+        from mia_audit import run_pipelines
+        from mia_audit.seeding import derive_seed
+        calls = self.record_train_many(monkeypatch)
+        configs = [fast_config(master_seed=6), fast_config(master_seed=5),
+                   fast_config(master_seed=6, num_queries=1)]
+        results = run_pipelines(configs)
+        labels = [("target",), ("shadow",), ("ref", 0), ("ref", 1),
+                  ("scoring", "rapid"), ("scoring", "shortcut_lira")]
+        seeds_of = [{derive_seed(master, *label) for label in labels} for master in (5, 6)]
+        for call in calls:
+            assert any({job[2].seed for job in call} <= seeds for seeds in seeds_of)
+        monkeypatch.undo()
+        assert [r.config for r in results] == configs
+        for config, result in zip(configs, results):
+            assert result.metrics == run_pipeline(config).metrics
 
     def test_nested_query_prefix_property(self):
         # with per-(sample, query) rng streams, a 1-query run equals the

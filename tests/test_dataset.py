@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ class TestMakeSplit:
     def test_json_round_trip(self):
         ds = generate_synthetic(two_class_spec(), 60)
         plan = make_split(ds, 5)
-        assert SplitPlan.from_json(plan.to_json()) == plan
+        assert SplitPlan.from_json(json.dumps(plan.to_dict())) == plan
 
     def test_disjointness_validated(self):
         with pytest.raises(ValueError, match="disjoint"):

@@ -5,7 +5,8 @@ import pytest
 
 from mia_audit import compute_metrics, loss_bucket_report, roc
 from mia_audit.attacks import read_attack_scores_csv
-from mia_audit.evaluation import SWEEP_AXES, RocCurve, read_bucket_csv, sweep
+from mia_audit.evaluation import RocCurve, read_bucket_csv
+from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
 

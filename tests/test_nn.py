@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
-                          per_sample_loss, schedule_lr, train_many)
+                          grad_sq_norms, per_sample_loss, schedule_lr, train_many)
+from mia_audit.signals import SignalKind, signal_batch
 
 from oracles import reference_train, sgd_step
 
@@ -189,6 +191,16 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("call", [
+        lambda model, x: backward(model, x, [0]),
+        lambda model, x: grad_sq_norms(model, x, [0]),
+        lambda model, x: signal_batch(model, x, [0], SignalKind.GRADNORM),
+    ], ids=["backward", "grad_sq_norms", "signal_batch"])
+    def test_one_dimensional_input_refused(self, call):
+        # a 1-D vector is no batch, as in forward
+        with pytest.raises(ValueError, match=re.escape("input of shape (2,) does not match input dim 2")):
+            call(init_classifier([2, 2], 0), np.zeros(2))
+
     def test_converged_model_has_tiny_gradient(self):
         ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.3, 1), 64)
         model = train(ds.features, ds.labels,
@@ -337,6 +349,19 @@ class TestTrain:
         ds = self.separable()
         model = train(ds.features, ds.labels, TrainingConfig(epochs=20, seed=1), (2, 16, 2))
         assert accuracy(model, ds.features, ds.labels) >= 0.99
+
+    @pytest.mark.parametrize("label", [2.0, 0.5, -1.0, 2])
+    def test_bce_labels_must_be_zero_or_one(self, label):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        cfg = TrainingConfig(epochs=3, seed=1)
+        with pytest.raises(ValueError, match="bce labels must be 0 or 1"):
+            train(x, [label] * 20, cfg, (2, 4, 1), "bce")
+        model = init_classifier((2, 4, 1), 0)
+        with pytest.raises(ValueError, match="bce labels must be 0 or 1"):
+            backward(model, x, [label] * 20, "bce")
+        for valid in ([0, 1] * 10, [0.0, 1.0] * 10, [False, True] * 10):
+            train(x, valid, cfg, (2, 4, 1), "bce")
+            backward(model, x, valid, "bce")
 
     def test_zero_epochs_returns_initial_model(self):
         ds = self.separable(50)

@@ -189,6 +189,14 @@ class TestQueryNoise:
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("std", [0.5, 0.0])
+    def test_one_id_per_row_of_a_batch(self, std):
+        # one id for 5 rows would give every row the same noise
+        with pytest.raises(ValueError, match="one id per row"):
+            perturbed_queries(np.zeros((5, 3)), [7], 3, std, 1)
+        with pytest.raises(ValueError, match="one id per row"):
+            perturbed_queries(np.zeros(3), [7], 3, std, 1)
+
 
 class TestScoreTable:
     def overfit_setup(self):
