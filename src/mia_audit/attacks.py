@@ -48,17 +48,27 @@ def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
     return [r[0] for r in rows], np.array([r[1] for r in rows], dtype=np.float64)
 
 
+def _raw_and_matrix(raw, matrix, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """raw scores as an (n,) and `name` scores as an (n, R) float64 array,
+    R >= 1; a ValueError names any shape that does not fit."""
+    raw = np.asarray(raw, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if raw.ndim != 1 or matrix.ndim != 2:
+        raise ValueError(f"need 1-D raw scores and a 2-D {name} score matrix, got shapes "
+                         f"{raw.shape} and {matrix.shape}")
+    if matrix.shape[1] == 0:
+        raise ValueError(f"need at least one {name} score per sample")
+    if matrix.shape[0] != raw.shape[0]:
+        raise ValueError(f"{matrix.shape[0]} {name} score rows for {raw.shape[0]} samples")
+    return raw, matrix
+
+
 def calibrate(raw: np.ndarray, ref_scores: np.ndarray) -> np.ndarray:
     """Calibrated score: raw minus the per-sample mean over reference models.
 
     ref_scores has one column per reference model.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    ref = np.atleast_2d(np.asarray(ref_scores, dtype=np.float64))
-    if ref.shape[1] == 0:
-        raise ValueError("need at least one reference model column")
-    if ref.shape[0] != raw.shape[0]:
-        raise ValueError(f"{ref.shape[0]} reference rows for {raw.shape[0]} samples")
+    raw, ref = _raw_and_matrix(raw, ref_scores, "reference")
     return raw - ref.mean(axis=1)
 
 
@@ -83,12 +93,7 @@ def lira_offline_scores(raw: np.ndarray, out_scores: np.ndarray) -> np.ndarray:
     unbiased (ddof=1) variance, floored at VARIANCE_FLOOR so a degenerate
     population (all scores identical, or a single OUT model) stays usable.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    out = np.atleast_2d(np.asarray(out_scores, dtype=np.float64))
-    if out.shape[1] == 0:
-        raise ValueError("need at least one OUT-model score per sample")
-    if out.shape[0] != raw.shape[0]:
-        raise ValueError(f"{out.shape[0]} OUT rows for {raw.shape[0]} samples")
+    raw, out = _raw_and_matrix(raw, out_scores, "OUT")
     mu = out.mean(axis=1)
     sigma2 = out.var(axis=1, ddof=1) if out.shape[1] > 1 else np.zeros(len(raw))
     sigma = np.sqrt(np.maximum(sigma2, VARIANCE_FLOOR))
@@ -116,14 +121,16 @@ class ScoringModel:
             raise ValueError("standardization statistics do not match the input dimension")
 
     def score(self, features: np.ndarray) -> np.ndarray:
-        """sigmoid(MLP(standardized features)), each value strictly inside (0, 1).
+        """sigmoid(MLP(standardized features)), each value strictly inside (0, 1),
+        for an (n, input_dim) feature matrix; it is checked before
+        standardizing, whose broadcasting would hide a wrong shape.
 
         Saturated sigmoids are clipped to the nearest representable interior
         doubles so the open-interval contract holds for any finite input.
         """
-        f = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if f.shape[1] != self.mlp.input_dim:
-            raise ValueError(f"expected {self.mlp.input_dim} features, got {f.shape[1]}")
+        f = np.asarray(features, dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] != self.mlp.input_dim:
+            raise ValueError(f"expected (n, {self.mlp.input_dim}) features, got shape {f.shape}")
         z = (f - self.feature_mean) / self.feature_std
         raw = nn.sigmoid(nn.forward(self.mlp, z)[:, 0])
         return np.clip(raw, np.finfo(float).tiny, np.nextafter(1.0, 0.0))

@@ -9,8 +9,9 @@ ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 
 `train_many` is the one training loop: it trains K models of one shape on raw
 parameter arrays stacked along a leading model axis, updated in place; `train`
-is its one-model case. `backward` and `grad_sq_norms` are validated wrappers
-over the same kernels for a single model.
+is its one-model case. `backward` is the validated wrapper over the same
+kernels for a single model; `signals.signal_batch` reads each sample's
+gradient norm off `_sq_norms` on a batch it checked once.
 
 Training runs in float32 unless the config sets DP, which trains in float64.
 A step is bound by its `tanh` and small matmul kernels, which float32 makes
@@ -293,14 +294,6 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
     grads = [np.empty_like(p) for p in model.parameters()]
     mean_loss = _gradients(model.weights, model.biases, batch, y, loss, clip_norm, grads)
     return grads, float(mean_loss)
-
-
-def grad_sq_norms(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of each sample's full cross-entropy gradient."""
-    batch, y = _labelled_batch(model, x, y)
-    acts = _forward_cached(model.weights, model.biases, batch)
-    delta, _ = _output_delta(acts[-1], y, "ce")
-    return _sq_norms(model.weights, acts, delta)
 
 
 def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:

@@ -8,9 +8,10 @@ before the next:
   1. every run's datasets, splits and training jobs (target, references,
      shadow), then one `_train_missing` over their union;
   2. per distinct eval set, its query matrices, built once for the most
-     queries any run asks of it and dropped before the next set's, and the
-     query-averaged signal of each distinct model on them, scored once per
-     query index; each run then reads its score tables off those signals;
+     queries any run asks of it and dropped before the next set's; each
+     distinct model is scored on them once per query index, in query order,
+     and one running sum per model gives the mean over every count the runs
+     ask for; each run then reads its score tables off those means;
   3. the scoring nets of every run, as training jobs like those of stage 1;
   4. per run, the attack scores, ROC curves, metrics, loss buckets and
      target accuracy.
@@ -59,7 +60,7 @@ from .dataset import (DistributionSpec, SplitPlan, TabularDataset, generate_synt
                       load_csv, make_split, random_means, sample_reference_subset,
                       write_columns)
 from .seeding import derive_seed
-from .signals import ScoreTable, averaged_signal_batch, perturbed_queries
+from .signals import ScoreTable, perturbed_queries, signal_batch
 
 
 def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
@@ -250,6 +251,8 @@ def _signals(runs: list[_Run], trained: dict) -> dict:
     of it, and dropped before the next set's. Each distinct model is scored
     once per query index, and each count's mean comes off one running sum in
     query order, so it equals the mean over that run's own queries bit for bit.
+    With one query or zero noise there is one matrix, so every count reads
+    the signal on it.
     """
     wanted: dict = {}  # (eval set key, query seed, noise std) -> (eval set, {signal key: counts})
     for run in runs:
@@ -264,11 +267,12 @@ def _signals(runs: list[_Run], trained: dict) -> dict:
         queries = perturbed_queries(eval_set.x, eval_set.ids, most, std, seed)
         for signal_key, wanted_counts in counts.items():
             *_, model_key, kind, logit_scale = signal_key
-            # with one query or zero noise there is one matrix, whatever the count
-            read = {q: min(q, len(queries)) for q in wanted_counts}
-            means = averaged_signal_batch(trained[model_key], queries, eval_set.y, kind,
-                                          logit_scale, read.values())
-            signals.update(((signal_key, q), means[r]) for q, r in read.items())
+            for step, xq in enumerate(queries[:max(wanted_counts)], start=1):
+                signal = signal_batch(trained[model_key], xq, eval_set.y, kind, logit_scale)
+                total = signal if step == 1 else total + signal
+                for q in wanted_counts:
+                    if min(q, len(queries)) == step:
+                        signals[(signal_key, q)] = total / step
         del queries
     return signals
 
@@ -425,10 +429,10 @@ def sweep_runs(config, axis: str, values, seeds=None) -> list[tuple]:
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
-    if not values:
-        raise ValueError("values must be nonempty")
     seeds = [config.master_seed] if seeds is None else list(seeds)
     for name, entries in (("value", values), ("seed", seeds)):
+        if not entries:
+            raise ValueError(f"{name}s must be nonempty")
         for i, entry in enumerate(entries):
             if entry in entries[:i]:  # each (value, seed) row would repeat
                 raise ValueError(f"sweep {name} {entry!r} is repeated")

@@ -1,11 +1,13 @@
-"""Membership signals, multi-query averaging, and score tables.
+"""Membership signals, the query matrices they are averaged over, and score
+tables.
 
 Every signal is oriented so that a higher value means "more member-like":
 loss is negated, confidence is the true-label probability, and the gradient
-norm is negated. Multi-query averaging evaluates the signal on the sample
-plus seeded Gaussian-jittered copies (the tabular analogue of image
-augmentations) and averages, which damps the dependence of the score on the
-particular model parameters.
+norm is negated. A run's raw score is the mean of the signal over the sample
+and seeded Gaussian-jittered copies of it (the tabular analogue of image
+augmentations), which damps the dependence of the score on the particular
+model parameters; `perturbed_queries` builds those matrices and stage 2 of
+`pipeline` keeps the running means over them.
 """
 
 from __future__ import annotations
@@ -33,20 +35,23 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
     """Raw membership scores for a (n, d) batch, higher = more member-like.
 
     logit_scale applies log(p / (1 - p)) to confidence scores; it is ignored
-    for the other kinds.
+    for the other kinds. The batch is checked once and every kind reads one
+    forward pass over it.
     """
     kind = SignalKind(kind)
     x, y = nn._labelled_batch(model, x, y)
+    acts = nn._forward_cached(model.weights, model.biases, x)
+    rows = np.arange(len(y))
     if kind is SignalKind.LOSS:
-        return -nn.per_sample_loss(model, x, y)
+        return nn._log_softmax(acts[-1])[rows, y]
     if kind is SignalKind.CONFIDENCE:
-        probs = nn.softmax(nn.forward(model, x))
-        p = probs[np.arange(len(y)), y]
+        p = nn.softmax(acts[-1])[rows, y]
         if logit_scale:
             p = np.clip(p, 1e-300, 1.0 - 1e-16)
             return np.log(p) - np.log1p(-p)
         return p
-    return -np.sqrt(nn.grad_sq_norms(model, x, y))
+    delta, _ = nn._output_delta(acts[-1], y, "ce")
+    return -np.sqrt(nn._sq_norms(model.weights, acts, delta))
 
 
 def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,
@@ -74,27 +79,6 @@ def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,
         seeds = [derive_seed(seed, "augment", sample_id, j) for sample_id in ids]
         out.append(x + normal_rows(seeds, noise_std, x.shape[1]))
     return out
-
-
-def averaged_signal_batch(model: nn.MLPClassifier, queries: list[np.ndarray], y: np.ndarray,
-                          kind: SignalKind, logit_scale: bool, counts) -> dict:
-    """{q: mean of the per-query signal over queries[:q]} for each q in counts
-    (see perturbed_queries for the matrices).
-
-    One running sum in query order serves every q, so each mean equals the
-    one over queries[:q] alone bit for bit, and only the matrices up to the
-    largest q are scored. q = 1 gives signal_batch on queries[0] unchanged.
-    """
-    counts = set(counts)
-    if not counts or min(counts) < 1 or max(counts) > len(queries):
-        raise ValueError(f"query counts must lie in [1, {len(queries)}], got {sorted(counts)}")
-    means = {}
-    for q, xq in enumerate(queries[:max(counts)], start=1):
-        signal = signal_batch(model, xq, y, kind, logit_scale)
-        total = signal if q == 1 else total + signal
-        if q in counts:
-            means[q] = total / q
-    return means
 
 
 @dataclass

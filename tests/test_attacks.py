@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mia_audit import TrainingConfig, calibrate, roc
+from mia_audit import ScoringModel, TrainingConfig, calibrate, init_classifier, roc
 from mia_audit.attacks import THRESHOLD_SCORES, VARIANCE_FLOOR, lira_offline_scores, normal_cdf
 from mia_audit.config import ExperimentConfig
 
@@ -182,6 +184,26 @@ class TestLiraOffline:
     def test_empty_out_scores_rejected(self):
         with pytest.raises(ValueError):
             lira_offline_scores(np.array([1.0]), np.zeros((1, 0)))
+
+
+class TestInputShapes:
+    # raw is one score per sample and the reference scores one row per
+    # sample: a column of raw scores or a flat reference list is refused, not
+    # broadcast or read as one sample
+    @pytest.mark.parametrize("attack", [calibrate, lira_offline_scores])
+    @pytest.mark.parametrize("raw, refs, shapes", [
+        (np.zeros((3, 1)), np.ones((3, 2)), "(3, 1) and (3, 2)"),
+        (np.zeros(1), np.ones(4), "(1,) and (4,)"),
+    ])
+    def test_raw_must_be_1d_and_references_2d(self, attack, raw, refs, shapes):
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+            attack(raw, refs)
+
+    def test_scoring_features_must_be_2d(self):
+        model = ScoringModel(init_classifier([2, 4, 1], 0), [0.0, 0.0], [1.0, 1.0])
+        assert model.score(np.zeros((1, 2))).shape == (1,)
+        with pytest.raises(ValueError, match=re.escape("got shape (2,)")):
+            model.score(np.zeros(2))
 
 
 def test_normal_cdf_pinned_to_ndtr():

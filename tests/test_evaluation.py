@@ -336,6 +336,12 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match="nonempty"):
             sweep(ExperimentConfig(), SWEEP_AXES[0], [])
 
+    def test_empty_seeds_rejected(self):
+        # an empty seed list would sweep no run at all
+        from mia_audit.config import ExperimentConfig
+        with pytest.raises(ValueError, match="seeds must be nonempty"):
+            sweep(ExperimentConfig(attacks=("loss",)), "num_queries", [1], seeds=[])
+
     @pytest.mark.parametrize("values, seeds, message", [
         ([2, 1, 2], None, "sweep value 2 is repeated"),
         ([2], [1, 1], "sweep seed 1 is repeated"),

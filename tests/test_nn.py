@@ -8,7 +8,7 @@ import pytest
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
-                          grad_sq_norms, per_sample_loss, schedule_lr, train_many)
+                          per_sample_loss, schedule_lr, train_many)
 from mia_audit.signals import SignalKind, signal_batch
 
 from oracles import reference_train, sgd_step
@@ -193,9 +193,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("call", [
         lambda model, x: backward(model, x, [0]),
-        lambda model, x: grad_sq_norms(model, x, [0]),
         lambda model, x: signal_batch(model, x, [0], SignalKind.GRADNORM),
-    ], ids=["backward", "grad_sq_norms", "signal_batch"])
+    ], ids=["backward", "signal_batch"])
     def test_one_dimensional_input_refused(self, call):
         # a 1-D vector is no batch, as in forward
         with pytest.raises(ValueError, match=re.escape("input of shape (2,) does not match input dim 2")):

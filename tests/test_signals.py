@@ -1,12 +1,16 @@
+import functools
+import operator
 import re
 
 import numpy as np
 import pytest
 
-from mia_audit import (DistributionSpec, ScoreTable, SignalKind,
-                       TrainingConfig, generate_synthetic, init_classifier, train)
+from mia_audit import (DistributionSpec, ScoreTable, SignalKind, TrainingConfig, calibrate,
+                       generate_synthetic, init_classifier, run_pipeline, run_pipelines, train)
+from mia_audit.pipeline import resolve_dataset
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
-from mia_audit.signals import averaged_signal_batch, perturbed_queries, signal_batch
+from mia_audit.signals import perturbed_queries, signal_batch
+from test_config_cli import fast_config
 from test_nn import per_example_gradients, per_example_norms
 
 LN2 = 0.6931471805599453
@@ -22,11 +26,13 @@ ONE_QUERY = (1, 0.0, 0)
 
 
 def averaged(model, x, y, kind, q, ids=None):
-    """Query-averaged scores of a batch, as the pipeline computes them; q is
-    (num_queries, noise std, seed)."""
+    """Query-averaged scores of a batch: the mean of signal_batch over the
+    perturbed queries, summed in query order; q is (num_queries, noise std,
+    seed). The oracle of the pipeline's query-averaged signal."""
     ids = list(range(len(x))) if ids is None else ids
     queries = perturbed_queries(x, ids, *q)
-    return averaged_signal_batch(model, queries, y, kind, False, [len(queries)])[len(queries)]
+    signals = [signal_batch(model, xq, y, kind) for xq in queries]
+    return functools.reduce(operator.add, signals) / len(queries)
 
 
 class TestSignal:
@@ -126,21 +132,33 @@ class TestAveragedSignal:
         assert a == b
         assert a != c
 
-    def test_prefix_means_equal_means_over_the_prefix(self):
-        # one pass serves several query counts, each bit for bit the mean over
-        # its own prefix of the queries
-        x = np.random.default_rng(4).normal(size=(5, 2))
-        y = [0, 1, 1, 0, 1]
-        queries = perturbed_queries(x, range(5), 8, 0.3, 2)
-        means = averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, False, [1, 3, 8])
-        assert sorted(means) == [1, 3, 8]
-        for q, mean in means.items():
-            alone = averaged_signal_batch(self.model, queries[:q], y, SignalKind.LOSS, False, [q])[q]
-            assert mean.tobytes() == alone.tobytes()
-        assert means[1].tobytes() == signal_batch(self.model, x, y, SignalKind.LOSS).tobytes()
-        for bad in ([0], [9], []):
-            with pytest.raises(ValueError, match="query counts"):
-                averaged_signal_batch(self.model, queries, y, SignalKind.LOSS, False, bad)
+    def test_pipeline_means_equal_means_over_each_runs_own_queries(self):
+        # one running sum per model serves the runs of 1, 3 and 8 queries,
+        # each bit for bit the mean over its own first q queries
+        configs = [fast_config(attacks=("calibration",), num_queries=q) for q in (1, 3, 8)]
+        trained = {}
+        results = run_pipelines(configs, trained)
+        target_seed = derive_seed(configs[0].master_seed, "target")
+        target = next(model for key, model in trained.items() if key[2].seed == target_seed)
+        for cfg, result in zip(configs, results):
+            table = result.target_table
+            x, y = resolve_dataset(cfg.data, cfg.master_seed, "data").subset(table.ids)
+            q = (cfg.num_queries, cfg.augmentation_noise_std,
+                 derive_seed(cfg.master_seed, "queries"))
+            raw = averaged(target, x, y, cfg.signal_kind, q, ids=table.ids)
+            refs = np.column_stack([averaged(ref, x, y, cfg.signal_kind, q, ids=table.ids)
+                                    for ref in result.reference_models])
+            assert table.raw.tobytes() == raw.tobytes()
+            assert table.calibrated.tobytes() == calibrate(raw, refs).tobytes()
+
+    def test_zero_noise_gives_every_query_count_the_one_matrix(self):
+        # with zero noise there is one query matrix, so 8 queries score as 1
+        one, eight = (fast_config(augmentation_noise_std=0.0, num_queries=q) for q in (1, 8))
+        base = run_pipeline(one).scores
+        for result in [*run_pipelines([eight, one]), run_pipeline(eight)]:
+            assert result.scores.keys() == base.keys()
+            for name, scores in result.scores.items():
+                assert scores.tobytes() == base[name].tobytes(), name
 
     def test_averaging_does_not_increase_variance(self):
         # variance of the 8-query mean is at most that of one perturbed query

@@ -14,10 +14,11 @@
 #     calibration, and num_queries 1,4,8 with rapid (seeds 4243 and 4244, so
 #     each sweep shares models, queries and stacked loops across its values
 #     and keeps them apart across its seeds),
-#   - four `run`s on 1200 samples that cover the other signal and query
+#   - five `run`s on 1200 samples that cover the other signal and query
 #     paths: the gradnorm signal, the confidence signal with logit scaling,
-#     one query per sample, and an [attacker_data] source with attacks
-#     shortcut_lira, rapid and loss (seed 31),
+#     one query per sample, zero query noise with the default 8 queries (one
+#     query matrix serves every count), and an [attacker_data] source with
+#     attacks shortcut_lira, rapid and loss (seed 31),
 #   - three more `run`s on those 1200 samples, one per way the pipeline groups
 #     its models for stacked training: reference models on random subsets
 #     ([reference] sampling = random), a [train.shadow] that differs from
@@ -87,6 +88,9 @@ logit_scaling = true"
 ini one_query "$small
 [signal]
 num_queries = 1"
+ini zero_noise "$small
+[signal]
+augmentation_noise_std = 0.0"
 ini attacker "$small
 [attacker_data]
 n_samples = 1200
@@ -127,7 +131,7 @@ run_side() {  # <src dir> <output dir>
     mia sweep "$work/small.ini" --axis reference_sampling_mode --values fixed,random \
         --seeds 31,32 -o "$out/sweep_sampling"
     local name
-    for name in gradnorm logit one_query attacker random_refs shadow_epochs dp_target; do
+    for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target; do
         mia run "$work/$name.ini" -o "$out/$name"
     done
     mia gen-data "$work/small.ini" -o "$work/data.csv"
