@@ -13,15 +13,13 @@ is its one-model case. `backward` is the validated wrapper over the same
 kernels for a single model; `signals.signal_batch` reads each sample's
 gradient norm off `_sq_norms` on a batch it checked once.
 
-Training runs in float32 unless the config sets DP, which trains in float64.
-A step is bound by its `tanh` and small matmul kernels, which float32 makes
-about twice as fast. A DP-SGD step gains nothing from it: DP-SGD drives its
-models to logit gaps of about 220, so some softmax probabilities, and the
-errors built from them, fall below float32's normal range, and the kernels
-slow down several times on those subnormal values. Every returned model
-widens exactly to float64, and all else (`forward`, `backward`, signals,
-attacks) computes in float64. The kernels keep their inputs' dtype, so both
-dtypes share them.
+Training runs in float32: a step is bound by its `tanh` and small matmul
+kernels, which float32 makes about twice as fast. DP-SGD drives its models to
+logit gaps of about 220, where softmax probabilities, and the errors built
+from them, fall below float32's normal range and slow the kernels several
+times over, so `_gradients` zeroes those output errors first. Each returned
+model widens exactly to float64; all else (`forward`, `backward`, signals,
+attacks) computes in float64, and the kernels keep their inputs' dtype.
 """
 
 from __future__ import annotations
@@ -265,6 +263,8 @@ def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_no
     into its flat gradient vector."""
     acts = _forward_cached(weights, biases, x)
     delta, mean_loss = _output_delta(acts[-1], y, loss)
+    # zero each error whose square would be subnormal (below about 1.1e-19 in float32)
+    delta[np.abs(delta) < math.sqrt(np.finfo(delta.dtype).tiny)] = 0.0
     if clip_norm is not None:
         norms = np.sqrt(_sq_norms(weights, acts, delta))
         delta = delta * (clip_norm / np.maximum(norms, clip_norm))[..., None]
@@ -321,10 +321,9 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     once, at the end. Parameters are checked for finiteness after every
     epoch, so a diverged run stops early.
 
-    The loop runs in float32, or in float64 when the configs set DP (see the
-    module docstring): data, targets, parameters, gradients, velocity and
-    losses all take that dtype, starting from the float64 initialization
-    rounded to it. The models returned hold it widened to float64.
+    The loop runs in float32 (see the module docstring): data, targets,
+    parameters, gradients, velocity and losses, from the float64 initialization
+    rounded to float32; the models returned widen it to float64.
 
     Returns the K models, or K (model, per-epoch mean loss list) pairs with
     return_loss_history.
@@ -335,11 +334,10 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     config = configs[0]
     if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("stacked jobs must share every TrainingConfig field except seed")
-    dtype = np.float64 if config.dp is not None else np.float32
     inits = [init_classifier(layer_sizes, derive_seed(c.seed, "model-init")) for c in configs]
     sizes = inits[0].layer_sizes
-    xs = [np.asarray(v, dtype=dtype) for v in xs]
-    ys = [_targets(t, loss, sizes[-1], dtype) for t in ys]
+    xs = [np.asarray(v, dtype=np.float32) for v in xs]
+    ys = [_targets(t, loss, sizes[-1], np.float32) for t in ys]
     if any(v.ndim != 2 or v.shape[0] == 0 for v in xs):
         raise ValueError("training slice must be a nonempty (n, d) matrix")
     n = xs[0].shape[0]
@@ -365,7 +363,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
         return out
 
     flat = np.concatenate([p.reshape(-1) for group in zip(*(m.parameters() for m in inits))
-                           for p in group], dtype=dtype)
+                           for p in group], dtype=np.float32)
     params = views(flat)
     weights, biases = params[0::2], params[1::2]
     flat_grad, velocity = np.empty_like(flat), np.zeros_like(flat)
@@ -377,6 +375,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     # noise_multiplier * clip_norm / (rows in the batch); none with sigma 0
     noise_scale = config.dp.noise_multiplier * clip_norm if clip_norm is not None else 0.0
     noise_rngs = [derive_rng(c.seed, "dp-noise") for c in configs] if noise_scale > 0 else []
+    splits = np.cumsum([math.prod(g.shape[1:]) for g in grads])  # each parameter's end in a model
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     rows = np.arange(jobs)[:, None]
     history = []
@@ -388,9 +387,10 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
             batch = perm[:, start : start + config.batch_size]
             bx, by = x[rows, batch], y[rows, batch]
             batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
-            for k, rng in enumerate(noise_rngs):  # parameter by parameter, in parameters() order
-                for g in grads:
-                    g[k] += rng.normal(0.0, noise_scale / bx.shape[1], g.shape[1:])
+            for k, rng in enumerate(noise_rngs):  # one draw per model, split in parameters() order
+                noise = np.split(rng.normal(0.0, noise_scale / bx.shape[1], splits[-1]), splits[:-1])
+                for g, part in zip(grads, noise):
+                    g[k] += part.reshape(g.shape[1:])
             # v <- momentum * v + (g + weight_decay * p), then p <- p - lr * v
             flat_grad += config.weight_decay * flat
             velocity *= config.momentum

@@ -36,11 +36,11 @@ The missing models train in stacked groups: one `nn.train_many` call per set
 of jobs with the same row count, layer sizes, loss and training config up to
 the seed, across the runs of one master seed. For one default run that is
 target and shadow together, then the reference models, then the two scoring
-nets. DP jobs train one per call, in float64; every other group trains in
-float32 (see `nn`). Every model comes back widened to float64, the dtype that
-all later stages compute in. A group never spans two master seeds: their
-models share no training inputs, and 20 reference-shape models in one loop
-trained slower than 5 loops of 4.
+nets. DP jobs group by the same rule, so a DP target trains apart from a
+non-DP shadow. Every group trains in float32 (see `nn`), and every model
+comes back widened to float64, the dtype that all later stages compute in. A
+group never spans two master seeds: their models share no training inputs,
+and 20 reference-shape models in one loop trained slower than 5 loops of 4.
 """
 
 from __future__ import annotations
@@ -127,10 +127,7 @@ def _train_missing(jobs, trained: dict) -> None:
         if key in trained:
             continue
         shape, _, train_cfg, layer_sizes, loss = key
-        # DP jobs train one per call: stacking the 4 DP reference models of a
-        # default DP run made that run slower, not faster, in 3 of 4 paired runs
-        group = key if train_cfg.dp is not None else (
-            shape[0], layer_sizes, loss, dataclasses.replace(train_cfg, seed=0))
+        group = (shape[0], layer_sizes, loss, dataclasses.replace(train_cfg, seed=0))
         groups.setdefault(group, {})[key] = (x, y)
     for members in groups.values():
         keys = list(members)

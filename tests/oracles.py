@@ -6,9 +6,9 @@ None of these is part of an audit run, so they live beside the tests:
     criterion 2);
   - `run_security_game` and `GameRound`: the coin-flip membership game that a
     null attack must not win (acceptance criterion 3);
-  - `sgd_step`: one momentum-SGD update of a single model, the step of the
-    spelled-out training loop `reference_train`, which `nn.train_many` must
-    match bit for bit;
+  - `sgd_step`: one momentum-SGD update of a single model, the update that
+    the spelled-out float32 training loop `reference_train` applies in place;
+    `nn.train_many` must match that loop bit for bit;
   - `train_scoring_models`: scoring nets fitted straight from shadow feature
     matrices, the composition the pipeline spreads over its stages.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mia_audit.attacks import VARIANCE_FLOOR, ScoringModel, scoring_features
-from mia_audit.nn import (TrainingConfig, _gradients, _targets, backward, init_classifier,
-                          schedule_lr, train_many)
+from mia_audit.nn import (TrainingConfig, _gradients, _targets, init_classifier, schedule_lr,
+                          train_many)
 from mia_audit.seeding import derive_rng, derive_seed
 
 
@@ -118,51 +118,46 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
 
 
 def reference_train(x, y, config, layer_sizes, loss="ce"):
-    """The training loop spelled out step by step, one model, in the training dtype.
+    """The training loop spelled out step by step, one model, in float32.
 
-    With DP it runs in float64 through backward, the DP-SGD noise draw and
-    sgd_step. Without DP it keeps float32 parameters, gradients and velocity:
-    gradients come from backward's kernel `_gradients`, and sgd_step's update
-    is applied to the float32 arrays in place. The model returned is widened
-    to float64.
+    It keeps float32 parameters, gradients and velocity: gradients come from
+    backward's kernel `_gradients`, clipped when the config sets DP, then
+    each parameter's DP-SGD noise is added to its gradient in place, and
+    sgd_step's update is applied to the float32 arrays in place. The model
+    returned is widened to float64.
     """
     model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
     params = [p.astype(np.float32) for p in model.parameters()]
-    velocity32 = [np.zeros_like(p) for p in params]
+    velocity = [np.zeros_like(p) for p in params]
     x32 = np.asarray(x, dtype=np.float32)
     n = len(x)
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     shuffle_rng = derive_rng(config.seed, "batch-order")
     noise_rng = derive_rng(config.seed, "dp-noise")
     clip_norm = config.dp.clip_norm if config.dp is not None else None
-    velocity, history, step = None, [], 0
+    history, step = [], 0
     for _ in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            if config.dp is None:
-                grads = [np.empty_like(p) for p in params]
-                targets = _targets(y[idx], loss, layer_sizes[-1], np.float32)
-                batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, loss, None, grads)
-                lr = schedule_lr(config, step, total_steps)
-                for p, g, v in zip(params, grads, velocity32):
-                    v *= config.momentum
-                    v += g + config.weight_decay * p
-                    p -= lr * v
-            else:
-                grads, batch_loss = backward(model, x[idx], y[idx], loss, clip_norm)
-                if config.dp.noise_multiplier > 0:
-                    std = config.dp.noise_multiplier * config.dp.clip_norm / len(idx)
-                    grads = [g + noise_rng.normal(0.0, std, size=g.shape) for g in grads]
-                model, velocity = sgd_step(model, grads, config, velocity, step, total_steps)
-            # the product rounds in the training dtype, the sum runs in float64
+            grads = [np.empty_like(p) for p in params]
+            targets = _targets(y[idx], loss, layer_sizes[-1], np.float32)
+            batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, loss, clip_norm, grads)
+            if config.dp is not None and config.dp.noise_multiplier > 0:
+                std = config.dp.noise_multiplier * config.dp.clip_norm / len(idx)
+                for g in grads:
+                    g += noise_rng.normal(0.0, std, size=g.shape)
+            lr = schedule_lr(config, step, total_steps)
+            for p, g, v in zip(params, grads, velocity):
+                v *= config.momentum
+                v += g + config.weight_decay * p
+                p -= lr * v
+            # the product rounds in float32, the sum runs in float64
             epoch_loss += float(batch_loss * len(idx))
             step += 1
         history.append(epoch_loss / n)
-    if config.dp is None:
-        model = model.with_parameters([p.astype(np.float64) for p in params])
-    return model, history
+    return model.with_parameters([p.astype(np.float64) for p in params]), history
 
 
 def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:

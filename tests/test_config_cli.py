@@ -327,12 +327,13 @@ class TestPipeline:
         assert sorted(epochs_by_call) == [[3], [3, 3], [4]]  # target, 2 references, shadow
         self.assert_equal_to_training_alone(monkeypatch, calls)
 
-    def test_dp_jobs_train_alone(self, monkeypatch):
+    def test_dp_jobs_stack_like_other_jobs(self, monkeypatch):
         calls = self.record_train_many(monkeypatch)
         run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
                                  dp_apply_to=("target", "reference")))
         dp_calls = [call for call in calls if any(job[2].dp is not None for job in call)]
-        assert [len(call) for call in dp_calls] == [1, 1, 1]  # target, 2 references
+        # the target apart from its non-DP shadow, the 2 references together
+        assert [len(call) for call in dp_calls] == [1, 2]
         self.assert_equal_to_training_alone(monkeypatch, calls)
 
     def test_non_dp_models_train_in_float32(self, monkeypatch):
@@ -344,7 +345,7 @@ class TestPipeline:
             assert p.dtype == np.float64
             assert np.array_equal(p.astype(np.float32), p)
 
-    def test_dp_models_equal_float64_oracle(self, monkeypatch):
+    def test_dp_models_equal_oracle(self, monkeypatch):
         calls = self.record_train_many(monkeypatch)
         run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
                                  dp_apply_to=("target", "reference")))

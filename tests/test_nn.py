@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mia_audit import nn
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, accuracy, backward,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
@@ -487,6 +488,60 @@ class TestTrainingDtype:
         assert np.allclose(mean_loss, ref_loss, rtol=1e-5)
         for g, r in zip(out, ref):
             assert np.allclose(g, r, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_no_subnormal_errors_in_float32(self, monkeypatch, clip_norm):
+        # output biases of +-47.5: logit gaps of about 95, so every correctly
+        # labelled row has a softmax probability of about e^-95, a float32 subnormal
+        weights, biases, x, y = self.stacked((3, 4, 2), "ce", np.float32, n=64)
+        biases[-1][..., :] = [47.5, -47.5]
+        assert (y == 0).any() and (y == 1).any()
+        errors = []
+        real_layer_errors = nn._layer_errors
+
+        def recording(weights, acts, delta):
+            for l, d in real_layer_errors(weights, acts, delta):
+                errors.append(d.copy())
+                yield l, d
+
+        monkeypatch.setattr(nn, "_layer_errors", recording)
+        out = [np.empty(p.shape, np.float32) for pair in zip(weights, biases) for p in pair]
+        out[1::2] = [g[:, 0] for g in out[1::2]]
+        _gradients(weights, biases, x, y, "ce", clip_norm, out)
+        assert len(errors) == (4 if clip_norm else 2)
+        assert all((d != 0).any() for d in errors)  # the misclassified rows
+        tiny = np.finfo(np.float32).tiny
+        for d in errors:
+            assert d.dtype == np.float32
+            assert not ((d != 0) & (np.abs(d) < tiny)).any()
+        assert all(np.isfinite(g).all() for g in out)
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    @pytest.mark.parametrize("gap", [None, 95.0])
+    def test_cut_leaves_float64_backward_unchanged(self, monkeypatch, clip_norm, gap):
+        # the cut only zeroes output errors in place, so backward is byte-identical
+        # with and without it when it leaves the errors as _output_delta made them;
+        # errors of about e^-95 are normal in float64 and must be left too
+        rng = np.random.default_rng(11)
+        model = random_model(rng, (16, 32, 2))
+        if gap is not None:
+            model = model.with_parameters([*model.parameters()[:-1], np.array([gap, -gap]) / 2])
+        x, y = rng.normal(size=(64, 16)), rng.integers(0, 2, size=64)
+        made = []
+        real_output_delta = nn._output_delta
+
+        def recording(logits, y, loss):
+            delta, mean_loss = real_output_delta(logits, y, loss)
+            made.append((delta, delta.tobytes()))
+            return delta, mean_loss
+
+        monkeypatch.setattr(nn, "_output_delta", recording)
+        backward(model, x, y, clip_norm=clip_norm)
+        (delta, before), = made
+        assert delta.dtype == np.float64
+        if gap is not None:
+            assert ((delta != 0) & (np.abs(delta) < 1e-38)).any()
+        assert delta.tobytes() == before
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sq_norms_keep_dtype(self, dtype):

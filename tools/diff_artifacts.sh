@@ -23,7 +23,7 @@
 #     its models for stacked training: reference models on random subsets
 #     ([reference] sampling = random), a [train.shadow] that differs from
 #     [train.target] (so target and shadow train apart), and DP-SGD on the
-#     target alone (DP models train one per call),
+#     target alone (the DP target trains alone, its shadow in another loop),
 #   - a reference_sampling_mode fixed,random sweep of all five attacks on
 #     those 1200 samples (seeds 31 and 32),
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
