@@ -13,8 +13,8 @@ from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset
                       sample_reference_subset, write_csv)
 from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr, compute_metrics,
                          loss_bucket_report, roc)
-from .nn import (DPConfig, MLPClassifier, TrainingConfig, accuracy, backward, forward,
-                 init_classifier, per_sample_loss, softmax, train)
+from .nn import (DPConfig, MLPClassifier, TrainingConfig, backward, forward, init_classifier,
+                 per_sample_loss, softmax, train)
 from .pipeline import RunResult, run_pipeline, run_pipelines, sweep, write_artifacts
 from .seeding import derive_rng, derive_seed
 from .signals import ScoreTable, SignalKind

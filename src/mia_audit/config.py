@@ -101,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("[model] hidden_sizes: need positive hidden layer sizes")
+        if any(h < 1 for h in self.scoring_hidden_sizes):  # none gives a linear scorer
+            raise ConfigError("[scoring] hidden_sizes: need positive hidden layer sizes")
         if self.num_queries < 1:
             raise ConfigError("[signal] num_queries: must be at least 1")
         if self.augmentation_noise_std < 0:

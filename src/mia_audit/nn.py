@@ -423,12 +423,3 @@ def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
     """
     return train_many([x], [y], [config], layer_sizes, loss, return_loss_history)[0]
 
-
-def accuracy(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of samples whose argmax logit matches the label (ties -> lowest
-    index); labels must be integer classes in [0, output_dim), one per sample."""
-    batch, y = _labelled_batch(model, x, y)
-    if batch.shape[0] == 0:
-        raise ValueError("empty slice")
-    preds = np.argmax(_forward_cached(model.weights, model.biases, batch)[-1], axis=1)
-    return float(np.mean(preds == y))

@@ -11,10 +11,11 @@ before the next:
      queries any run asks of it and dropped before the next set's; each
      distinct model is scored on them once per query index, in query order,
      and one running sum per model gives the mean over every count the runs
-     ask for; each run then reads its score tables off those means;
+     ask for; each run then reads its score tables off those means; the
+     pass over the first, unperturbed matrix also keeps its log-probabilities;
   3. the scoring nets of every run, as training jobs like those of stage 1;
-  4. per run, the attack scores, ROC curves, metrics, loss buckets and
-     target accuracy.
+  4. per run, the attack scores, ROC curves, metrics, and the loss buckets
+     and target accuracy, read off the target's stage 2 log-probabilities.
 `run_pipeline` is its one-config case, so a single run takes the same path,
 and a `sweep` is one call on all of its configs.
 
@@ -158,10 +159,9 @@ def _eval_set(dataset: TabularDataset, train_idx, test_idx) -> _EvalSet:
 
 @dataclass
 class _Run:
-    """One config's datasets, splits, training jobs and eval sets (stage 1)."""
+    """One config's splits, training jobs and eval sets (stage 1)."""
 
     config: ExperimentConfig
-    target_ds: TabularDataset
     target_plan: SplitPlan
     attacker_plan: SplitPlan | None
     target_job: tuple
@@ -236,13 +236,14 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
         shadow_job = job(shadow_ds, shadow_plan.shadow_train, config, "shadow", ("shadow",))
         eval_sets.append((eval_set(shadow_ds, shadow_plan.shadow_train, shadow_plan.shadow_test),
                           shadow_job[0]))
-    return _Run(config, target_ds, target_plan, attacker_plan, target_job, reference_jobs,
+    return _Run(config, target_plan, attacker_plan, target_job, reference_jobs,
                 shadow_job, scoring, eval_sets)
 
 
-def _signals(runs: list[_Run], trained: dict) -> dict:
+def _signals(runs: list[_Run], trained: dict) -> tuple[dict, dict]:
     """Stage 2: {(signal key, query count): query-averaged signal} of every
-    model on every eval set that the runs read (see _Run.signal_key).
+    model on every eval set that the runs read (see _Run.signal_key), and
+    {signal key: log-probabilities on the first, unperturbed query matrix}.
 
     One eval set's queries are built once, for the most queries any run asks
     of it, and dropped before the next set's. Each distinct model is scored
@@ -258,20 +259,21 @@ def _signals(runs: list[_Run], trained: dict) -> dict:
                 signal_key = run.signal_key(eval_set, key)
                 _, counts = wanted.setdefault(signal_key[:3], (eval_set, {}))
                 counts.setdefault(signal_key, set()).add(run.config.num_queries)
-    signals = {}
+    signals, logps = {}, {}
     for (_, seed, std), (eval_set, counts) in wanted.items():
         most = max(max(c) for c in counts.values())
         queries = perturbed_queries(eval_set.x, eval_set.ids, most, std, seed)
         for signal_key, wanted_counts in counts.items():
             *_, model_key, kind, logit_scale = signal_key
             for step, xq in enumerate(queries[:max(wanted_counts)], start=1):
-                signal = signal_batch(trained[model_key], xq, eval_set.y, kind, logit_scale)
+                signal, logp = signal_batch(trained[model_key], xq, eval_set.y, kind, logit_scale)
+                logps.setdefault(signal_key, logp)
                 total = signal if step == 1 else total + signal
                 for q in wanted_counts:
                     if min(q, len(queries)) == step:
                         signals[(signal_key, q)] = total / step
         del queries
-    return signals
+    return signals, logps
 
 
 def _score_table(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> tuple:
@@ -310,14 +312,14 @@ def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> l
     return out
 
 
-def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunResult:
-    """Stage 4: a run's attack scores, ROC curves, metrics and loss buckets."""
+def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict, logp) -> RunResult:
+    """Stage 4: a run's attack scores, ROC curves, metrics, loss buckets and
+    target accuracy; the last two read `logp`, the target's on its eval set."""
     config = run.config
     (target_table, target_scores), *shadow = tables
     for name, job, mean, std in scoring_jobs:
         net = atk.ScoringModel(trained[job[0]], mean, std)
         target_scores[name] = net.score(_pairs(target_scores, name))
-    target_model = trained[run.target_job[0]]
 
     scores = {name: target_scores[name] for name in config.attacks}
     for name, values in scores.items():
@@ -329,22 +331,19 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict) -> RunRe
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
+    target_set = run.eval_sets[0][0]
     bucket_report = None
     if target_table.calibrated is not None:
-        target_set = run.eval_sets[0][0]
         bucket_report = evaluation.loss_bucket_report(
-            nn.per_sample_loss(target_model, target_set.x, target_set.y),
+            -logp[np.arange(len(target_set.y)), target_set.y],
             target_table.calibrated, target_table.is_member)
-
-    plan = run.target_plan
-    target_accuracy = {
-        "train": nn.accuracy(target_model, *run.target_ds.subset(plan.target_train)),
-        "test": nn.accuracy(target_model, *run.target_ds.subset(plan.target_test)),
-    }
+    correct = logp.argmax(axis=1) == target_set.y  # ties go to the lowest class
+    target_accuracy = {"train": float(correct[target_set.member].mean()),
+                       "test": float(correct[~target_set.member].mean())}
 
     return RunResult(
         config=config, digest=config.digest(),
-        target_plan=plan, attacker_plan=run.attacker_plan,
+        target_plan=run.target_plan, attacker_plan=run.attacker_plan,
         shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
         reference_models=[trained[job[0]] for job in run.reference_jobs],
         target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
@@ -374,14 +373,15 @@ def run_pipelines(configs, trained: dict | None = None) -> list[RunResult]:
         shared: dict = {}
         runs = [_plan(config, shared) for _, config in batch]
         _train_missing([job for run in runs for job in run.jobs()], trained)
-        signals = _signals(runs, trained)
+        signals, logps = _signals(runs, trained)
         tables = [[_score_table(run, eval_set, key, signals) for eval_set, key in run.eval_sets]
                   for run in runs]
         scoring_jobs = [_scoring_jobs(run, *run_tables[1]) if run.scoring else []
                         for run, run_tables in zip(runs, tables)]
         _train_missing([job for jobs in scoring_jobs for _, job, _, _ in jobs], trained)
         for (i, _), run, run_tables, jobs in zip(batch, runs, tables, scoring_jobs):
-            results[i] = _result(run, run_tables, jobs, trained)
+            results[i] = _result(run, run_tables, jobs, trained,
+                                 logps[run.signal_key(*run.eval_sets[0])])
     return results
 
 

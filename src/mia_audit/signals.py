@@ -7,7 +7,8 @@ norm is negated. A run's raw score is the mean of the signal over the sample
 and seeded Gaussian-jittered copies of it (the tabular analogue of image
 augmentations), which damps the dependence of the score on the particular
 model parameters; `perturbed_queries` builds those matrices and stage 2 of
-`pipeline` keeps the running means over them.
+`pipeline` keeps the running means over them, and each model's
+log-probabilities on the first, unperturbed one.
 """
 
 from __future__ import annotations
@@ -31,27 +32,30 @@ class SignalKind(str, enum.Enum):
 
 
 def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
-                 kind: SignalKind, logit_scale: bool = False) -> np.ndarray:
-    """Raw membership scores for a (n, d) batch, higher = more member-like.
+                 kind: SignalKind, logit_scale: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, log-probabilities) of a (n, d) batch: the raw membership
+    scores, shape (n,) and higher = more member-like, and the model's (n, C)
+    log-softmax, whose negated label column is each sample's loss.
 
     logit_scale applies log(p / (1 - p)) to confidence scores; it is ignored
-    for the other kinds. The batch is checked once and every kind reads one
-    forward pass over it.
+    for the other kinds. The batch is checked once, and the scores of every
+    kind and the log-probabilities read one forward pass over it.
     """
     kind = SignalKind(kind)
     x, y = nn._labelled_batch(model, x, y)
     acts = nn._forward_cached(model.weights, model.biases, x)
+    logp = nn._log_softmax(acts[-1])
     rows = np.arange(len(y))
     if kind is SignalKind.LOSS:
-        return nn._log_softmax(acts[-1])[rows, y]
+        return logp[rows, y], logp
     if kind is SignalKind.CONFIDENCE:
         p = nn.softmax(acts[-1])[rows, y]
         if logit_scale:
             p = np.clip(p, 1e-300, 1.0 - 1e-16)
-            return np.log(p) - np.log1p(-p)
-        return p
+            return np.log(p) - np.log1p(-p), logp
+        return p, logp
     delta, _ = nn._output_delta(acts[-1], y, "ce")
-    return -np.sqrt(nn._sq_norms(model.weights, acts, delta))
+    return -np.sqrt(nn._sq_norms(model.weights, acts, delta)), logp
 
 
 def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,

@@ -23,6 +23,7 @@ ALLOWED = {
     "nn.backward": "criterion 1 checks it against finite differences",
     "nn.MLPClassifier.with_parameters": "criterion 1 perturbs a model's parameters with it",
     "nn.MLPClassifier.num_parameters": "criterion 1 bounds the model size with it",
+    "nn.per_sample_loss": "criterion 1's reference loss: it takes finite differences of it",
     "pipeline.SweepResult.metric_by_value": "criterion 7 reads the sweep trends with it",
     # one reader per artifact format; criterion 8 round-trips the first four
     "signals.ScoreTable.from_csv": "reads target_scores.csv and shadow_scores.csv",

@@ -156,6 +156,10 @@ class TestConfigParsing:
             load_config(self.write(tmp_path, SAMPLE_INI + "\n[dp]\nclip_norm = 10\napply_to =\n"))
         assert load_config(self.write(tmp_path, SAMPLE_INI + "\n[dp]\napply_to = shadow\n"))
 
+    def test_no_scoring_hidden_sizes_is_a_linear_scorer(self, tmp_path):
+        text = SAMPLE_INI.replace("[scoring]\n", "[scoring]\nhidden_sizes =\n")
+        assert load_config(self.write(tmp_path, text)).scoring_hidden_sizes == ()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
@@ -196,6 +200,8 @@ class TestConfigParsing:
         ("reference", "sample_fraction = 0"),
         ("attacks", "enabled ="),
         ("scoring", "batch_size = 0"),
+        ("scoring", "hidden_sizes = 0"),
+        ("scoring", "hidden_sizes = 64,-3"),
         ("eval", "fpr_levels = 0.1,1"),
         ("experiment", "master_seed = seven"),
     ])

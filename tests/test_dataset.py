@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mia_audit import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
-                       TrainingConfig, accuracy, generate_synthetic, load_csv,
+                       TrainingConfig, generate_synthetic, load_csv,
                        make_split, random_means, sample_reference_subset, train,
                        write_csv)
 from mia_audit.dataset import read_rows, write_columns
+
+from test_nn import accuracy
 
 
 def two_class_spec(seed=7, cov=0.5):

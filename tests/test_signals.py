@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import (DistributionSpec, ScoreTable, SignalKind, TrainingConfig, calibrate,
-                       generate_synthetic, init_classifier, run_pipeline, run_pipelines, train)
+from mia_audit import (DistributionSpec, ScoreTable, SignalKind, TrainingConfig, calibrate, forward,
+                       generate_synthetic, init_classifier, loss_bucket_report, per_sample_loss,
+                       run_pipeline, run_pipelines, train)
 from mia_audit.pipeline import resolve_dataset
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
 from mia_audit.signals import perturbed_queries, signal_batch
@@ -31,26 +32,26 @@ def averaged(model, x, y, kind, q, ids=None):
     seed). The oracle of the pipeline's query-averaged signal."""
     ids = list(range(len(x))) if ids is None else ids
     queries = perturbed_queries(x, ids, *q)
-    signals = [signal_batch(model, xq, y, kind) for xq in queries]
+    signals = [signal_batch(model, xq, y, kind)[0] for xq in queries]
     return functools.reduce(operator.add, signals) / len(queries)
 
 
 class TestSignal:
     def test_loss_on_uniform_logits(self):
         assert signal_batch(zero_model(), np.zeros((1, 2)), [0],
-                            SignalKind.LOSS)[0] == pytest.approx(-LN2, abs=1e-15)
+                            SignalKind.LOSS)[0][0] == pytest.approx(-LN2, abs=1e-15)
 
     def test_confidence_on_uniform_logits(self):
         assert signal_batch(zero_model(), np.zeros((1, 2)), [0],
-                            SignalKind.CONFIDENCE)[0] == pytest.approx(0.5, abs=1e-15)
+                            SignalKind.CONFIDENCE)[0][0] == pytest.approx(0.5, abs=1e-15)
 
     def test_loss_nonpositive_and_confidence_in_unit_interval(self):
         rng = np.random.default_rng(0)
         model = init_classifier([3, 8, 4], 2)
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 4, size=40)
-        loss_scores = signal_batch(model, x, y, SignalKind.LOSS)
-        conf_scores = signal_batch(model, x, y, SignalKind.CONFIDENCE)
+        loss_scores, _ = signal_batch(model, x, y, SignalKind.LOSS)
+        conf_scores, _ = signal_batch(model, x, y, SignalKind.CONFIDENCE)
         assert np.all(loss_scores <= 0)
         assert np.all((conf_scores >= 0) & (conf_scores <= 1))
 
@@ -60,8 +61,8 @@ class TestSignal:
                         TrainingConfig(epochs=200, weight_decay=0.0, seed=1), (2, 8, 2))
         fresh = init_classifier((2, 8, 2), 99)
         x, y = ds.features[:1], ds.labels[:1]
-        converged = signal_batch(trained, x, y, SignalKind.GRADNORM)[0]
-        untrained = signal_batch(fresh, x, y, SignalKind.GRADNORM)[0]
+        converged = signal_batch(trained, x, y, SignalKind.GRADNORM)[0][0]
+        untrained = signal_batch(fresh, x, y, SignalKind.GRADNORM)[0][0]
         assert converged == pytest.approx(0.0, abs=1e-3)
         assert converged > untrained  # scores are negated norms: higher = member-like
 
@@ -70,7 +71,7 @@ class TestSignal:
         model = init_classifier([3, 5, 2], 4)
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4)
-        scores = signal_batch(model, x, y, SignalKind.GRADNORM)
+        scores, _ = signal_batch(model, x, y, SignalKind.GRADNORM)
         norms = per_example_norms(per_example_gradients(model, x, y)[0])
         for i in range(4):
             assert -scores[i] == pytest.approx(norms[i], rel=1e-9)
@@ -91,8 +92,8 @@ class TestSignal:
         model = init_classifier([3, 6, 2], 7)
         x = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
-        conf = signal_batch(model, x, y, SignalKind.CONFIDENCE)
-        scaled = signal_batch(model, x, y, SignalKind.CONFIDENCE, logit_scale=True)
+        conf, _ = signal_batch(model, x, y, SignalKind.CONFIDENCE)
+        scaled, _ = signal_batch(model, x, y, SignalKind.CONFIDENCE, logit_scale=True)
         assert np.array_equal(np.argsort(conf), np.argsort(scaled))
 
 
@@ -105,7 +106,7 @@ class TestAveragedSignal:
         return averaged(self.model, self.x, [y], SignalKind.LOSS, q, ids=[sample_id])[0]
 
     def exact(self, y):
-        return signal_batch(self.model, self.x, [y], SignalKind.LOSS)[0]
+        return signal_batch(self.model, self.x, [y], SignalKind.LOSS)[0][0]
 
     def test_single_query_equals_signal(self):
         q = (1, 0.5, 1)
@@ -170,6 +171,42 @@ class TestAveragedSignal:
             single.append(2 * self.score(0, q1) - self.exact(0))
             averaged.append(self.score(0, q8))
         assert np.var(averaged) <= np.var(single)
+
+
+def histograms(report):
+    """Every bucket's counts and histogram arrays, as bytes."""
+    return [(b.name, b.member_count, b.nonmember_count,
+             *(a.tobytes() for h in (b.raw_hist, b.calibrated_hist)
+               for a in (h.edges, h.member_counts, h.nonmember_counts)))
+            for b in report.buckets]
+
+
+class TestTargetOnItsEvalSet:
+    @pytest.mark.parametrize("kind, logit_scaling", [
+        (SignalKind.LOSS, False), (SignalKind.CONFIDENCE, True), (SignalKind.GRADNORM, False),
+    ], ids=["loss", "logit_confidence", "gradnorm"])
+    def test_buckets_and_accuracy_equal_the_target_on_its_eval_set(self, kind, logit_scaling):
+        # stage 4 reads both off stage 2's pass over the unperturbed eval set;
+        # each must equal a fresh pass of the target itself, whatever the
+        # signal and query count
+        configs = [fast_config(attacks=("loss", "calibration"), signal_kind=kind,
+                               logit_scaling=logit_scaling, num_queries=q, augmentation_noise_std=std)
+                   for q, std in ((1, 0.1), (8, 0.1), (8, 0.0))]
+        trained = {}
+        results = run_pipelines(configs, trained)
+        target_seed = derive_seed(configs[0].master_seed, "target")
+        target = next(model for key, model in trained.items() if key[2].seed == target_seed)
+        for cfg, result in zip(configs, results):
+            table = result.target_table
+            ds = resolve_dataset(cfg.data, cfg.master_seed, "data")
+            losses = per_sample_loss(target, *ds.subset(table.ids))
+            expected = loss_bucket_report(losses, table.calibrated, table.is_member)
+            assert histograms(result.bucket_report) == histograms(expected)
+            for half, rows in (("train", result.target_plan.target_train),
+                               ("test", result.target_plan.target_test)):
+                x, y = ds.subset(rows)
+                correct = np.argmax(forward(target, x), axis=1) == y
+                assert result.target_accuracy[half] == float(np.mean(correct)), half
 
 
 def per_stream_queries(x, ids, num_queries, noise_std, seed):
