@@ -7,6 +7,16 @@ gradient, an optional per-step cosine learning-rate schedule annealing to
 zero, and an optional differentially-private step (per-example clipping by
 ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 
+A DP-SGD step runs the backprop recurrence once: the clipping norms are read
+off the same layer errors that then give the gradients, with each row
+rescaled in place. Its noise is one float32 Box–Muller block per step, drawn
+from each model's own float64 uniforms (see `_box_muller`); no value lies
+beyond 8.57 standard deviations, so the noise is Gaussian up to that
+cut-off and float32 rounding, which a privacy accounting would ignore.
+Against numpy's ziggurat `normal` per model and a second recurrence, this
+cut a DP audit's median time from 2.52 to 1.92 s (10 alternating benchmark
+pairs, 2 vCPUs, 1 BLAS thread).
+
 `train_many` is the one training loop: it trains K models of one shape on raw
 parameter arrays stacked along a leading model axis, updated in place; `train`
 is its one-model case. `backward` is the validated wrapper over the same
@@ -41,6 +51,9 @@ class DPConfig:
     noise_multiplier: float = 0.0
 
     def __post_init__(self):
+        for name in ("clip_norm", "noise_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if self.noise_multiplier < 0:
@@ -59,6 +72,9 @@ class TrainingConfig:
     dp: DPConfig | None = None
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay", "batch_size", "epochs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0.0 <= self.momentum < 1.0):
@@ -241,14 +257,15 @@ def _layer_errors(weights, acts: list[np.ndarray], delta: np.ndarray):
             delta *= slope
 
 
-def _sq_norms(weights, acts: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of each row's full gradient, from output errors `delta`.
+def _sq_norms(acts: list[np.ndarray], errors) -> np.ndarray:
+    """Squared L2 norm of each row's full gradient, from the (l, error) pairs
+    of _layer_errors.
 
     Uses ||outer(d, a)||_F^2 = |d|^2 |a|^2 per layer (plus |d|^2 for the
     bias), so nothing is materialized per example.
     """
-    norms = np.zeros(delta.shape[:-1], dtype=delta.dtype)
-    for l, d in _layer_errors(weights, acts, delta):
+    norms = np.zeros(acts[-1].shape[:-1], dtype=acts[-1].dtype)
+    for l, d in errors:
         d2 = (d**2).sum(axis=-1)
         norms += d2 * (acts[l] ** 2).sum(axis=-1) + d2
     return norms
@@ -265,11 +282,16 @@ def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_no
     delta, mean_loss = _output_delta(acts[-1], y, loss)
     # zero each error whose square would be subnormal (below about 1.1e-19 in float32)
     delta[np.abs(delta) < math.sqrt(np.finfo(delta.dtype).tiny)] = 0.0
+    errors = _layer_errors(weights, acts, delta / x.shape[-2])
     if clip_norm is not None:
-        norms = np.sqrt(_sq_norms(weights, acts, delta))
-        delta = delta * (clip_norm / np.maximum(norms, clip_norm))[..., None]
-    delta = delta / x.shape[-2]
-    for l, d in _layer_errors(weights, acts, delta):
+        # the errors carry the 1/n of the mean, so each row's norm is compared
+        # with clip_norm / n; a row within the bound is multiplied by exactly 1
+        errors = list(errors)
+        bound = clip_norm / x.shape[-2]
+        scale = bound / np.maximum(np.sqrt(_sq_norms(acts, errors)), bound)
+        for _, d in errors:
+            d *= scale[..., None]
+    for l, d in errors:
         np.sum(d, axis=-2, out=out[2 * l + 1])
         np.matmul(d.mT, acts[l], out=out[2 * l])
     return mean_loss
@@ -280,9 +302,11 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
     """Mean-over-batch gradients of the loss w.r.t. every parameter.
 
     With clip_norm set, each example's gradient is first rescaled to L2 norm
-    at most clip_norm (the DP-SGD clipped mean) by ghost clipping: norms from
-    _sq_norms, then one ordinary pass on reweighted output errors. An example
-    within the bound keeps its gradient bit for bit.
+    at most clip_norm (the DP-SGD clipped mean) by ghost clipping, off one
+    backprop recurrence on the output errors over n: _sq_norms reads each
+    row's norm from those layer errors, and each row of them is multiplied by
+    bound / max(norm, bound) with bound = clip_norm / n. An example within the
+    bound is multiplied by exactly 1 and keeps its gradient bit for bit.
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
@@ -305,6 +329,31 @@ def schedule_lr(config: TrainingConfig, step: int, total_steps: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+def _box_muller(uniform: np.ndarray, scale: float) -> np.ndarray:
+    """Gaussian noise of standard deviation `scale` in float32, shaped as
+    `uniform`, from float64 uniforms in [0, 1) whose last axis is even.
+
+    Box–Muller in float32: u from the first half of a row and v from the
+    second give the radius sqrt(-2 ln(1 - u)) times scale and the angle
+    2 pi v; the cosines fill the first half of the row, the sines the second.
+    1 - u is taken in float64 and is at least 2^-53, so no value exceeds
+    sqrt(106 ln 2) ~ 8.57 standard deviations.
+    """
+    half = uniform.shape[-1] // 2
+    radius = np.empty((*uniform.shape[:-1], half), np.float32)
+    np.subtract(1.0, uniform[..., :half], out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    radius *= scale
+    angle = uniform[..., half:].astype(np.float32)
+    angle *= 2.0 * math.pi
+    out = np.empty(uniform.shape, np.float32)
+    np.multiply(np.cos(angle), radius, out=out[..., :half])
+    np.multiply(np.sin(angle), radius, out=out[..., half:])
+    return out
+
+
 def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
                return_loss_history: bool = False) -> list:
     """Train K models of one shape in one loop over stacked parameter arrays.
@@ -324,6 +373,13 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     The loop runs in float32 (see the module docstring): data, targets,
     parameters, gradients, velocity and losses, from the float64 initialization
     rounded to float32; the models returned widen it to float64.
+
+    With DP noise, each step fills row k of one (K, 2 ceil(P / 2)) float64
+    buffer from model k's "dp-noise" generator, where P is a model's
+    parameter count; _box_muller turns the buffer into one block of normals
+    of std noise_multiplier * clip_norm / (rows in the batch), and each
+    parameter gets its slice of every row in one add, parameters() order, the
+    last value unused when P is odd.
 
     Returns the K models, or K (model, per-epoch mean loss list) pairs with
     return_loss_history.
@@ -375,7 +431,9 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     # noise_multiplier * clip_norm / (rows in the batch); none with sigma 0
     noise_scale = config.dp.noise_multiplier * clip_norm if clip_norm is not None else 0.0
     noise_rngs = [derive_rng(c.seed, "dp-noise") for c in configs] if noise_scale > 0 else []
-    splits = np.cumsum([math.prod(g.shape[1:]) for g in grads])  # each parameter's end in a model
+    ends = np.cumsum([math.prod(g.shape[1:]) for g in grads])  # each parameter's end in a model
+    # one row of uniforms per model, two per Box–Muller pair, refilled each step
+    uniform = np.empty((jobs, 2 * math.ceil(ends[-1] / 2)))
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     rows = np.arange(jobs)[:, None]
     history = []
@@ -387,10 +445,12 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
             batch = perm[:, start : start + config.batch_size]
             bx, by = x[rows, batch], y[rows, batch]
             batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
-            for k, rng in enumerate(noise_rngs):  # one draw per model, split in parameters() order
-                noise = np.split(rng.normal(0.0, noise_scale / bx.shape[1], splits[-1]), splits[:-1])
-                for g, part in zip(grads, noise):
-                    g[k] += part.reshape(g.shape[1:])
+            if noise_rngs:  # one noise block, in parameters() order along each model's row
+                for rng, row in zip(noise_rngs, uniform):
+                    rng.random(out=row)
+                noise = _box_muller(uniform, noise_scale / bx.shape[1])
+                for g, begin, end in zip(grads, [0, *ends], ends):
+                    g += noise[:, begin:end].reshape(g.shape)
             # v <- momentum * v + (g + weight_decay * p), then p <- p - lr * v
             flat_grad += config.weight_decay * flat
             velocity *= config.momentum

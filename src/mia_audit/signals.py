@@ -55,7 +55,7 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
             return np.log(p) - np.log1p(-p), logp
         return p, logp
     delta, _ = nn._output_delta(acts[-1], y, "ce")
-    return -np.sqrt(nn._sq_norms(model.weights, acts, delta)), logp
+    return -np.sqrt(nn._sq_norms(acts, nn._layer_errors(model.weights, acts, delta))), logp
 
 
 def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,

@@ -122,9 +122,10 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
 
     It keeps float32 parameters, gradients and velocity: gradients come from
     backward's kernel `_gradients`, clipped when the config sets DP, then
-    each parameter's DP-SGD noise is added to its gradient in place, and
-    sgd_step's update is applied to the float32 arrays in place. The model
-    returned is widened to float64.
+    the step's DP-SGD noise, drawn by its own Box-Muller steps from the
+    model's uniforms, is added to them in place, and sgd_step's update is
+    applied to the float32 arrays in place. The model returned is widened to
+    float64.
     """
     model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
     params = [p.astype(np.float32) for p in model.parameters()]
@@ -135,6 +136,7 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
     shuffle_rng = derive_rng(config.seed, "batch-order")
     noise_rng = derive_rng(config.seed, "dp-noise")
     clip_norm = config.dp.clip_norm if config.dp is not None else None
+    num_params = sum(p.size for p in params)
     history, step = [], 0
     for _ in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -145,9 +147,20 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
             targets = _targets(y[idx], loss, layer_sizes[-1], np.float32)
             batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, loss, clip_norm, grads)
             if config.dp is not None and config.dp.noise_multiplier > 0:
-                std = config.dp.noise_multiplier * config.dp.clip_norm / len(idx)
+                # Box-Muller in float32 on 2 * ceil(P / 2) uniforms: radii from the
+                # first half, angles from the second; the cosines, then the sines,
+                # go to the parameters in order, the last value unused for an odd P
+                std = np.float32(config.dp.noise_multiplier * config.dp.clip_norm / len(idx))
+                u = noise_rng.random(2 * math.ceil(num_params / 2))
+                half = len(u) // 2
+                log = np.log((1.0 - u[:half]).astype(np.float32))
+                radius = np.sqrt(log * np.float32(-2.0)) * std
+                angle = u[half:].astype(np.float32) * np.float32(2.0 * math.pi)
+                noise = np.concatenate([np.cos(angle) * radius, np.sin(angle) * radius])
+                offset = 0
                 for g in grads:
-                    g += noise_rng.normal(0.0, std, size=g.shape)
+                    g += noise[offset : offset + g.size].reshape(g.shape)
+                    offset += g.size
             lr = schedule_lr(config, step, total_steps)
             for p, g, v in zip(params, grads, velocity):
                 v *= config.momentum

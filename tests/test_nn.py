@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mia_audit import nn
-from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, backward, derive_seed,
-                       forward, generate_synthetic, init_classifier, softmax, train)
+from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, backward, derive_rng,
+                       derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
                           per_sample_loss, schedule_lr, train_many)
 from mia_audit.signals import SignalKind, signal_batch
@@ -274,6 +274,67 @@ class TestSgdStep:
             sgd_step(model, [np.zeros((3, 3)), np.zeros(2)], self.cfg())
 
 
+class TestConfigValues:
+    # a NaN noise_multiplier fails `noise_multiplier > 0`, so it would train as sigma 0
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["clip_norm", "noise_multiplier"])
+    def test_dp_config_refuses_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            DPConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay", "batch_size", "epochs"])
+    def test_training_config_refuses_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            TrainingConfig(**{field: value})
+
+
+class TestBoxMuller:
+    """The DP-SGD noise sampler, read directly and as train_many applies it."""
+
+    BOUND = math.sqrt(2 * 53 * math.log(2))  # the radius at 1 - u = 2^-53, about 8.57
+
+    def test_standard_normal_on_200k_values(self):
+        from scipy import stats  # the oracle; the package itself does not import scipy
+        z = nn._box_muller(np.random.default_rng(0).random((2, 100_000)), 1.0)
+        assert z.dtype == np.float32 and z.shape == (2, 100_000)
+        z = z.astype(np.float64).reshape(-1)
+        assert stats.kstest(z, stats.norm.cdf).pvalue > 0.01
+        # within 3 standard errors: sqrt(1/N) for the mean, sqrt(2/N) for the variance
+        assert abs(z.mean()) < 3 * math.sqrt(1 / z.size)
+        assert abs(z.var() - 1.0) < 3 * math.sqrt(2 / z.size)
+        assert np.abs(z).max() <= self.BOUND
+
+    def test_largest_uniform_gives_the_cutoff(self):
+        largest = np.nextafter(1.0, 0.0)  # 1 - 2^-53
+        z = nn._box_muller(np.array([[largest, 0.0], [0.0, 0.0]]), 2.0)
+        assert z[0, 0] == pytest.approx(2.0 * self.BOUND, rel=1e-6)
+        assert np.array_equal(z[:, 1], [0.0, 0.0]) and z[1, 0] == 0.0
+
+    def test_odd_parameter_count_drops_the_last_value(self, monkeypatch):
+        # the (2, 8, 8, 1) bce net has 105 parameters: 106 uniforms, 53 pairs, and the
+        # noise on one step from zero gradients is the block but its last value
+        def zero_gradients(weights, biases, x, y, loss, clip_norm, out):
+            for g in out:
+                g[...] = 0.0
+            return np.zeros(x.shape[0], x.dtype)
+
+        monkeypatch.setattr(nn, "_gradients", zero_gradients)
+        x, y = np.random.default_rng(1).normal(size=(10, 2)), np.arange(10) % 2
+        cfg = TrainingConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0, epochs=1,
+                             cosine_schedule=False, seed=4, dp=DPConfig(2.0, 0.5))
+        model = train(x, y, cfg, (2, 8, 8, 1), "bce")
+        init = init_classifier((2, 8, 8, 1), derive_seed(cfg.seed, "model-init"))
+        assert init.num_parameters() == 105
+        uniform = derive_rng(cfg.seed, "dp-noise").random((1, 106))
+        noise = nn._box_muller(uniform, 0.5 * 2.0 / 10)[0, :105]
+        start = 0
+        for p, q in zip(model.parameters(), init.parameters()):
+            step = noise[start : start + q.size].reshape(q.shape)
+            assert np.array_equal(p, (q.astype(np.float32) - step).astype(np.float64))
+            start += q.size
+
+
 class TestDpSgdStep:
     def cfg(self, clip=10.0, sigma=0.0, **kw):
         defaults = dict(learning_rate=0.1, momentum=0.0, weight_decay=0.0,
@@ -309,18 +370,20 @@ class TestDpSgdStep:
 
     @pytest.mark.parametrize("loss", ["ce", "bce"])
     def test_clip_above_every_norm_is_plain_backward_bitwise(self, loss):
-        rng = np.random.default_rng(3)
-        sizes = [3, 4, 2] if loss == "ce" else [3, 4, 1]
-        model = random_model(rng, sizes)
-        x = rng.normal(size=(8, 3))
-        y = rng.integers(0, 2, size=8)
-        per_grads, _ = per_example_gradients(model, x, y, loss)
-        plain, plain_loss = backward(model, x, y, loss)
-        for clip in (float(per_example_norms(per_grads).max()) * (1 + 1e-9), 1e6):
-            clipped, clipped_loss = backward(model, x, y, loss, clip_norm=clip)
-            assert clipped_loss == plain_loss
-            for a, b in zip(clipped, plain):
-                assert np.array_equal(a, b)
+        # 40 rows, the last batch of a 1000-row training set: 1/40 is not a power of two
+        for rows in (8, 40):
+            rng = np.random.default_rng(3)
+            sizes = [3, 4, 2] if loss == "ce" else [3, 4, 1]
+            model = random_model(rng, sizes)
+            x = rng.normal(size=(rows, 3))
+            y = rng.integers(0, 2, size=rows)
+            per_grads, _ = per_example_gradients(model, x, y, loss)
+            plain, plain_loss = backward(model, x, y, loss)
+            for clip in (float(per_example_norms(per_grads).max()) * (1 + 1e-9), 1e6):
+                clipped, clipped_loss = backward(model, x, y, loss, clip_norm=clip)
+                assert clipped_loss == plain_loss
+                for a, b in zip(clipped, plain):
+                    assert np.array_equal(a, b)
 
     def test_nonpositive_clip_norm_rejected(self):
         model = init_classifier([2, 2], 0)
@@ -519,7 +582,7 @@ class TestTrainingDtype:
         out = [np.empty(p.shape, np.float32) for pair in zip(weights, biases) for p in pair]
         out[1::2] = [g[:, 0] for g in out[1::2]]
         _gradients(weights, biases, x, y, "ce", clip_norm, out)
-        assert len(errors) == (4 if clip_norm else 2)
+        assert len(errors) == 2  # one backprop recurrence, clipped or not
         assert all((d != 0).any() for d in errors)  # the misclassified rows
         tiny = np.finfo(np.float32).tiny
         for d in errors:
@@ -560,5 +623,5 @@ class TestTrainingDtype:
         acts = _forward_cached(weights, biases, x)
         delta, _ = _output_delta(acts[-1], y, "ce")
         assert delta.dtype == dtype
-        assert _sq_norms(weights, acts, delta).dtype == dtype
+        assert _sq_norms(acts, nn._layer_errors(weights, acts, delta)).dtype == dtype
 

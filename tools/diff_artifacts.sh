@@ -24,6 +24,9 @@
 #     ([reference] sampling = random), a [train.shadow] that differs from
 #     [train.target] (so target and shadow train apart), and DP-SGD on the
 #     target alone (the DP target trains alone, its shadow in another loop),
+#   - a `run` on those 1200 samples with DP-SGD clipping and no noise (clip
+#     10, noise 0.0, on the target and reference models), so a change to
+#     clipping shows apart from a change to the noise stream,
 #   - a reference_sampling_mode fixed,random sweep of all five attacks on
 #     those 1200 samples (seeds 31 and 32),
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
@@ -108,6 +111,11 @@ ini dp_target "$small
 clip_norm = 10.0
 noise_multiplier = 1.0
 apply_to = target"
+ini dp_clip "$small
+[dp]
+clip_norm = 10.0
+noise_multiplier = 0.0
+apply_to = target,reference"
 ini small "$small"
 ini csv "[data]
 source = csv
@@ -131,7 +139,7 @@ run_side() {  # <src dir> <output dir>
     mia sweep "$work/small.ini" --axis reference_sampling_mode --values fixed,random \
         --seeds 31,32 -o "$out/sweep_sampling"
     local name
-    for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target; do
+    for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target dp_clip; do
         mia run "$work/$name.ini" -o "$out/$name"
     done
     mia gen-data "$work/small.ini" -o "$work/data.csv"
