@@ -14,7 +14,7 @@ from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset
 from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr, compute_metrics,
                          loss_bucket_report, roc)
 from .nn import (DPConfig, MLPClassifier, TrainingConfig, backward, forward, init_classifier,
-                 per_sample_loss, softmax, train)
+                 per_sample_loss, softmax, train_many)
 from .pipeline import RunResult, run_pipeline, run_pipelines, sweep, write_artifacts
 from .seeding import derive_rng, derive_seed
 from .signals import ScoreTable, SignalKind

@@ -16,6 +16,7 @@ from .dataset import (finite_float, nonnegative_int, not_nan_float, read_rows,
                       write_columns)
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
+NUM_BINS = 20  # histogram bins per score type in a loss-bucket report
 ROC_HEADER = ("threshold", "fpr", "tpr")
 BUCKET_HEADER = ("bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
 
@@ -143,20 +144,20 @@ def read_bucket_csv(path) -> list[dict]:
     return [dict(zip(BUCKET_HEADER, r)) for r in rows]
 
 
-def loss_bucket_report(losses, calibrated, is_member, num_bins: int = 20) -> LossBucketReport:
+def loss_bucket_report(losses, calibrated, is_member) -> LossBucketReport:
     """Partition samples by raw cross-entropy into small/medium/large loss
     buckets and histogram raw losses and calibrated scores per bucket.
 
-    Bin edges are computed once over all samples (per score type) so bucket
-    histograms share a common axis.
+    Bin edges, NUM_BINS per score type, are computed once over all samples so
+    bucket histograms share a common axis.
     """
     losses = np.asarray(losses, dtype=np.float64)
     calibrated = np.asarray(calibrated, dtype=np.float64)
     member = np.asarray(is_member, dtype=bool)
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative cross-entropy values")
-    raw_edges = np.histogram_bin_edges(losses, bins=num_bins)
-    cal_edges = np.histogram_bin_edges(calibrated, bins=num_bins)
+    raw_edges = np.histogram_bin_edges(losses, bins=NUM_BINS)
+    cal_edges = np.histogram_bin_edges(calibrated, bins=NUM_BINS)
     buckets = []
     for name, lo, hi in LOSS_BUCKETS:
         mask = (losses >= lo) & (losses < hi)

@@ -1,9 +1,11 @@
 """Minimal feed-forward classifier with from-scratch backpropagation.
 
 Hidden layers use tanh (keeps finite-difference gradient checks
-well-conditioned); the output layer is identity, with softmax applied inside
-the loss. Training is plain SGD with momentum, L2 weight decay added to the
-gradient, an optional per-step cosine learning-rate schedule annealing to
+well-conditioned); the output layer is identity, and its width picks the
+loss: one unit is a sigmoid with binary cross-entropy on 0/1 labels (a
+scoring net), several are a softmax with cross-entropy on class indices (a
+classifier). Training is plain SGD with momentum, L2 weight decay added to
+the gradient, an optional per-step cosine learning-rate schedule annealing to
 zero, and an optional differentially-private step (per-example clipping by
 ghost clipping, so no per-example gradient is built, plus Gaussian noise).
 
@@ -13,15 +15,12 @@ rescaled in place. Its noise is one float32 Box–Muller block per step, drawn
 from each model's own float64 uniforms (see `_box_muller`); no value lies
 beyond 8.57 standard deviations, so the noise is Gaussian up to that
 cut-off and float32 rounding, which a privacy accounting would ignore.
-Against numpy's ziggurat `normal` per model and a second recurrence, this
-cut a DP audit's median time from 2.52 to 1.92 s (10 alternating benchmark
-pairs, 2 vCPUs, 1 BLAS thread).
 
-`train_many` is the one training loop: it trains K models of one shape on raw
-parameter arrays stacked along a leading model axis, updated in place; `train`
-is its one-model case. `backward` is the validated wrapper over the same
-kernels for a single model; `signals.signal_batch` reads each sample's
-gradient norm off `_sq_norms` on a batch it checked once.
+`train_many` is the one training call: it trains K models of one shape on raw
+parameter arrays stacked along a leading model axis, updated in place.
+`backward` is the validated wrapper over the same kernels for a single model;
+`signals.signal_batch` reads each sample's gradient norm off `_sq_norms` on a
+batch it checked once.
 
 Training runs in float32: a step is bound by its `tanh` and small matmul
 kernels, which float32 makes about twice as fast. DP-SGD drives its models to
@@ -197,44 +196,52 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _labelled_batch(model: MLPClassifier, x: np.ndarray, y, loss: str = "ce"):
+def _labelled_batch(model: MLPClassifier, x: np.ndarray, y):
     """x as a (n, d) batch and y as the loss reads it, one label per row."""
     batch = _as_batch(model, x)
-    y = _targets(y, loss, model.output_dim)
+    y = _targets(y, model.output_dim)
     if len(y) != batch.shape[0]:
         raise ValueError(f"{len(y)} labels for {batch.shape[0]} samples")
     return batch, y
 
 
-def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each sample under the model, shape (n,); labels must be
-    integer classes in [0, output_dim), one per sample."""
+def _class_log_probs(model: MLPClassifier, x: np.ndarray, y):
+    """(activations, (n, C) log-softmax, labels) of a labelled batch, for the
+    readers that index log-probabilities by class; a one-unit model has no
+    classes to index, so it is refused."""
+    if model.output_dim < 2:
+        raise ValueError(f"output size {model.output_dim}: reading classes needs 2 or more units")
     batch, y = _labelled_batch(model, x, y)
-    logp = _log_softmax(_forward_cached(model.weights, model.biases, batch)[-1])
+    acts = _forward_cached(model.weights, model.biases, batch)
+    return acts, _log_softmax(acts[-1]), y
+
+
+def per_sample_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy of each sample under a classifier, shape (n,); labels
+    must be integer classes in [0, output_dim), one per sample."""
+    _, logp, y = _class_log_probs(model, x, y)
     return -logp[np.arange(len(y)), y]
 
 
-def _targets(y, loss: str, output_dim: int, dtype=np.float64) -> np.ndarray:
-    """Labels as the loss reads them: class indices for ce, 0/1 floats of
-    `dtype` (the training dtype) for bce, from labels 0 or 1 (or bools)."""
+def _targets(y, output_dim: int, dtype=np.float64) -> np.ndarray:
+    """Labels as the output layer's loss reads them: class indices for ce
+    (several units), 0/1 floats of `dtype` (the training dtype) for bce (one
+    unit), from labels 0 or 1 (or bools)."""
     y = np.atleast_1d(np.asarray(y))
-    if loss == "ce":
-        if not np.issubdtype(y.dtype, np.integer) or (y.size and not 0 <= y.min() <= y.max() < output_dim):
-            raise ValueError(f"ce labels must be integer classes in [0, {output_dim})")
-        return y
-    if loss == "bce":
-        if output_dim != 1:
-            raise ValueError("bce loss requires a single output unit")
+    if output_dim == 1:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("bce labels must be 0 or 1")
         return y.astype(dtype)
-    raise ValueError(f"unknown loss {loss!r}")
+    if not np.issubdtype(y.dtype, np.integer) or (y.size and not 0 <= y.min() <= y.max() < output_dim):
+        raise ValueError(f"ce labels must be integer classes in [0, {output_dim})")
+    return y
 
 
-def _output_delta(logits: np.ndarray, y: np.ndarray, loss: str):
+def _output_delta(logits: np.ndarray, y: np.ndarray):
     """Gradient of the mean loss w.r.t. the logits, and the mean loss itself
-    (one per model when stacked); y comes from _targets."""
-    if loss == "ce":
+    (one per model when stacked); the logits' width picks the loss, and y
+    comes from _targets."""
+    if logits.shape[-1] > 1:
         logp = _log_softmax(logits)
         delta = np.exp(logp)
         pick = np.arange(y.size) * logits.shape[-1] + y.reshape(-1)  # flat index of each label
@@ -271,7 +278,7 @@ def _sq_norms(acts: list[np.ndarray], errors) -> np.ndarray:
     return norms
 
 
-def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_norm: float | None,
+def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, clip_norm: float | None,
                out: list[np.ndarray]):
     """Write the mean gradients into `out` (parameters() order) and return the
     mean loss, both in the dtype of the parameters and x; see backward. Each
@@ -279,7 +286,7 @@ def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_no
     (K, out), and each weight gradient as its weight; train_many passes views
     into its flat gradient vector."""
     acts = _forward_cached(weights, biases, x)
-    delta, mean_loss = _output_delta(acts[-1], y, loss)
+    delta, mean_loss = _output_delta(acts[-1], y)
     # zero each error whose square would be subnormal (below about 1.1e-19 in float32)
     delta[np.abs(delta) < math.sqrt(np.finfo(delta.dtype).tiny)] = 0.0
     errors = _layer_errors(weights, acts, delta / x.shape[-2])
@@ -297,9 +304,9 @@ def _gradients(weights, biases, x: np.ndarray, y: np.ndarray, loss: str, clip_no
     return mean_loss
 
 
-def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce",
-             clip_norm: float | None = None):
-    """Mean-over-batch gradients of the loss w.r.t. every parameter.
+def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, clip_norm: float | None = None):
+    """Mean-over-batch gradients of the loss (bce for one output unit, ce for
+    several) w.r.t. every parameter.
 
     With clip_norm set, each example's gradient is first rescaled to L2 norm
     at most clip_norm (the DP-SGD clipped mean) by ghost clipping, off one
@@ -310,13 +317,13 @@ def backward(model: MLPClassifier, x: np.ndarray, y: np.ndarray, loss: str = "ce
 
     Returns (gradients, mean_loss) with gradients in parameters() order.
     """
-    batch, y = _labelled_batch(model, x, y, loss)
+    batch, y = _labelled_batch(model, x, y)
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     if clip_norm is not None and not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
     grads = [np.empty_like(p) for p in model.parameters()]
-    mean_loss = _gradients(model.weights, model.biases, batch, y, loss, clip_norm, grads)
+    mean_loss = _gradients(model.weights, model.biases, batch, y, clip_norm, grads)
     return grads, float(mean_loss)
 
 
@@ -354,13 +361,17 @@ def _box_muller(uniform: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
-               return_loss_history: bool = False) -> list:
-    """Train K models of one shape in one loop over stacked parameter arrays.
+def train_many(xs, ys, configs, layer_sizes) -> list:
+    """Train K models of one shape in one loop over stacked parameter arrays;
+    a pure function of (data, configs, layer sizes).
 
-    Model k equals train(xs[k], ys[k], configs[k], layer_sizes, loss) bit for
-    bit: it keeps its own initialization, batch-order and DP-noise streams,
-    derived from its config's seed. The jobs must share their row count and
+    The output layer picks the loss: bce on 0/1 labels when layer_sizes ends
+    in 1, ce on integer classes otherwise. Each job runs epochs *
+    ceil(n / batch_size) update steps (the last batch of an epoch may be
+    short). Model k equals the model of the one-job call
+    train_many([xs[k]], [ys[k]], [configs[k]], layer_sizes) bit for bit: it
+    keeps its own initialization, batch-order and DP-noise streams, derived
+    from its config's seed. The jobs must share their row count and
     every TrainingConfig field except seed, so they share one step count and
     learning-rate schedule. `pipeline.run_pipelines` trains its runs' target,
     shadow, reference and scoring models in such groups. Weights are stacked
@@ -381,8 +392,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     parameter gets its slice of every row in one add, parameters() order, the
     last value unused when P is odd.
 
-    Returns the K models, or K (model, per-epoch mean loss list) pairs with
-    return_loss_history.
+    Returns K (model, per-epoch mean loss list) pairs, in job order.
     """
     configs = list(configs)
     if not configs or not len(xs) == len(ys) == len(configs):
@@ -393,7 +403,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
     inits = [init_classifier(layer_sizes, derive_seed(c.seed, "model-init")) for c in configs]
     sizes = inits[0].layer_sizes
     xs = [np.asarray(v, dtype=np.float32) for v in xs]
-    ys = [_targets(t, loss, sizes[-1], np.float32) for t in ys]
+    ys = [_targets(t, sizes[-1], np.float32) for t in ys]
     if any(v.ndim != 2 or v.shape[0] == 0 for v in xs):
         raise ValueError("training slice must be a nonempty (n, d) matrix")
     n = xs[0].shape[0]
@@ -444,7 +454,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
         for start in range(0, n, config.batch_size):
             batch = perm[:, start : start + config.batch_size]
             bx, by = x[rows, batch], y[rows, batch]
-            batch_loss = _gradients(weights, biases, bx, by, loss, clip_norm, grads)
+            batch_loss = _gradients(weights, biases, bx, by, clip_norm, grads)
             if noise_rngs:  # one noise block, in parameters() order along each model's row
                 for rng, row in zip(noise_rngs, uniform):
                     rng.random(out=row)
@@ -463,23 +473,7 @@ def train_many(xs, ys, configs, layer_sizes, loss: str = "ce",
             layer = next(i // 2 for i, p in enumerate(params) if not np.isfinite(p).all())
             raise ValueError(f"training diverged: layer {layer} has non-finite parameters "
                              f"after epoch {epoch + 1}")
-    models = [MLPClassifier(sizes, tuple(w[k].astype(np.float64) for w in weights),
-                            tuple(b[k, 0].astype(np.float64) for b in biases))
-              for k in range(jobs)]
-    if return_loss_history:
-        return [(m, [float(h[k]) for h in history]) for k, m in enumerate(models)]
-    return models
-
-
-def train(x: np.ndarray, y: np.ndarray, config: TrainingConfig, layer_sizes,
-          loss: str = "ce", return_loss_history: bool = False):
-    """Train an MLP over seeded shuffled batches; pure function of (data, config).
-
-    Runs epochs * ceil(n / batch_size) update steps (the last batch of an
-    epoch may be short). Initialization, batch order, and DP noise each use
-    rng streams derived from config.seed, so results are bit-reproducible.
-    This is train_many on one job; returns the model, or (model, per-epoch
-    mean loss list) with return_loss_history.
-    """
-    return train_many([x], [y], [config], layer_sizes, loss, return_loss_history)[0]
-
+    return [(MLPClassifier(sizes, tuple(w[k].astype(np.float64) for w in weights),
+                           tuple(b[k, 0].astype(np.float64) for b in biases)),
+             [float(h[k]) for h in history])
+            for k in range(jobs)]

@@ -27,15 +27,15 @@ on (sample id, query index), so a run's Q query matrices are the first Q of a
 longer list.
 
 A trained model is a pure function of its training inputs (the training
-slice and targets, its `TrainingConfig` with derived seed and DP, the layer
-sizes and the loss), so the pipeline takes a `trained` dict mapping those
-inputs to models. Every model, scoring nets included, is looked up there
-before it is trained; the caller decides how long the dict lives (one
-`sweep` call shares one across all its runs).
+slice and targets, its `TrainingConfig` with derived seed and DP, and the
+layer sizes, whose output width picks the loss), so the pipeline takes a
+`trained` dict mapping those inputs to models. Every model, scoring nets
+included, is looked up there before it is trained; the caller decides how
+long the dict lives (one `sweep` call shares one across all its runs).
 
 The missing models train in stacked groups: one `nn.train_many` call per set
-of jobs with the same row count, layer sizes, loss and training config up to
-the seed, across the runs of one master seed. For one default run that is
+of jobs with the same row count, layer sizes and training config up to the
+seed, across the runs of one master seed. For one default run that is
 target and shadow together, then the reference models, then the two scoring
 nets. DP jobs group by the same rule, so a DP target trains apart from a
 non-DP shadow. Every group trains in float32 (see `nn`), and every model
@@ -83,7 +83,6 @@ def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    digest: str
     target_plan: SplitPlan
     attacker_plan: SplitPlan | None
     shadow_model: nn.MLPClassifier | None
@@ -97,12 +96,11 @@ class RunResult:
     target_accuracy: dict
 
 
-def _job(x: np.ndarray, y: np.ndarray, train_cfg: nn.TrainingConfig, layer_sizes,
-         loss: str = "ce") -> tuple:
+def _job(x: np.ndarray, y: np.ndarray, train_cfg: nn.TrainingConfig, layer_sizes) -> tuple:
     """(key, x, y) of one model to train; the key holds every training input
     (see the module docstring) and indexes `trained`."""
     digest = hashlib.sha256(x.tobytes() + y.tobytes()).digest()
-    return (x.shape, digest, train_cfg, tuple(layer_sizes), loss), x, y
+    return (x.shape, digest, train_cfg, tuple(layer_sizes)), x, y
 
 
 def _training_job(dataset: TabularDataset, indices, cfg: ExperimentConfig, role: str,
@@ -119,7 +117,7 @@ def _training_job(dataset: TabularDataset, indices, cfg: ExperimentConfig, role:
 def _train_missing(jobs, trained: dict) -> None:
     """Train every job whose key is not in `trained` and add it there.
 
-    Jobs that share a row count, layer sizes, loss and every TrainingConfig
+    Jobs that share a row count, layer sizes and every TrainingConfig
     field but the seed train in one stacked nn.train_many call, which gives
     each model bit for bit what training it alone would.
     """
@@ -127,14 +125,14 @@ def _train_missing(jobs, trained: dict) -> None:
     for key, x, y in jobs:
         if key in trained:
             continue
-        shape, _, train_cfg, layer_sizes, loss = key
-        group = (shape[0], layer_sizes, loss, dataclasses.replace(train_cfg, seed=0))
+        shape, _, train_cfg, layer_sizes = key
+        group = (shape[0], layer_sizes, dataclasses.replace(train_cfg, seed=0))
         groups.setdefault(group, {})[key] = (x, y)
     for members in groups.values():
         keys = list(members)
-        models = nn.train_many([members[k][0] for k in keys], [members[k][1] for k in keys],
-                               [k[2] for k in keys], keys[0][3], keys[0][4])
-        trained.update(zip(keys, models))
+        pairs = nn.train_many([members[k][0] for k in keys], [members[k][1] for k in keys],
+                              [k[2] for k in keys], keys[0][3])
+        trained.update((key, model) for key, (model, _) in zip(keys, pairs))
 
 
 @dataclass(frozen=True)
@@ -190,10 +188,14 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
     selected = set(config.attacks)
     scoring = [name for name in atk.SCORING_FEATURES if name in selected]
 
-    def dataset(source, label: str) -> TabularDataset:
+    def dataset(source, label: str, section: str) -> TabularDataset:
         key = ("dataset", source, master, label)
         if key not in shared:
             shared[key] = resolve_dataset(source, master, label)
+            labels = shared[key].labels
+            if isinstance(source, CsvSource) and (labels == labels[0]).all():
+                raise ConfigError(f"[{section}] path: every label in {source.path} is "
+                                  f"{labels[0]}; a classifier needs at least two classes")
         return shared[key]
 
     def job(*args) -> tuple:
@@ -204,13 +206,13 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
         new = _eval_set(*args)
         return shared.setdefault(("eval set", new.key), new)
 
-    target_ds = dataset(config.data, "data")
+    target_ds = dataset(config.data, "data", "data")
     attacker_ds = None
     attacker_plan = None
     split_seed = config.split_seed if config.split_seed is not None else derive_seed(master, "split")
     target_plan = make_split(target_ds, split_seed)
     if config.attacker_data is not None:
-        attacker_ds = dataset(config.attacker_data, "attacker-data")
+        attacker_ds = dataset(config.attacker_data, "attacker-data", "attacker_data")
         for key in ("feature_dim", "num_classes"):
             if getattr(attacker_ds, key) != getattr(target_ds, key):
                 raise ConfigError(f"[attacker_data] {key}: {getattr(attacker_ds, key)} "
@@ -307,7 +309,7 @@ def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> l
         z, mean, std = atk.scoring_features(_pairs(shadow_scores, name), shadow_table.is_member)
         train_cfg = dataclasses.replace(cfg.scoring_train,
                                         seed=derive_seed(cfg.master_seed, "scoring", name))
-        out.append((name, _job(z, member, train_cfg, (2, *cfg.scoring_hidden_sizes, 1), "bce"),
+        out.append((name, _job(z, member, train_cfg, (2, *cfg.scoring_hidden_sizes, 1)),
                     mean, std))
     return out
 
@@ -342,7 +344,7 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict, logp) ->
                        "test": float(correct[~target_set.member].mean())}
 
     return RunResult(
-        config=config, digest=config.digest(),
+        config=config,
         target_plan=run.target_plan, attacker_plan=run.attacker_plan,
         shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
         reference_models=[trained[job[0]] for job in run.reference_jobs],
@@ -478,7 +480,7 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     directory's manifest lists; returns the artifact file names."""
     os.makedirs(outdir, exist_ok=True)
     _remove_listed_artifacts(outdir)
-    digest = result.digest
+    digest = result.config.digest()
     written: list[str] = []
 
     def record(name: str) -> str:

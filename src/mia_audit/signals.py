@@ -39,12 +39,11 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
 
     logit_scale applies log(p / (1 - p)) to confidence scores; it is ignored
     for the other kinds. The batch is checked once, and the scores of every
-    kind and the log-probabilities read one forward pass over it.
+    kind and the log-probabilities read one forward pass over it; a model
+    with one output unit has no classes to read, so it is refused.
     """
     kind = SignalKind(kind)
-    x, y = nn._labelled_batch(model, x, y)
-    acts = nn._forward_cached(model.weights, model.biases, x)
-    logp = nn._log_softmax(acts[-1])
+    acts, logp, y = nn._class_log_probs(model, x, y)
     rows = np.arange(len(y))
     if kind is SignalKind.LOSS:
         return logp[rows, y], logp
@@ -54,7 +53,7 @@ def signal_batch(model: nn.MLPClassifier, x: np.ndarray, y: np.ndarray,
             p = np.clip(p, 1e-300, 1.0 - 1e-16)
             return np.log(p) - np.log1p(-p), logp
         return p, logp
-    delta, _ = nn._output_delta(acts[-1], y, "ce")
+    delta, _ = nn._output_delta(acts[-1], y)
     return -np.sqrt(nn._sq_norms(acts, nn._layer_errors(model.weights, acts, delta))), logp
 
 

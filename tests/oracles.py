@@ -9,6 +9,7 @@ None of these is part of an audit run, so they live beside the tests:
   - `sgd_step`: one momentum-SGD update of a single model, the update that
     the spelled-out float32 training loop `reference_train` applies in place;
     `nn.train_many` must match that loop bit for bit;
+  - `train`: one model, as the one-job call of `nn.train_many`;
   - `train_scoring_models`: scoring nets fitted straight from shadow feature
     matrices, the composition the pipeline spreads over its stages.
 """
@@ -117,7 +118,12 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
     return model.with_parameters(params), velocity
 
 
-def reference_train(x, y, config, layer_sizes, loss="ce"):
+def train(x, y, config, layer_sizes):
+    """The model of the one-job nn.train_many call, without its loss history."""
+    return train_many([x], [y], [config], layer_sizes)[0][0]
+
+
+def reference_train(x, y, config, layer_sizes):
     """The training loop spelled out step by step, one model, in float32.
 
     It keeps float32 parameters, gradients and velocity: gradients come from
@@ -144,8 +150,8 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             grads = [np.empty_like(p) for p in params]
-            targets = _targets(y[idx], loss, layer_sizes[-1], np.float32)
-            batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, loss, clip_norm, grads)
+            targets = _targets(y[idx], layer_sizes[-1], np.float32)
+            batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, clip_norm, grads)
             if config.dp is not None and config.dp.noise_multiplier > 0:
                 # Box-Muller in float32 on 2 * ceil(P / 2) uniforms: radii from the
                 # first half, angles from the second; the cosines, then the sines,
@@ -175,9 +181,9 @@ def reference_train(x, y, config, layer_sizes, loss="ce"):
 
 def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:
     """One scoring net per (n, 2) shadow feature matrix against the shared
-    shadow membership, with BCE loss, all in one train_many loop; configs[k]
-    goes with features[k]."""
+    shadow membership, with BCE loss (one output unit), all in one train_many
+    loop; configs[k] goes with features[k]."""
     inputs = [scoring_features(feats, is_member) for feats in features]
     targets = [np.asarray(is_member, dtype=np.float64)] * len(inputs)
-    mlps = train_many([z for z, _, _ in inputs], targets, configs, (2, *hidden_sizes, 1), loss="bce")
-    return [ScoringModel(mlp, mean, std) for mlp, (_, mean, std) in zip(mlps, inputs)]
+    pairs = train_many([z for z, _, _ in inputs], targets, configs, (2, *hidden_sizes, 1))
+    return [ScoringModel(mlp, mean, std) for (mlp, _), (_, mean, std) in zip(pairs, inputs)]

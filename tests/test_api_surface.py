@@ -31,8 +31,6 @@ ALLOWED = {
     "attacks.read_attack_scores_csv": "reads scores_<attack>.csv",
     "evaluation.read_bucket_csv": "reads loss_buckets_{raw,calibrated}.csv",
     "dataset.SplitPlan.from_json": "reads split.json",
-    # the one-model training entry point
-    "nn.train": "train_many's contract is stated against it; tests train single models with it",
 }
 
 

@@ -294,16 +294,18 @@ class TestPipeline:
     @staticmethod
     def record_train_many(monkeypatch):
         """Patch nn.train_many to record each call as a list of (x, y, config,
-        layer sizes, loss, model), one entry per stacked model."""
+        layer sizes, loss, model), one entry per stacked model; the loss is
+        the one the output width picks."""
         from mia_audit import nn
         calls = []
         real_train_many = nn.train_many
 
-        def recording(xs, ys, configs, layer_sizes, loss="ce"):
-            models = real_train_many(xs, ys, configs, layer_sizes, loss)
+        def recording(xs, ys, configs, layer_sizes):
+            pairs = real_train_many(xs, ys, configs, layer_sizes)
+            loss = "bce" if layer_sizes[-1] == 1 else "ce"
             calls.append([(x, y, c, layer_sizes, loss, m)
-                          for x, y, c, m in zip(xs, ys, configs, models)])
-            return models
+                          for x, y, c, (m, _) in zip(xs, ys, configs, pairs)])
+            return pairs
 
         monkeypatch.setattr(nn, "train_many", recording)
         return calls
@@ -312,8 +314,8 @@ class TestPipeline:
     def assert_equal_to_training_alone(monkeypatch, calls):
         from mia_audit import nn
         monkeypatch.undo()
-        for x, y, cfg, layer_sizes, loss, model in (job for call in calls for job in call):
-            alone = nn.train(x, y, cfg, layer_sizes, loss)
+        for x, y, cfg, layer_sizes, _, model in (job for call in calls for job in call):
+            [(alone, _)] = nn.train_many([x], [y], [cfg], layer_sizes)
             for a, b in zip(alone.parameters(), model.parameters()):
                 assert a.tobytes() == b.tobytes()
 
@@ -357,8 +359,8 @@ class TestPipeline:
                                  dp_apply_to=("target", "reference")))
         dp_jobs = [job for call in calls for job in call if job[2].dp is not None]
         assert len(dp_jobs) == 3
-        for x, y, cfg, layer_sizes, loss, model in dp_jobs:
-            oracle, _ = reference_train(x, y, cfg, layer_sizes, loss)
+        for x, y, cfg, layer_sizes, _, model in dp_jobs:
+            oracle, _ = reference_train(x, y, cfg, layer_sizes)
             for a, b in zip(oracle.parameters(), model.parameters()):
                 assert a.tobytes() == b.tobytes()
 
@@ -508,10 +510,10 @@ class TestArtifacts:
         for name in written:
             text = (outdir / name).read_text()
             if name.endswith(".csv"):
-                assert text.startswith(f"# config_digest={result.digest}")
+                assert text.startswith(f"# config_digest={result.config.digest()}")
                 assert b"\r" not in (outdir / name).read_bytes(), name
             else:
-                assert result.digest in text
+                assert result.config.digest() in text
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, _, written = self.run_to_dir(tmp_path, "a")
@@ -540,7 +542,7 @@ class TestArtifacts:
         outdir, result, _ = self.run_to_dir(tmp_path)
         for attack in result.config.attacks:
             sidecar = json.loads((outdir / f"scores_{attack}.json").read_text())
-            assert sidecar == {"attack": attack, "config_digest": result.digest,
+            assert sidecar == {"attack": attack, "config_digest": result.config.digest(),
                                "seed": result.config.master_seed}
 
     def test_attack_scores_csv_round_trip(self, tmp_path):
@@ -554,7 +556,7 @@ class TestArtifacts:
         outdir, result, _ = self.run_to_dir(tmp_path)
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
-        assert manifest["config_digest"] == result.digest
+        assert manifest["config_digest"] == result.config.digest()
 
 
 class TestCli:
@@ -690,6 +692,27 @@ class TestCli:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "error" in manifest
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_one_label_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
+        from mia_audit import nn
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a model on a data source with one label")
+
+        monkeypatch.setattr(nn, "train_many", no_training)
+        path = tmp_path / "one_label.csv"
+        rows = np.random.default_rng(0).normal(size=(60, 4))
+        path.write_text("x0,x1,x2,x3,label\n" + "".join(",".join(map(repr, row)) + ",0\n"
+                                                        for row in rows.tolist()))
+        if section == "data":
+            text = SAMPLE_INI.replace("source = synthetic", f"source = csv\npath = {path}")
+        else:
+            text = SAMPLE_INI + f"\n[attacker_data]\nsource = csv\npath = {path}\n"
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path, text), "-o", str(outdir)]) == 1
+        assert f"[{section}] path: every label in {path} is 0" in capsys.readouterr().err
+        assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
 
     def test_sweep_csv_cardinality(self, tmp_path):
         cfg = self.write_config(tmp_path, SAMPLE_INI.replace(

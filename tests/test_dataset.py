@@ -5,10 +5,10 @@ import pytest
 
 from mia_audit import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
                        TrainingConfig, generate_synthetic, load_csv,
-                       make_split, random_means, sample_reference_subset, train,
-                       write_csv)
+                       make_split, random_means, sample_reference_subset, write_csv)
 from mia_audit.dataset import read_rows, write_columns
 
+from oracles import train
 from test_nn import accuracy
 
 

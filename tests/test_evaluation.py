@@ -285,7 +285,7 @@ class TestLossBuckets:
         losses = [0.001, 0.5, 3.2, 0.0015]
         calibrated = [0.1, 0.2, 2.0, 0.0]
         member = [True, False, False, False]
-        report = loss_bucket_report(losses, calibrated, member, num_bins=5)
+        report = loss_bucket_report(losses, calibrated, member)
         by_name = {b.name: b for b in report.buckets}
         assert by_name["small"].member_count == 1
         assert by_name["small"].nonmember_count == 1
@@ -297,13 +297,13 @@ class TestLossBuckets:
             assert bucket.raw_hist.nonmember_counts.sum() == bucket.nonmember_count
 
     def test_csv_format(self, tmp_path):
-        report = loss_bucket_report([0.001, 0.5], [0.1, 0.2], [True, False], num_bins=3)
+        report = loss_bucket_report([0.001, 0.5], [0.1, 0.2], [True, False])
         path = tmp_path / "buckets.csv"
         report.write_raw_csv(path, config_digest="beef")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=beef"
         assert lines[1] == "bucket,bin_lo,bin_hi,member_count,nonmember_count"
-        assert len(lines) == 2 + 3 * 3  # three buckets x three bins
+        assert len(lines) == 2 + 3 * 20  # three buckets x NUM_BINS = 20 bins
 
 
 class TestMetricsReport:

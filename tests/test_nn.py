@@ -7,12 +7,12 @@ import pytest
 
 from mia_audit import nn
 from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, backward, derive_rng,
-                       derive_seed, forward, generate_synthetic, init_classifier, softmax, train)
+                       derive_seed, forward, generate_synthetic, init_classifier, softmax)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
                           per_sample_loss, schedule_lr, train_many)
 from mia_audit.signals import SignalKind, signal_batch
 
-from oracles import reference_train, sgd_step
+from oracles import reference_train, sgd_step, train
 
 # -log(e^3 / (e^1 + e^2 + e^3)), frozen from a 50-digit mpmath evaluation
 CE_123_LABEL2 = 0.4076059644443803
@@ -41,10 +41,10 @@ def finite_difference_grads(model, x, y, step=1e-5):
     return grads
 
 
-def per_example_gradients(model, x, y, loss="ce"):
+def per_example_gradients(model, x, y):
     """Reference: every example's gradient materialized by einsum, (n, out, in) per weight."""
     acts = _forward_cached(model.weights, model.biases, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    delta, mean_loss = _output_delta(acts[-1], _targets(y, loss, model.output_dim), loss)
+    delta, mean_loss = _output_delta(acts[-1], _targets(y, model.output_dim))
     grads = []
     for l in range(len(model.weights) - 1, -1, -1):
         grads.append(delta.copy())                               # bias, (n, out)
@@ -168,6 +168,15 @@ class TestCrossEntropy:
         for rows, labels in ((3, [0, 1]), (2, [0, 1, 1])):
             with pytest.raises(ValueError, match="labels for"):
                 per_sample_loss(model, np.zeros((rows, 2)), np.array(labels))
+
+    @pytest.mark.parametrize("read", [
+        per_sample_loss,
+        lambda model, x, y: signal_batch(model, x, y, SignalKind.LOSS),
+    ], ids=["per_sample_loss", "signal_batch"])
+    def test_one_unit_model_refused(self, read):
+        # one output unit is a bce net: it has no class log-probabilities to index
+        with pytest.raises(ValueError, match="^output size 1: "):
+            read(init_classifier([2, 1], 0), np.zeros((2, 2)), [0, 0])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -314,7 +323,7 @@ class TestBoxMuller:
     def test_odd_parameter_count_drops_the_last_value(self, monkeypatch):
         # the (2, 8, 8, 1) bce net has 105 parameters: 106 uniforms, 53 pairs, and the
         # noise on one step from zero gradients is the block but its last value
-        def zero_gradients(weights, biases, x, y, loss, clip_norm, out):
+        def zero_gradients(weights, biases, x, y, clip_norm, out):
             for g in out:
                 g[...] = 0.0
             return np.zeros(x.shape[0], x.dtype)
@@ -323,7 +332,7 @@ class TestBoxMuller:
         x, y = np.random.default_rng(1).normal(size=(10, 2)), np.arange(10) % 2
         cfg = TrainingConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0, epochs=1,
                              cosine_schedule=False, seed=4, dp=DPConfig(2.0, 0.5))
-        model = train(x, y, cfg, (2, 8, 8, 1), "bce")
+        model = train(x, y, cfg, (2, 8, 8, 1))
         init = init_classifier((2, 8, 8, 1), derive_seed(cfg.seed, "model-init"))
         assert init.num_parameters() == 105
         uniform = derive_rng(cfg.seed, "dp-noise").random((1, 106))
@@ -346,7 +355,7 @@ class TestDpSgdStep:
         # zero bce model: output error 0.5, gradient 0.5 * (x, 1) with |(x, 1)| = 5
         model = init_classifier([3, 1], 0).with_parameters([np.zeros((1, 3)), np.zeros(1)])
         x, y = np.array([[2.0, 2.0, 4.0]]), np.array([0])
-        grads, _ = backward(model, x, y, "bce", clip_norm=1.0)
+        grads, _ = backward(model, x, y, clip_norm=1.0)
         norm = math.sqrt(sum(float((g**2).sum()) for g in grads))
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(grads[0], [[0.4, 0.4, 0.8]], atol=1e-12)
@@ -358,12 +367,12 @@ class TestDpSgdStep:
         rng = np.random.default_rng(sum(sizes))
         model = random_model(rng, sizes)
         x = rng.normal(size=(16, sizes[0]))
-        y = rng.integers(0, max(sizes[-1], 2), size=16)
-        per_grads, _ = per_example_gradients(model, x, y, loss)
+        y = rng.integers(0, 2 if loss == "bce" else sizes[-1], size=16)
+        per_grads, _ = per_example_gradients(model, x, y)
         norms = per_example_norms(per_grads)
         for clip in (norms.min() / 2, float(np.median(norms)), norms.max() * 2):
             expected = clipped_mean_reference(per_grads, clip)
-            grads, _ = backward(model, x, y, loss, clip_norm=clip)
+            grads, _ = backward(model, x, y, clip_norm=clip)
             for g, e in zip(grads, expected):
                 assert g.shape == e.shape
                 assert np.max(np.abs(g - e)) < 1e-12
@@ -377,10 +386,10 @@ class TestDpSgdStep:
             model = random_model(rng, sizes)
             x = rng.normal(size=(rows, 3))
             y = rng.integers(0, 2, size=rows)
-            per_grads, _ = per_example_gradients(model, x, y, loss)
-            plain, plain_loss = backward(model, x, y, loss)
+            per_grads, _ = per_example_gradients(model, x, y)
+            plain, plain_loss = backward(model, x, y)
             for clip in (float(per_example_norms(per_grads).max()) * (1 + 1e-9), 1e6):
-                clipped, clipped_loss = backward(model, x, y, loss, clip_norm=clip)
+                clipped, clipped_loss = backward(model, x, y, clip_norm=clip)
                 assert clipped_loss == plain_loss
                 for a, b in zip(clipped, plain):
                     assert np.array_equal(a, b)
@@ -408,7 +417,7 @@ class TestDpSgdStep:
         # a DP run with sigma 0 is the clipped run without noise, byte for byte
         ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.5, 11), 100)
         cfg = TrainingConfig(epochs=3, batch_size=32, seed=3, dp=DPConfig(0.5, 0.0))
-        model, history = train(ds.features, ds.labels, cfg, (2, 8, 2), return_loss_history=True)
+        [(model, history)] = train_many([ds.features], [ds.labels], [cfg], (2, 8, 2))
         ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, (2, 8, 2))
         assert history == ref_history
         for a, b in zip(model.parameters(), ref_model.parameters()):
@@ -429,13 +438,13 @@ class TestTrain:
         x = np.random.default_rng(0).normal(size=(20, 2))
         cfg = TrainingConfig(epochs=3, seed=1)
         with pytest.raises(ValueError, match="bce labels must be 0 or 1"):
-            train(x, [label] * 20, cfg, (2, 4, 1), "bce")
+            train(x, [label] * 20, cfg, (2, 4, 1))
         model = init_classifier((2, 4, 1), 0)
         with pytest.raises(ValueError, match="bce labels must be 0 or 1"):
-            backward(model, x, [label] * 20, "bce")
+            backward(model, x, [label] * 20)
         for valid in ([0, 1] * 10, [0.0, 1.0] * 10, [False, True] * 10):
-            train(x, valid, cfg, (2, 4, 1), "bce")
-            backward(model, x, valid, "bce")
+            train(x, valid, cfg, (2, 4, 1))
+            backward(model, x, valid)
 
     def test_zero_epochs_returns_initial_model(self):
         ds = self.separable(50)
@@ -458,8 +467,8 @@ class TestTrain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_loss_decreases_over_epochs(self, seed):
         ds = self.separable(256)
-        _, history = train(ds.features, ds.labels, TrainingConfig(epochs=10, seed=seed),
-                           (2, 8, 2), return_loss_history=True)
+        cfg = TrainingConfig(epochs=10, seed=seed)
+        [(_, history)] = train_many([ds.features], [ds.labels], [cfg], (2, 8, 2))
         assert history[-1] < history[0]
 
     # 100 rows in batches of 32: every epoch ends on a short batch of 4
@@ -467,15 +476,15 @@ class TestTrain:
     def test_matches_reference_loop_bitwise(self, case):
         ds = self.separable(100)
         cfg = TrainingConfig(epochs=3, batch_size=32, seed=3)
-        sizes, loss = (2, 8, 2), "ce"
+        sizes = (2, 8, 2)
         if case == "bce":
-            sizes, loss = (2, 8, 8, 1), "bce"
+            sizes = (2, 8, 8, 1)
         elif case == "dp_noise":
             cfg = dataclasses.replace(cfg, dp=DPConfig(clip_norm=0.5, noise_multiplier=0.7))
         elif case == "constant_lr":
             cfg = dataclasses.replace(cfg, cosine_schedule=False)
-        model, history = train(ds.features, ds.labels, cfg, sizes, loss, return_loss_history=True)
-        ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, sizes, loss)
+        [(model, history)] = train_many([ds.features], [ds.labels], [cfg], sizes)
+        ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, sizes)
         assert history == ref_history
         for a, b in zip(model.parameters(), ref_model.parameters()):
             assert np.array_equal(a, b)
@@ -485,9 +494,9 @@ class TestTrain:
         ds = self.separable(200)
         xs, ys = [ds.features[:100], ds.features[100:]], [ds.labels[:100], ds.labels[100:]]
         configs = [TrainingConfig(epochs=3, batch_size=32, seed=s, dp=dp) for s in (1, 2)]
-        stacked = train_many(xs, ys, configs, (2, 8, 2), return_loss_history=True)
+        stacked = train_many(xs, ys, configs, (2, 8, 2))
         for x, y, cfg, (model, history) in zip(xs, ys, configs, stacked):
-            alone, alone_history = train(x, y, cfg, (2, 8, 2), return_loss_history=True)
+            [(alone, alone_history)] = train_many([x], [y], [cfg], (2, 8, 2))
             assert history == alone_history
             for a, b in zip(model.parameters(), alone.parameters()):
                 assert np.array_equal(a, b)
@@ -533,32 +542,32 @@ class TestTrainingDtype:
     the loop is promoted back to float64."""
 
     @staticmethod
-    def stacked(sizes, loss, dtype, k=2, n=8):
+    def stacked(sizes, dtype, k=2, n=8):
         rng = np.random.default_rng(7)
         models = [random_model(rng, sizes) for _ in range(k)]
         weights = [np.stack([m.weights[i] for m in models]).astype(dtype) for i in range(len(sizes) - 1)]
         biases = [np.stack([m.biases[i] for m in models])[:, None].astype(dtype)
                   for i in range(len(sizes) - 1)]
         x = rng.normal(size=(k, n, sizes[0])).astype(dtype)
-        y = np.stack([_targets(rng.integers(0, 2, n), loss, sizes[-1], dtype) for _ in range(k)])
+        y = np.stack([_targets(rng.integers(0, 2, n), sizes[-1], dtype) for _ in range(k)])
         return weights, biases, x, y
 
     @pytest.mark.parametrize("sizes,loss", [((3, 4, 2), "ce"), ((3, 4, 4, 1), "bce")])
     def test_gradients_stay_float32(self, sizes, loss):
-        weights, biases, x, y = self.stacked(sizes, loss, np.float32)
+        weights, biases, x, y = self.stacked(sizes, np.float32)
         if loss == "bce":
             assert y.dtype == np.float32
         acts = _forward_cached(weights, biases, x)
-        delta, _ = _output_delta(acts[-1], y, loss)
+        delta, _ = _output_delta(acts[-1], y)
         assert acts[-1].dtype == delta.dtype == np.float32
         out = []
         for w in weights:
             out.extend((np.full(w.shape, np.nan, np.float32), np.full(w.shape[:2], np.nan, np.float32)))
-        mean_loss = _gradients(weights, biases, x, y, loss, None, out)
+        mean_loss = _gradients(weights, biases, x, y, None, out)
         assert mean_loss.dtype == np.float32 and mean_loss.shape == (2,)
         # the same stacked gradients in float64, to float32's precision
         ref = [np.empty(g.shape) for g in out]
-        ref_loss = _gradients(*self.stacked(sizes, loss, np.float64), loss, None, ref)
+        ref_loss = _gradients(*self.stacked(sizes, np.float64), None, ref)
         assert np.allclose(mean_loss, ref_loss, rtol=1e-5)
         for g, r in zip(out, ref):
             assert np.allclose(g, r, rtol=1e-4, atol=1e-6)
@@ -567,7 +576,7 @@ class TestTrainingDtype:
     def test_no_subnormal_errors_in_float32(self, monkeypatch, clip_norm):
         # output biases of +-47.5: logit gaps of about 95, so every correctly
         # labelled row has a softmax probability of about e^-95, a float32 subnormal
-        weights, biases, x, y = self.stacked((3, 4, 2), "ce", np.float32, n=64)
+        weights, biases, x, y = self.stacked((3, 4, 2), np.float32, n=64)
         biases[-1][..., :] = [47.5, -47.5]
         assert (y == 0).any() and (y == 1).any()
         errors = []
@@ -581,7 +590,7 @@ class TestTrainingDtype:
         monkeypatch.setattr(nn, "_layer_errors", recording)
         out = [np.empty(p.shape, np.float32) for pair in zip(weights, biases) for p in pair]
         out[1::2] = [g[:, 0] for g in out[1::2]]
-        _gradients(weights, biases, x, y, "ce", clip_norm, out)
+        _gradients(weights, biases, x, y, clip_norm, out)
         assert len(errors) == 2  # one backprop recurrence, clipped or not
         assert all((d != 0).any() for d in errors)  # the misclassified rows
         tiny = np.finfo(np.float32).tiny
@@ -604,8 +613,8 @@ class TestTrainingDtype:
         made = []
         real_output_delta = nn._output_delta
 
-        def recording(logits, y, loss):
-            delta, mean_loss = real_output_delta(logits, y, loss)
+        def recording(logits, y):
+            delta, mean_loss = real_output_delta(logits, y)
             made.append((delta, delta.tobytes()))
             return delta, mean_loss
 
@@ -619,9 +628,9 @@ class TestTrainingDtype:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sq_norms_keep_dtype(self, dtype):
-        weights, biases, x, y = self.stacked((3, 4, 2), "ce", dtype)
+        weights, biases, x, y = self.stacked((3, 4, 2), dtype)
         acts = _forward_cached(weights, biases, x)
-        delta, _ = _output_delta(acts[-1], y, "ce")
+        delta, _ = _output_delta(acts[-1], y)
         assert delta.dtype == dtype
         assert _sq_norms(acts, nn._layer_errors(weights, acts, delta)).dtype == dtype
 

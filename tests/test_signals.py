@@ -7,10 +7,11 @@ import pytest
 
 from mia_audit import (DistributionSpec, ScoreTable, SignalKind, TrainingConfig, calibrate, forward,
                        generate_synthetic, init_classifier, loss_bucket_report, per_sample_loss,
-                       run_pipeline, run_pipelines, train)
+                       run_pipeline, run_pipelines)
 from mia_audit.pipeline import resolve_dataset
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
 from mia_audit.signals import perturbed_queries, signal_batch
+from oracles import train
 from test_config_cli import fast_config
 from test_nn import per_example_gradients, per_example_norms
 
