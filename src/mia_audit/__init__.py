@@ -8,9 +8,8 @@ on tabular or synthetic data, and reports each attack's ROC metrics.
 
 from .attacks import ScoringModel, calibrate
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
-from .dataset import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
-                      generate_synthetic, load_csv, make_split, random_means,
-                      sample_reference_subset, write_csv)
+from .dataset import (CsvParseError, SplitPlan, TabularDataset, generate_synthetic, load_csv,
+                      make_split, random_means, sample_reference_subset, write_csv)
 from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr, compute_metrics,
                          loss_bucket_report, roc)
 from .nn import (DPConfig, MLPClassifier, TrainingConfig, backward, forward, init_classifier,

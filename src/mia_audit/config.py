@@ -51,10 +51,10 @@ class SyntheticSource:
             raise ValueError("num_classes: need at least 2 classes")
         if self.feature_dim < 1:
             raise ValueError("feature_dim: must be positive")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation: must be positive")
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale: must be positive")
+        if not 0 < self.class_separation < math.inf:
+            raise ValueError("class_separation: must be positive and finite")
+        if not 0 < self.cov_scale < math.inf:
+            raise ValueError("cov_scale: must be positive and finite")
         if self.n_samples < max(6, self.num_classes):
             raise ValueError("n_samples: need at least 6 samples to split, "
                              "and one per class")
@@ -105,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError("[scoring] hidden_sizes: need positive hidden layer sizes")
         if self.num_queries < 1:
             raise ConfigError("[signal] num_queries: must be at least 1")
-        if self.augmentation_noise_std < 0:
-            raise ConfigError("[signal] augmentation_noise_std: must be nonnegative")
+        if not 0 <= self.augmentation_noise_std < math.inf:
+            raise ConfigError("[signal] augmentation_noise_std: must be nonnegative and finite")
         if self.num_reference_models < 1:
             raise ConfigError("[reference] count: must be at least 1")
         if self.reference_sampling_mode not in SAMPLING_MODES:
@@ -142,17 +142,8 @@ class ExperimentConfig:
         return dataclasses.replace(self, **kw)
 
     def canonical_dict(self) -> dict:
-        def encode(value):
-            if isinstance(value, (SyntheticSource, CsvSource, TrainingConfig, DPConfig)):
-                return {k: encode(v) for k, v in dataclasses.asdict(value).items()}
-            if isinstance(value, SignalKind):
-                return value.value
-            if isinstance(value, tuple):
-                return list(value)
-            return value
-
-        return {name: encode(getattr(self, name)) for name in sorted(
-            f.name for f in dataclasses.fields(self))}
+        """The resolved values; JSON writes tuples as lists and a SignalKind as its value."""
+        return dataclasses.asdict(self)
 
     def digest(self) -> str:
         text = json.dumps(self.canonical_dict(), sort_keys=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,36 +74,6 @@ class TabularDataset:
         return self.features[idx], self.labels[idx]
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Isotropic Gaussian mixture: one component per class.
-
-    class_means: (num_classes, feature_dim) matrix of component centers.
-    cov_scale: per-coordinate standard deviation of every component (> 0).
-    """
-
-    num_classes: int
-    feature_dim: int
-    class_means: np.ndarray
-    cov_scale: float
-    seed: int
-
-    def __post_init__(self):
-        means = _frozen(np.asarray(self.class_means, dtype=np.float64))
-        object.__setattr__(self, "class_means", means)
-        if means.shape != (self.num_classes, self.feature_dim):
-            raise ValueError(
-                f"class_means shape {means.shape} != "
-                f"({self.num_classes}, {self.feature_dim})"
-            )
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale must be positive")
-        for i in range(self.num_classes):
-            for j in range(i + 1, self.num_classes):
-                if np.array_equal(means[i], means[j]):
-                    raise ValueError(f"class means {i} and {j} are identical")
-
-
 def random_means(num_classes: int, feature_dim: int, spread: float, seed: int) -> np.ndarray:
     """Deterministic per-class mean vectors drawn from N(0, spread^2 I).
 
@@ -114,28 +84,34 @@ def random_means(num_classes: int, feature_dim: int, spread: float, seed: int) -
     return rng.normal(0.0, spread, size=(num_classes, feature_dim))
 
 
-def generate_synthetic(spec: DistributionSpec, n: int) -> TabularDataset:
-    """Draw n samples class-balanced (counts differ by at most 1) from the mixture.
+def generate_synthetic(class_means, cov_scale: float, n: int, seed: int) -> TabularDataset:
+    """Draw n samples class-balanced (counts differ by at most 1) from an
+    isotropic Gaussian mixture with one component per class.
 
-    Deterministic given spec.seed; two calls with the same arguments return
+    class_means: (num_classes, feature_dim) matrix of pairwise-distinct
+    component centers; its shape gives the class count and the dimension.
+    cov_scale: per-coordinate standard deviation of every component (> 0).
+    Deterministic given seed; two calls with the same arguments return
     bit-identical datasets.
     """
-    if n < spec.num_classes:
-        raise ValueError(f"need n >= num_classes, got n={n} < {spec.num_classes}")
-    rng = derive_rng(spec.seed, "synthetic", n)
-    base, extra = divmod(n, spec.num_classes)
-    counts = [base + (1 if c < extra else 0) for c in range(spec.num_classes)]
-    feats = np.empty((n, spec.feature_dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for c, count in enumerate(counts):
-        feats[row : row + count] = spec.class_means[c] + rng.normal(
-            0.0, spec.cov_scale, size=(count, spec.feature_dim)
-        )
-        labels[row : row + count] = c
-        row += count
+    means = np.asarray(class_means, dtype=np.float64)
+    if means.ndim != 2:
+        raise ValueError(f"class_means must be 2-D, got shape {means.shape}")
+    if not cov_scale > 0:
+        raise ValueError("cov_scale must be positive")
+    num_classes, feature_dim = means.shape
+    for i in range(num_classes):
+        for j in range(i + 1, num_classes):
+            if np.array_equal(means[i], means[j]):
+                raise ValueError(f"class means {i} and {j} are identical")
+    if n < num_classes:
+        raise ValueError(f"need n >= num_classes, got n={n} < {num_classes}")
+    rng = derive_rng(seed, "synthetic", n)
+    labels = np.sort(np.arange(n) % num_classes)  # the first n % num_classes classes get one more
+    feats = rng.normal(0.0, cov_scale, size=(n, feature_dim))
+    feats += means[labels]
     order = rng.permutation(n)
-    return TabularDataset(feats[order], labels[order], spec.num_classes)
+    return TabularDataset(feats[order], labels[order], num_classes)
 
 
 def load_csv(path) -> TabularDataset:
@@ -254,6 +230,9 @@ def read_rows(path, header, types) -> list[list]:
     return _typed_rows(path, header, types, rows[1:])
 
 
+_INDEX_FIELDS = ("target_train", "target_test", "shadow_train", "shadow_test", "reference_pool")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Disjoint index lists into a parent dataset for the attack protocol.
@@ -272,12 +251,10 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("target_train", "target_test", "shadow_train", "shadow_test", "reference_pool"):
+        for name in _INDEX_FIELDS:
             object.__setattr__(self, name, tuple(int(i) for i in getattr(self, name)))
-        groups = self._groups()
-        total = sum(len(g) for g in groups.values())
-        union = set().union(*(set(g) for g in groups.values()))
-        if len(union) != total:
+        groups = [getattr(self, name) for name in _INDEX_FIELDS]
+        if len(set().union(*groups)) != sum(map(len, groups)):
             raise ValueError("split index lists are not pairwise disjoint")
         if len(self.target_train) != len(self.target_test):
             raise ValueError("target train/test halves differ in size")
@@ -286,29 +263,13 @@ class SplitPlan:
         if not self.reference_pool:
             raise ValueError("reference pool is empty")
 
-    def _groups(self) -> dict[str, tuple[int, ...]]:
-        return {
-            "target_train": self.target_train,
-            "target_test": self.target_test,
-            "shadow_train": self.shadow_train,
-            "shadow_test": self.shadow_test,
-            "reference_pool": self.reference_pool,
-        }
-
     def to_dict(self) -> dict:
-        return {**{name: list(idx) for name, idx in self._groups().items()}, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, text: str) -> "SplitPlan":
         payload = json.loads(text)
-        return cls(
-            target_train=payload["target_train"],
-            target_test=payload["target_test"],
-            shadow_train=payload["shadow_train"],
-            shadow_test=payload["shadow_test"],
-            reference_pool=payload["reference_pool"],
-            seed=payload.get("seed", 0),
-        )
+        return cls(**{name: payload[name] for name in _INDEX_FIELDS}, seed=payload.get("seed", 0))
 
 
 def make_split(dataset: TabularDataset, seed: int) -> SplitPlan:

@@ -8,7 +8,7 @@ not exceed the target and report the achieved FPR next to it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -189,18 +189,9 @@ class MetricsReport:
                 raise ValueError(f"tpr_at_fpr[{level}] out of range")
 
     def to_dict(self) -> dict:
-        return {
-            "balanced_accuracy": self.balanced_accuracy,
-            "auc": self.auc,
-            "tpr_at_fpr": {
-                repr(level): {
-                    "tpr": entry.tpr,
-                    "threshold": entry.threshold,
-                    "achieved_fpr": entry.achieved_fpr,
-                }
-                for level, entry in self.tpr_at_fpr.items()
-            },
-        }
+        out = asdict(self)
+        out["tpr_at_fpr"] = {repr(level): entry for level, entry in out["tpr_at_fpr"].items()}
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetricsReport":

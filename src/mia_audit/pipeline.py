@@ -57,9 +57,8 @@ import numpy as np
 from . import attacks as atk
 from . import evaluation, nn
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource
-from .dataset import (DistributionSpec, SplitPlan, TabularDataset, generate_synthetic,
-                      load_csv, make_split, random_means, sample_reference_subset,
-                      write_columns)
+from .dataset import (SplitPlan, TabularDataset, generate_synthetic, load_csv, make_split,
+                      random_means, sample_reference_subset, write_columns)
 from .seeding import derive_seed
 from .signals import ScoreTable, perturbed_queries, signal_batch
 
@@ -69,15 +68,8 @@ def resolve_dataset(source, master_seed: int, label: str) -> TabularDataset:
         return load_csv(source.path)
     assert isinstance(source, SyntheticSource)
     seed = source.seed if source.seed is not None else derive_seed(master_seed, label)
-    spec = DistributionSpec(
-        num_classes=source.num_classes,
-        feature_dim=source.feature_dim,
-        class_means=random_means(source.num_classes, source.feature_dim,
-                                 source.class_separation, seed),
-        cov_scale=source.cov_scale,
-        seed=seed,
-    )
-    return generate_synthetic(spec, source.n_samples)
+    means = random_means(source.num_classes, source.feature_dim, source.class_separation, seed)
+    return generate_synthetic(means, source.cov_scale, source.n_samples, seed)
 
 
 @dataclass
@@ -477,7 +469,8 @@ def _write_json(path, payload: dict) -> None:
 
 def write_artifacts(result: RunResult, outdir) -> list[str]:
     """Persist every artifact of a run, after deleting the artifacts that the
-    directory's manifest lists; returns the artifact file names."""
+    directory's manifest lists; returns the artifact file names. A write that
+    fails deletes the files written so far before the error propagates."""
     os.makedirs(outdir, exist_ok=True)
     _remove_listed_artifacts(outdir)
     digest = result.config.digest()
@@ -487,39 +480,45 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
         written.append(name)
         return os.path.join(outdir, name)
 
-    _write_json(record("config.json"),
-                {"config_digest": digest, "config": result.config.canonical_dict()})
+    try:
+        _write_json(record("config.json"),
+                    {"config_digest": digest, "config": result.config.canonical_dict()})
 
-    _write_json(record("split.json"), {**result.target_plan.to_dict(), "config_digest": digest})
-    if result.attacker_plan is not None:
-        _write_json(record("attacker_split.json"),
-                    {**result.attacker_plan.to_dict(), "config_digest": digest})
+        _write_json(record("split.json"),
+                    {**result.target_plan.to_dict(), "config_digest": digest})
+        if result.attacker_plan is not None:
+            _write_json(record("attacker_split.json"),
+                        {**result.attacker_plan.to_dict(), "config_digest": digest})
 
-    result.target_table.to_csv(record("target_scores.csv"), digest)
-    if result.shadow_table is not None:
-        result.shadow_table.to_csv(record("shadow_scores.csv"), digest)
+        result.target_table.to_csv(record("target_scores.csv"), digest)
+        if result.shadow_table is not None:
+            result.shadow_table.to_csv(record("shadow_scores.csv"), digest)
 
-    for name, curve in result.curves.items():
-        write_columns(record(f"scores_{name}.csv"), atk.SCORES_HEADER,
-                      [result.target_table.ids, result.scores[name]], digest)
-        _write_json(record(f"scores_{name}.json"),
-                    {"attack": name, "config_digest": digest, "seed": result.config.master_seed})
-        curve.to_csv(record(f"roc_{name}.csv"), digest)
-        _write_json(record(f"metrics_{name}.json"),
-                    {"attack": name, "config_digest": digest, **result.metrics[name].to_dict()})
+        for name, curve in result.curves.items():
+            write_columns(record(f"scores_{name}.csv"), atk.SCORES_HEADER,
+                          [result.target_table.ids, result.scores[name]], digest)
+            _write_json(record(f"scores_{name}.json"), {
+                "attack": name, "config_digest": digest, "seed": result.config.master_seed})
+            curve.to_csv(record(f"roc_{name}.csv"), digest)
+            _write_json(record(f"metrics_{name}.json"), {
+                "attack": name, "config_digest": digest, **result.metrics[name].to_dict()})
 
-    if result.bucket_report is not None:
-        result.bucket_report.write_raw_csv(record("loss_buckets_raw.csv"), digest)
-        result.bucket_report.write_calibrated_csv(record("loss_buckets_calibrated.csv"), digest)
+        if result.bucket_report is not None:
+            result.bucket_report.write_raw_csv(record("loss_buckets_raw.csv"), digest)
+            result.bucket_report.write_calibrated_csv(record("loss_buckets_calibrated.csv"),
+                                                      digest)
 
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "config_digest": digest,
-        "master_seed": result.config.master_seed,
-        "attacks": list(result.config.attacks),
-        "target_accuracy": result.target_accuracy,
-        "artifacts": sorted(written) + ["manifest.json"],
-        "status": "ok",
-    })
+        _write_json(os.path.join(outdir, "manifest.json"), {
+            "config_digest": digest,
+            "master_seed": result.config.master_seed,
+            "attacks": list(result.config.attacks),
+            "target_accuracy": result.target_accuracy,
+            "artifacts": sorted(written) + ["manifest.json"],
+            "status": "ok",
+        })
+    except BaseException:
+        _remove_artifacts(outdir, written)
+        raise
     written.append("manifest.json")
     return written
 
@@ -539,6 +538,15 @@ def read_manifest(outdir) -> dict | None:
     return manifest
 
 
+def _remove_artifacts(outdir, names) -> None:
+    """Delete each named artifact file of outdir; a name that is not a plain
+    file name in outdir, or is manifest.json, is skipped."""
+    for name in names:
+        if (isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name
+                and os.path.isfile(os.path.join(outdir, name))):
+            os.remove(os.path.join(outdir, name))
+
+
 def _remove_listed_artifacts(outdir) -> None:
     """Delete the artifacts that the directory's manifest lists, and no other
     file, so no artifact of an earlier run outlives the next one."""
@@ -546,10 +554,7 @@ def _remove_listed_artifacts(outdir) -> None:
         listed = (read_manifest(outdir) or {}).get("artifacts", [])
     except ValueError:  # a truncated or malformed manifest lists nothing
         listed = []
-    for name in listed if isinstance(listed, list) else []:
-        if (isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name
-                and os.path.isfile(os.path.join(outdir, name))):
-            os.remove(os.path.join(outdir, name))
+    _remove_artifacts(outdir, listed if isinstance(listed, list) else [])
 
 
 def mark_failed(outdir, digest: str, error: str) -> None:

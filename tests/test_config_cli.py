@@ -210,6 +210,18 @@ class TestConfigParsing:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
         assert f"[{section}] {text.split()[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("owner, name, key", [
+        (ExperimentConfig, "augmentation_noise_std", "[signal] augmentation_noise_std"),
+        (SyntheticSource, "class_separation", "class_separation"),
+        (SyntheticSource, "cov_scale", "cov_scale"),
+    ], ids=["augmentation_noise_std", "class_separation", "cov_scale"])
+    def test_nonfinite_value_refused_at_construction(self, owner, name, key, value):
+        # the INI reader refuses these already; sweeps and tests build configs directly
+        with pytest.raises(ValueError, match=re.escape(f"{key}: ") + ".*finite"):
+            owner(**{name: value})
+
     def test_digest_changes_with_values(self):
         assert fast_config().digest() != fast_config(master_seed=6).digest()
         assert fast_config().digest() == fast_config().digest()
@@ -796,6 +808,30 @@ class TestCli:
         assert main(["run", self.write_config(tmp_path, missing), "-o", str(outdir)]) == 1
         assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "notes.txt"]
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
+
+    def test_failed_write_leaves_only_its_manifest(self, tmp_path, capsys, monkeypatch):
+        # a disk that fills up on the third ROC curve: the run's earlier files go
+        # with it, so none outlives the run and trips a later report
+        to_csv, calls = RocCurve.to_csv, []
+
+        def third_call_fails(self, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return to_csv(self, *args)
+
+        monkeypatch.setattr(RocCurve, "to_csv", third_call_fails)
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 1
+        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+        assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
+        monkeypatch.setattr(RocCurve, "to_csv", to_csv)
+        loss_only = SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
+                                       "enabled = loss")
+        assert main(["run", self.write_config(tmp_path, loss_only), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 0
+        assert [row.split()[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["loss"]
 
     def test_rerun_removes_the_previous_runs_artifacts(self, tmp_path, capsys):
         outdir = tmp_path / "out"

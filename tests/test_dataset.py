@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mia_audit import (CsvParseError, DistributionSpec, SplitPlan, TabularDataset,
+from mia_audit import (CsvParseError, SplitPlan, TabularDataset,
                        TrainingConfig, generate_synthetic, load_csv,
                        make_split, random_means, sample_reference_subset, write_csv)
 from mia_audit.dataset import read_rows, write_columns
@@ -12,8 +12,8 @@ from oracles import train
 from test_nn import accuracy
 
 
-def two_class_spec(seed=7, cov=0.5):
-    return DistributionSpec(2, 2, [[-3.0, -3.0], [3.0, 3.0]], cov, seed)
+def two_class(n, seed=7, cov=0.5):
+    return generate_synthetic([[-3.0, -3.0], [3.0, 3.0]], cov, n, seed)
 
 
 class TestTabularDataset:
@@ -37,27 +37,27 @@ class TestTabularDataset:
 
 class TestGenerateSynthetic:
     def test_class_balance(self):
-        ds = generate_synthetic(two_class_spec(), 4)
+        ds = two_class(4)
         assert sorted(ds.labels.tolist()) == [0, 0, 1, 1]
 
     def test_deterministic(self):
-        a = generate_synthetic(two_class_spec(), 50)
-        b = generate_synthetic(two_class_spec(), 50)
+        a = two_class(50)
+        b = two_class(50)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_n_below_num_classes_rejected(self):
         with pytest.raises(ValueError):
-            generate_synthetic(two_class_spec(), 1)
+            two_class(1)
 
     def test_uneven_balance(self):
-        ds = generate_synthetic(two_class_spec(), 5)
+        ds = two_class(5)
         counts = np.bincount(ds.labels)
         assert abs(counts[0] - counts[1]) <= 1
 
     def test_well_separated_classes_are_learnable(self):
         # well-separated Gaussians force near-perfect held-out accuracy
-        ds = generate_synthetic(two_class_spec(), 2000)
+        ds = two_class(2000)
         half = len(ds) // 2
         model = train(ds.features[:half], ds.labels[:half],
                       TrainingConfig(epochs=10, seed=0), (2, 16, 2))
@@ -65,13 +65,27 @@ class TestGenerateSynthetic:
 
     def test_distinct_means_required(self):
         with pytest.raises(ValueError):
-            DistributionSpec(2, 2, [[1.0, 1.0], [1.0, 1.0]], 1.0, 0)
+            generate_synthetic([[1.0, 1.0], [1.0, 1.0]], 1.0, 4, 0)
+
+    @pytest.mark.parametrize("cov", [0.0, -1.0, float("nan")])
+    def test_nonpositive_cov_scale_rejected(self, cov):
+        with pytest.raises(ValueError, match="cov_scale must be positive"):
+            two_class(4, cov=cov)
+
+    def test_means_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="class_means must be 2-D"):
+            generate_synthetic([1.0, -1.0], 1.0, 4, 0)
+
+    def test_shape_of_means_gives_classes_and_dimension(self):
+        ds = generate_synthetic(random_means(3, 5, 1.0, 2), 1.0, 7, 2)
+        assert (ds.num_classes, ds.feature_dim) == (3, 5)
+        assert np.bincount(ds.labels).tolist() == [3, 2, 2]
 
     def test_random_means_deterministic_and_distinct(self):
         a = random_means(3, 4, 1.0, 5)
         b = random_means(3, 4, 1.0, 5)
         assert np.array_equal(a, b)
-        DistributionSpec(3, 4, a, 1.0, 5)  # validates pairwise distinctness
+        generate_synthetic(a, 1.0, 6, 5)  # validates pairwise distinctness
 
 
 class TestLoadCsv(object):
@@ -111,7 +125,7 @@ class TestLoadCsv(object):
             load_csv(self.write(tmp_path, "x0,label\n"))
 
     def test_write_round_trip(self, tmp_path):
-        ds = generate_synthetic(two_class_spec(), 20)
+        ds = two_class(20)
         path = tmp_path / "out.csv"
         write_csv(path, ds)
         loaded = load_csv(path)
@@ -151,31 +165,31 @@ class TestCsvFormat:
 
 class TestMakeSplit:
     def test_standard_sizes(self):
-        ds = generate_synthetic(two_class_spec(), 6000)
+        ds = two_class(6000)
         plan = make_split(ds, 1)
         sizes = (len(plan.target_train), len(plan.target_test), len(plan.shadow_train),
                  len(plan.shadow_test), len(plan.reference_pool))
         assert sizes == (1000, 1000, 1000, 1000, 2000)
 
     def test_minimum_case(self):
-        ds = generate_synthetic(two_class_spec(), 6)
+        ds = two_class(6)
         plan = make_split(ds, 1)
         sizes = (len(plan.target_train), len(plan.target_test), len(plan.shadow_train),
                  len(plan.shadow_test), len(plan.reference_pool))
         assert sizes == (1, 1, 1, 1, 2)
 
     def test_deterministic(self):
-        ds = generate_synthetic(two_class_spec(), 600)
+        ds = two_class(600)
         assert make_split(ds, 3) == make_split(ds, 3)
 
     def test_too_small_rejected(self):
-        ds = generate_synthetic(two_class_spec(), 5)
+        ds = two_class(5)
         with pytest.raises(ValueError):
             make_split(ds, 0)
 
     @pytest.mark.parametrize("n", [6, 7, 11, 100, 601, 6000])
     def test_disjoint_and_exhaustive_enough(self, n):
-        ds = generate_synthetic(two_class_spec(), n)
+        ds = two_class(n)
         plan = make_split(ds, 42)
         groups = [plan.target_train, plan.target_test, plan.shadow_train,
                   plan.shadow_test, plan.reference_pool]
@@ -186,7 +200,7 @@ class TestMakeSplit:
         assert len(union) == n
 
     def test_json_round_trip(self):
-        ds = generate_synthetic(two_class_spec(), 60)
+        ds = two_class(60)
         plan = make_split(ds, 5)
         assert SplitPlan.from_json(json.dumps(plan.to_dict())) == plan
 
@@ -197,7 +211,7 @@ class TestMakeSplit:
 
 class TestSampleReferenceSubset:
     def plan(self, n=6000):
-        return make_split(generate_synthetic(two_class_spec(), n), 1)
+        return make_split(two_class(n), 1)
 
     def test_full_fraction_is_whole_pool(self):
         plan = self.plan()

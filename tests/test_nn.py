@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mia_audit import nn
-from mia_audit import (DPConfig, DistributionSpec, TrainingConfig, backward, derive_rng,
+from mia_audit import (DPConfig, TrainingConfig, backward, derive_rng,
                        derive_seed, forward, generate_synthetic, init_classifier, softmax)
 from mia_audit.nn import (_forward_cached, _gradients, _output_delta, _sq_norms, _targets,
                           per_sample_loss, schedule_lr, train_many)
@@ -98,7 +98,7 @@ class TestInit:
         assert np.std(model.weights[0]) == pytest.approx(1 / math.sqrt(400), rel=0.05)
 
     def test_random_models_near_chance_on_balanced_data(self):
-        ds = generate_synthetic(DistributionSpec(2, 4, [[1, 1, 1, 1], [-1, -1, -1, -1]], 1.0, 3), 2000)
+        ds = generate_synthetic([[1, 1, 1, 1], [-1, -1, -1, -1]], 1.0, 2000, 3)
         accs = [accuracy(init_classifier([4, 8, 2], seed), ds.features, ds.labels)
                 for seed in range(10)]
         assert abs(float(np.mean(accs)) - 0.5) <= 0.05
@@ -222,7 +222,7 @@ class TestBackward:
             call(init_classifier([2, 2], 0), np.zeros(2))
 
     def test_converged_model_has_tiny_gradient(self):
-        ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.3, 1), 64)
+        ds = generate_synthetic([[-3, -3], [3, 3]], 0.3, 64, 1)
         model = train(ds.features, ds.labels,
                       TrainingConfig(epochs=200, weight_decay=0.0, seed=0), (2, 8, 2))
         grads, _ = backward(model, ds.features, ds.labels)
@@ -415,7 +415,7 @@ class TestDpSgdStep:
 
     def test_sigma_zero_draws_no_noise(self):
         # a DP run with sigma 0 is the clipped run without noise, byte for byte
-        ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.5, 11), 100)
+        ds = generate_synthetic([[-3, -3], [3, 3]], 0.5, 100, 11)
         cfg = TrainingConfig(epochs=3, batch_size=32, seed=3, dp=DPConfig(0.5, 0.0))
         [(model, history)] = train_many([ds.features], [ds.labels], [cfg], (2, 8, 2))
         ref_model, ref_history = reference_train(ds.features, ds.labels, cfg, (2, 8, 2))
@@ -426,7 +426,7 @@ class TestDpSgdStep:
 
 class TestTrain:
     def separable(self, n=400):
-        return generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.5, 11), n)
+        return generate_synthetic([[-3, -3], [3, 3]], 0.5, n, 11)
 
     def test_reaches_high_accuracy_on_separable_data(self):
         ds = self.separable()

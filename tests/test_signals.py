@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import (DistributionSpec, ScoreTable, SignalKind, TrainingConfig, calibrate, forward,
+from mia_audit import (ScoreTable, SignalKind, TrainingConfig, calibrate, forward,
                        generate_synthetic, init_classifier, loss_bucket_report, per_sample_loss,
                        run_pipeline, run_pipelines)
 from mia_audit.pipeline import resolve_dataset
@@ -57,7 +57,7 @@ class TestSignal:
         assert np.all((conf_scores >= 0) & (conf_scores <= 1))
 
     def test_gradnorm_vanishes_at_convergence(self):
-        ds = generate_synthetic(DistributionSpec(2, 2, [[-3, -3], [3, 3]], 0.3, 5), 64)
+        ds = generate_synthetic([[-3, -3], [3, 3]], 0.3, 64, 5)
         trained = train(ds.features, ds.labels,
                         TrainingConfig(epochs=200, weight_decay=0.0, seed=1), (2, 8, 2))
         fresh = init_classifier((2, 8, 2), 99)
@@ -256,13 +256,13 @@ class TestQueryNoise:
 
 class TestScoreTable:
     def overfit_setup(self):
-        ds = generate_synthetic(DistributionSpec(2, 8, np.random.default_rng(0).normal(0, 0.4, (2, 8)), 1.0, 3), 200)
+        ds = generate_synthetic(np.random.default_rng(0).normal(0, 0.4, (2, 8)), 1.0, 200, 3)
         model = train(ds.features[:100], ds.labels[:100],
                       TrainingConfig(epochs=80, seed=2), (8, 64, 2))
         return ds, model
 
     def test_build_fills_raw_only(self):
-        ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 4)
+        ds = generate_synthetic([[-1, -1], [1, 1]], 1.0, 4, 4)
         raw = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, ONE_QUERY)
         table = ScoreTable(ids=range(4), is_member=[True, True, False, False], raw=raw)
         assert len(table) == 4
@@ -270,7 +270,7 @@ class TestScoreTable:
         assert table.calibrated is None
 
     def test_deterministic(self):
-        ds = generate_synthetic(DistributionSpec(2, 2, [[-1, -1], [1, 1]], 1.0, 4), 10)
+        ds = generate_synthetic([[-1, -1], [1, 1]], 1.0, 10, 4)
         q = (4, 0.2, 5)
         r1 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
         r2 = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, q)
@@ -284,7 +284,7 @@ class TestScoreTable:
         assert members.mean() > non.mean()
 
     def test_order_independence(self):
-        ds = generate_synthetic(DistributionSpec(2, 3, [[-1, -1, 0], [1, 1, 0]], 1.0, 8), 30)
+        ds = generate_synthetic([[-1, -1, 0], [1, 1, 0]], 1.0, 30, 8)
         q = (3, 0.1, 2)
         model = init_classifier([3, 8, 2], 1)
         ids = list(range(30))

@@ -27,6 +27,9 @@
 #   - a `run` on those 1200 samples with DP-SGD clipping and no noise (clip
 #     10, noise 0.0, on the target and reference models), so a change to
 #     clipping shows apart from a change to the noise stream,
+#   - a `run` on those 1200 samples with pinned seeds ([data] seed = 5 and
+#     [experiment] split_seed = 9), so the data and the split come from their
+#     own seeds rather than from the master seed,
 #   - a reference_sampling_mode fixed,random sweep of all five attacks on
 #     those 1200 samples (seeds 31 and 32),
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
@@ -116,6 +119,13 @@ ini dp_clip "$small
 clip_norm = 10.0
 noise_multiplier = 0.0
 apply_to = target,reference"
+ini pinned_seeds '[data]
+n_samples = 1200
+seed = 5
+
+[experiment]
+master_seed = 31
+split_seed = 9'
 ini small "$small"
 ini csv "[data]
 source = csv
@@ -139,7 +149,8 @@ run_side() {  # <src dir> <output dir>
     mia sweep "$work/small.ini" --axis reference_sampling_mode --values fixed,random \
         --seeds 31,32 -o "$out/sweep_sampling"
     local name
-    for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target dp_clip; do
+    for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target \
+            dp_clip pinned_seeds; do
         mia run "$work/$name.ini" -o "$out/$name"
     done
     mia gen-data "$work/small.ini" -o "$work/data.csv"
