@@ -1,20 +1,18 @@
 """Command-line entry points: run, sweep, report, gen-data.
 
 `run` executes the full pipeline for one config and persists artifacts;
-`sweep` reruns it along one ablation axis; `report` renders the metrics
-JSON artifacts of a run directory as a fixed-format table; `gen-data`
-emits the synthetic dataset of a config as CSV.
+`sweep` reruns it along one ablation axis; `report` renders the metrics of
+the attacks that a run directory's manifest lists as a fixed-format table;
+`gen-data` emits the synthetic dataset of a config as CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import json
 import os
 import sys
 
-from . import evaluation, pipeline
+from . import pipeline
 from .config import KNOWN_ATTACKS, ConfigError, SyntheticSource, load_config, parse_field_list
 from .dataset import write_csv
 
@@ -71,55 +69,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _format_level(level: float) -> str:
-    return f"TPR@{level * 100:g}%FPR"
-
-
 def render_report(outdir: str) -> str:
     """Fixed-format metrics table for a run directory.
 
-    One row per attack (canonical order), columns TPR@<level>%FPR ascending,
-    then AUC and BalancedAcc; every value is the JSON value rounded half-even
-    to 4 decimals. Raises ValueError when artifacts are missing, malformed or mix
-    config digests, or when manifest.json does not record a finished run of
-    the same config, so a failed rerun cannot pass off stale metrics.
+    One row per attack that the directory's manifest lists (canonical order),
+    columns TPR@<level>%FPR ascending, then AUC and BalancedAcc; every value
+    is the JSON value rounded half-even to 4 decimals. Raises ValueError when
+    pipeline.read_metrics refuses the directory.
     """
-    manifest = pipeline.read_manifest(outdir)
-    if manifest is not None and manifest.get("status") != "ok":
-        raise ValueError(f"last run in {outdir} did not finish: manifest status "
-                         f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
-    paths = sorted(glob.glob(os.path.join(outdir, "metrics_*.json")))
-    if not paths:
-        raise ValueError(f"no metrics artifacts (metrics_*.json) in {outdir}")
-    entries = {}
-    digests = set()
-    levels: set[float] = set()
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-                attack, report = payload["attack"], evaluation.MetricsReport.from_dict(payload)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: not a metrics artifact "
-                                 f"({type(exc).__name__}: {exc})") from None
-        digests.add(payload.get("config_digest", ""))
-        entries[attack] = report
-        levels.update(report.tpr_at_fpr)
-    if len(digests) > 1:
-        raise ValueError(f"refusing to merge artifacts with mismatched config digests: {sorted(digests)}")
-    (digest,) = digests
-    if manifest is None:
-        raise ValueError(f"no manifest.json in {outdir}")
-    if manifest.get("config_digest") != digest:
-        raise ValueError(f"stale metrics in {outdir}: digest {digest} "
-                         f"but manifest.json names {manifest.get('config_digest')}")
-
-    level_list = sorted(levels)
-    header = ["attack"] + [_format_level(lv) for lv in level_list] + ["AUC", "BalancedAcc"]
-    order = [a for a in KNOWN_ATTACKS if a in entries]
-    order += sorted(a for a in entries if a not in KNOWN_ATTACKS)
+    entries = pipeline.read_metrics(outdir)
+    level_list = sorted({level for report in entries.values() for level in report.tpr_at_fpr})
+    header = ["attack"] + [f"TPR@{lv * 100:g}%FPR" for lv in level_list] + ["AUC", "BalancedAcc"]
     rows = []
-    for name in order:
+    for name in [a for a in KNOWN_ATTACKS if a in entries]:
         report = entries[name]
         cells = [name]
         for lv in level_list:
@@ -182,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="print the metrics table for a run directory")
-    rep.add_argument("output", help="directory holding metrics_*.json artifacts")
+    rep.add_argument("output", help="run directory written by `run`")
     rep.set_defaults(func=cmd_report)
 
     gen = sub.add_parser("gen-data", help="emit the config's synthetic dataset as CSV")

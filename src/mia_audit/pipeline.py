@@ -1,6 +1,6 @@
 """End-to-end attack pipeline: split, train victim/shadow/reference models,
 build score tables, train scoring models, run the selected attacks, persist
-artifacts, and sweep one ablation axis.
+artifacts and read them back through the manifest, and sweep one ablation axis.
 
 `run_pipelines` takes a list of configs and, for each master seed among them
 in order of first appearance, runs each stage across that seed's configs
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import attacks as atk
 from . import evaluation, nn
-from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource
+from .config import KNOWN_ATTACKS, ConfigError, CsvSource, ExperimentConfig, SyntheticSource
 from .dataset import (SplitPlan, TabularDataset, generate_synthetic, load_csv, make_split,
                       random_means, sample_reference_subset, write_columns)
 from .seeding import derive_seed
@@ -77,8 +77,6 @@ class RunResult:
     config: ExperimentConfig
     target_plan: SplitPlan
     attacker_plan: SplitPlan | None
-    shadow_model: nn.MLPClassifier | None
-    reference_models: list
     target_table: ScoreTable
     shadow_table: ScoreTable | None
     scores: dict  # attack name -> its per-sample scores of the target eval set
@@ -183,11 +181,12 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
     def dataset(source, label: str, section: str) -> TabularDataset:
         key = ("dataset", source, master, label)
         if key not in shared:
-            shared[key] = resolve_dataset(source, master, label)
-            labels = shared[key].labels
-            if isinstance(source, CsvSource) and (labels == labels[0]).all():
+            data = shared[key] = resolve_dataset(source, master, label)
+            if isinstance(source, CsvSource) and data.feature_dim == 0:
+                raise ConfigError(f"[{section}] path: {source.path} has no column besides 'label'")
+            if isinstance(source, CsvSource) and (data.labels == data.labels[0]).all():
                 raise ConfigError(f"[{section}] path: every label in {source.path} is "
-                                  f"{labels[0]}; a classifier needs at least two classes")
+                                  f"{data.labels[0]}; a classifier needs at least two classes")
         return shared[key]
 
     def job(*args) -> tuple:
@@ -338,8 +337,6 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict, logp) ->
     return RunResult(
         config=config,
         target_plan=run.target_plan, attacker_plan=run.attacker_plan,
-        shadow_model=trained[run.shadow_job[0]] if run.scoring else None,
-        reference_models=[trained[job[0]] for job in run.reference_jobs],
         target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
         scores=scores, curves=curves, metrics=metrics,
         bucket_report=bucket_report, target_accuracy=target_accuracy,
@@ -523,19 +520,58 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     return written
 
 
-def read_manifest(outdir) -> dict | None:
-    """The manifest.json of a run directory, or None when there is none.
+def read_manifest(outdir) -> dict:
+    """The manifest.json of a run directory.
 
-    Raises ValueError when the file is not a JSON object.
+    Raises ValueError naming the file when there is none or it is not a JSON
+    object.
     """
     path = os.path.join(outdir, "manifest.json")
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"no manifest.json in {outdir}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
     return manifest
+
+
+def read_metrics(outdir) -> dict:
+    """{attack: MetricsReport} of the finished run in a run directory, read
+    through its manifest: it must record `status: ok` and a nonempty list of
+    known attacks, and exactly metrics_<attack>.json of each is read. Raises
+    ValueError naming the file that is missing, does not parse, names another
+    attack, or carries a config digest other than the manifest's."""
+    manifest = read_manifest(outdir)
+    if manifest.get("status") != "ok":
+        raise ValueError(f"last run in {outdir} did not finish: manifest status "
+                         f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
+    attacks = manifest.get("attacks")
+    if not (isinstance(attacks, list) and attacks and all(a in KNOWN_ATTACKS for a in attacks)):
+        raise ValueError(f"{os.path.join(outdir, 'manifest.json')}: attacks must be a nonempty "
+                         f"list of names from {KNOWN_ATTACKS}, got {attacks!r}")
+    digest = manifest.get("config_digest")
+    reports = {}
+    for attack in attacks:
+        path = os.path.join(outdir, f"metrics_{attack}.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            named, reports[attack] = payload["attack"], evaluation.MetricsReport.from_dict(payload)
+        except FileNotFoundError:
+            raise ValueError(f"{path}: missing, but manifest.json lists attack {attack!r}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a metrics artifact "
+                             f"({type(exc).__name__}: {exc})") from None
+        if named != attack:
+            raise ValueError(f"{path}: holds the metrics of attack {named!r}, not {attack!r}")
+        if payload.get("config_digest") != digest:
+            raise ValueError(f"stale metrics in {path}: digest {payload.get('config_digest')} "
+                             f"but manifest.json names {digest}")
+    return reports
 
 
 def _remove_artifacts(outdir, names) -> None:
@@ -551,8 +587,8 @@ def _remove_listed_artifacts(outdir) -> None:
     """Delete the artifacts that the directory's manifest lists, and no other
     file, so no artifact of an earlier run outlives the next one."""
     try:
-        listed = (read_manifest(outdir) or {}).get("artifacts", [])
-    except ValueError:  # a truncated or malformed manifest lists nothing
+        listed = read_manifest(outdir).get("artifacts", [])
+    except ValueError:  # a missing, truncated or malformed manifest lists nothing
         listed = []
     _remove_artifacts(outdir, listed if isinstance(listed, list) else [])
 

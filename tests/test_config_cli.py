@@ -16,6 +16,7 @@ from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSou
 from mia_audit.evaluation import RocCurve
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
+from mia_audit.seeding import derive_seed
 from mia_audit.signals import SignalKind
 
 from oracles import reference_train
@@ -36,6 +37,17 @@ def fast_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def attacker_models(trained: dict, config) -> tuple:
+    """(shadow model or None, reference models) of a run, picked out of the
+    `trained` dict it ran with by their derived seeds."""
+    by_seed = {key[2].seed: model for key, model in trained.items()}
+    master = config.master_seed
+    references = [by_seed[seed] for seed in (derive_seed(master, "ref", i)
+                                             for i in range(config.num_reference_models))
+                  if seed in by_seed]
+    return by_seed.get(derive_seed(master, "shadow")), references
 
 
 SAMPLE_INI = """
@@ -229,9 +241,11 @@ class TestConfigParsing:
 
 class TestPipeline:
     def test_loss_only_run_trains_no_attacker_models(self):
-        result = run_pipeline(fast_config(attacks=("loss",)))
-        assert result.shadow_model is None
-        assert result.reference_models == []
+        config, trained = fast_config(attacks=("loss",)), {}
+        result = run_pipeline(config, trained)
+        shadow_model, reference_models = attacker_models(trained, config)
+        assert shadow_model is None
+        assert reference_models == []
         assert result.target_table.calibrated is None
         assert set(result.scores) == {"loss"}
         assert result.bucket_report is None
@@ -438,9 +452,13 @@ class TestPipeline:
     def test_reference_models_stable_under_count_increase(self):
         cfg2 = fast_config(num_reference_models=2, attacks=("calibration",))
         cfg3 = fast_config(num_reference_models=3, attacks=("calibration",))
-        r2 = run_pipeline(cfg2)
-        r3 = run_pipeline(cfg3)
-        for a, b in zip(r2.reference_models, r3.reference_models[:2]):
+        trained2, trained3 = {}, {}
+        run_pipeline(cfg2, trained2)
+        run_pipeline(cfg3, trained3)
+        _, refs2 = attacker_models(trained2, cfg2)
+        _, refs3 = attacker_models(trained3, cfg3)
+        assert (len(refs2), len(refs3)) == (2, 3)
+        for a, b in zip(refs2, refs3[:2]):
             for wa, wb in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(wa, wb)
 
@@ -450,9 +468,11 @@ class TestPipeline:
         assert "calibration" in result.metrics
 
     def test_shortcut_lira_only_selection(self):
-        result = run_pipeline(fast_config(attacks=("shortcut_lira",)))
+        config, trained = fast_config(attacks=("shortcut_lira",)), {}
+        result = run_pipeline(config, trained)
+        shadow_model, _ = attacker_models(trained, config)
         assert set(result.scores) == {"shortcut_lira"}
-        assert result.shadow_model is not None
+        assert shadow_model is not None
         assert np.all((result.scores["shortcut_lira"] > 0) & (result.scores["shortcut_lira"] < 1))
 
     def test_split_json_keeps_interface_fields(self, tmp_path):
@@ -473,10 +493,14 @@ class TestPipeline:
     def test_dp_applies_to_target_only_by_default(self):
         from mia_audit.nn import DPConfig
         cfg = fast_config(dp=DPConfig(10.0, 0.0), attacks=("loss", "calibration"))
-        base = run_pipeline(fast_config(attacks=("loss", "calibration")))
-        dp = run_pipeline(cfg)
+        base_cfg, base_trained, dp_trained = fast_config(attacks=("loss", "calibration")), {}, {}
+        run_pipeline(base_cfg, base_trained)
+        run_pipeline(cfg, dp_trained)
+        _, base_refs = attacker_models(base_trained, base_cfg)
+        _, dp_refs = attacker_models(dp_trained, cfg)
+        assert len(base_refs) == len(dp_refs) == 2
         # sigma=0 with a huge effective clip bound: reference models untouched
-        for a, b in zip(base.reference_models, dp.reference_models):
+        for a, b in zip(base_refs, dp_refs):
             for wa, wb in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(wa, wb)
 
@@ -622,15 +646,51 @@ class TestCli:
         assert main(["report", str(outdir)]) == 1
         assert str(outdir) in capsys.readouterr().err
 
+    @staticmethod
+    def write_run_dir(outdir, attacks, metrics):
+        """A finished run's manifest listing `attacks` (digest "d"), and one
+        metrics file per (attack, config digest) entry of `metrics`."""
+        outdir.mkdir()
+        (outdir / "manifest.json").write_text(json.dumps(
+            {"status": "ok", "config_digest": "d", "attacks": attacks}))
+        for attack, digest in metrics.items():
+            (outdir / f"metrics_{attack}.json").write_text(json.dumps(
+                {"attack": attack, "config_digest": digest, "balanced_accuracy": 0.5,
+                 "auc": 0.5, "tpr_at_fpr": {}}))
+
     def test_report_refuses_mixed_digests(self, tmp_path):
         outdir = tmp_path / "mixed"
-        outdir.mkdir()
-        for i, digest in enumerate(["aaa", "bbb"]):
-            payload = {"attack": f"a{i}", "config_digest": digest,
-                       "balanced_accuracy": 0.5, "auc": 0.5, "tpr_at_fpr": {}}
-            (outdir / f"metrics_a{i}.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="mismatched"):
+        self.write_run_dir(outdir, ["loss", "rapid"], {"loss": "d", "rapid": "bbb"})
+        with pytest.raises(ValueError, match="stale metrics") as info:
             render_report(str(outdir))
+        assert str(outdir / "metrics_rapid.json") in str(info.value)
+
+    def test_report_refuses_a_missing_listed_metrics_file(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        (outdir / "metrics_rapid.json").unlink()
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(outdir / "metrics_rapid.json") in captured.err
+
+    @pytest.mark.parametrize("attacks", ["loss", [], ["../x"]],
+                             ids=["string", "empty", "path"])
+    def test_report_refuses_a_bad_attack_list(self, tmp_path, capsys, attacks):
+        # a listed name builds a file path, so only known attack names pass
+        outdir = tmp_path / "out"
+        self.write_run_dir(outdir, attacks, {"loss": "d"})
+        assert main(["report", str(outdir)]) == 1
+        assert str(outdir / "manifest.json") in capsys.readouterr().err
+
+    def test_report_refuses_metrics_of_another_attack(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        self.write_run_dir(outdir, ["loss", "rapid"], {"loss": "d"})
+        (outdir / "metrics_rapid.json").write_text((outdir / "metrics_loss.json").read_text())
+        assert main(["report", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert str(outdir / "metrics_rapid.json") in err and "'loss'" in err
 
     def test_report_refuses_stale_metrics_after_failed_rerun(self, tmp_path, capsys):
         outdir = str(tmp_path / "out")
@@ -652,11 +712,13 @@ class TestCli:
                                           "auc": 0.5, "tpr_at_fpr": {}})),
         ("metrics_loss.json", "[1, 2]"),
         ("manifest.json", "[1, 2]"),
-    ], ids=["metrics_without_attack", "metrics_list", "manifest_list"])
+        ("manifest.json", '{"status": "ok"'),
+    ], ids=["metrics_without_attack", "metrics_list", "manifest_list", "manifest_truncated"])
     def test_report_on_malformed_json_names_file(self, tmp_path, capsys, name, text):
         outdir = tmp_path / "out"
         outdir.mkdir()
-        (outdir / "manifest.json").write_text(json.dumps({"status": "ok", "config_digest": "d"}))
+        (outdir / "manifest.json").write_text(json.dumps({"status": "ok", "config_digest": "d",
+                                                          "attacks": ["loss"]}))
         (outdir / "metrics_loss.json").write_text(json.dumps(
             {"attack": "loss", "config_digest": "d", "balanced_accuracy": 0.5, "auc": 0.5,
              "tpr_at_fpr": {}}))
@@ -705,26 +767,40 @@ class TestCli:
         assert manifest["status"] == "failed"
         assert "error" in manifest
 
-    @pytest.mark.parametrize("section", ["data", "attacker_data"])
-    def test_one_label_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
+    def run_on_csv(self, tmp_path, capsys, monkeypatch, section, text) -> tuple:
+        """(path, stderr) of a run whose [section] reads a CSV file holding
+        `text`, which must fail before any model trains."""
         from mia_audit import nn
 
         def no_training(*args, **kwargs):
-            raise AssertionError("trained a model on a data source with one label")
+            raise AssertionError(f"trained a model on a bad [{section}] source")
 
         monkeypatch.setattr(nn, "train_many", no_training)
-        path = tmp_path / "one_label.csv"
-        rows = np.random.default_rng(0).normal(size=(60, 4))
-        path.write_text("x0,x1,x2,x3,label\n" + "".join(",".join(map(repr, row)) + ",0\n"
-                                                        for row in rows.tolist()))
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
         if section == "data":
-            text = SAMPLE_INI.replace("source = synthetic", f"source = csv\npath = {path}")
+            ini = SAMPLE_INI.replace("source = synthetic", f"source = csv\npath = {path}")
         else:
-            text = SAMPLE_INI + f"\n[attacker_data]\nsource = csv\npath = {path}\n"
+            ini = SAMPLE_INI + f"\n[attacker_data]\nsource = csv\npath = {path}\n"
         outdir = tmp_path / "out"
-        assert main(["run", self.write_config(tmp_path, text), "-o", str(outdir)]) == 1
-        assert f"[{section}] path: every label in {path} is 0" in capsys.readouterr().err
+        assert main(["run", self.write_config(tmp_path, ini), "-o", str(outdir)]) == 1
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
+        return path, capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_one_label_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
+        rows = np.random.default_rng(0).normal(size=(60, 4))
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section, "x0,x1,x2,x3,label\n"
+                                    + "".join(",".join(map(repr, row)) + ",0\n"
+                                              for row in rows.tolist()))
+        assert f"[{section}] path: every label in {path} is 0" in err
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_label_only_csv_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    section):
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section,
+                                    "label\n" + "0\n1\n" * 4)
+        assert f"[{section}] path: {path} has no column besides 'label'" in err
 
     def test_sweep_csv_cardinality(self, tmp_path):
         cfg = self.write_config(tmp_path, SAMPLE_INI.replace(

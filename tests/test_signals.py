@@ -12,7 +12,7 @@ from mia_audit.pipeline import resolve_dataset
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
 from mia_audit.signals import perturbed_queries, signal_batch
 from oracles import train
-from test_config_cli import fast_config
+from test_config_cli import attacker_models, fast_config
 from test_nn import per_example_gradients, per_example_norms
 
 LN2 = 0.6931471805599453
@@ -149,7 +149,7 @@ class TestAveragedSignal:
                  derive_seed(cfg.master_seed, "queries"))
             raw = averaged(target, x, y, cfg.signal_kind, q, ids=table.ids)
             refs = np.column_stack([averaged(ref, x, y, cfg.signal_kind, q, ids=table.ids)
-                                    for ref in result.reference_models])
+                                    for ref in attacker_models(trained, cfg)[1]])
             assert table.raw.tobytes() == raw.tobytes()
             assert table.calibrated.tobytes() == calibrate(raw, refs).tobytes()
 

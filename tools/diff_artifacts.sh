@@ -35,6 +35,8 @@
 #   - `gen-data` of the 1200-sample config, and a `run` with `source = csv`
 #     on the written file, which is compared too (it is written to one fixed
 #     path, as the path is part of the run's config digest).
+# Each `run` directory gets its `report` table in a file beside it, so the
+# tables are compared byte for byte too.
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command. On a difference it then prints, per differing
 # file, how many CSV cells or JSON numbers differ and the largest absolute
@@ -139,9 +141,13 @@ run_side() {  # <src dir> <output dir>
     mia() {
         PYTHONPATH="$src" python3 -m mia_audit.cli "$@" > /dev/null
     }
-    mia run "$work/default.ini" -o "$out/default"
-    mia run "$work/dp.ini" -o "$out/dp"
-    mia run "$work/loss.ini" -o "$out/loss"
+    run() {  # <config name>: `run` into $out/<name>, its `report` into $out/<name>.report
+        mia run "$work/$1.ini" -o "$out/$1"
+        PYTHONPATH="$src" python3 -m mia_audit.cli report "$out/$1" > "$out/$1.report"
+    }
+    run default
+    run dp
+    run loss
     mia sweep "$work/calibration.ini" --axis num_reference_models --values 1,2,4 \
         --seeds 4243,4244 -o "$out/sweep_references"
     mia sweep "$work/rapid.ini" --axis num_queries --values 1,4,8 \
@@ -151,11 +157,11 @@ run_side() {  # <src dir> <output dir>
     local name
     for name in gradnorm logit one_query zero_noise attacker random_refs shadow_epochs dp_target \
             dp_clip pinned_seeds; do
-        mia run "$work/$name.ini" -o "$out/$name"
+        run "$name"
     done
     mia gen-data "$work/small.ini" -o "$work/data.csv"
     cp "$work/data.csv" "$out/data.csv"
-    mia run "$work/csv.ini" -o "$out/csv"
+    run csv
 }
 
 echo "running $rev ..." >&2
