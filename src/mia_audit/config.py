@@ -18,6 +18,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .attacks import SCORING_FEATURES, THRESHOLD_SCORES
+from .dataset import MIN_SPLIT_SAMPLES
 from .nn import DPConfig, TrainingConfig
 from .signals import SignalKind
 
@@ -55,8 +56,8 @@ class SyntheticSource:
             raise ValueError("class_separation: must be positive and finite")
         if not 0 < self.cov_scale < math.inf:
             raise ValueError("cov_scale: must be positive and finite")
-        if self.n_samples < max(6, self.num_classes):
-            raise ValueError("n_samples: need at least 6 samples to split, "
+        if self.n_samples < max(MIN_SPLIT_SAMPLES, self.num_classes):
+            raise ValueError(f"n_samples: need at least {MIN_SPLIT_SAMPLES} samples to split, "
                              "and one per class")
 
 

@@ -272,6 +272,9 @@ class SplitPlan:
         return cls(**{name: payload[name] for name in _INDEX_FIELDS}, seed=payload.get("seed", 0))
 
 
+MIN_SPLIT_SAMPLES = 6  # so the target and shadow thirds get a train and a test row each
+
+
 def make_split(dataset: TabularDataset, seed: int) -> SplitPlan:
     """Shuffle by seed and assign thirds to target, shadow, and reference roles.
 
@@ -280,8 +283,8 @@ def make_split(dataset: TabularDataset, seed: int) -> SplitPlan:
     reference models, which need no held-out half.
     """
     n = len(dataset)
-    if n < 6:
-        raise ValueError(f"need at least 6 samples to split, got {n}")
+    if n < MIN_SPLIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPLIT_SAMPLES} samples to split, got {n}")
     perm = derive_rng(seed, "split", n).permutation(n)
     third = n // 3
     half = third // 2

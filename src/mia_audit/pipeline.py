@@ -57,8 +57,8 @@ import numpy as np
 from . import attacks as atk
 from . import evaluation, nn
 from .config import KNOWN_ATTACKS, ConfigError, CsvSource, ExperimentConfig, SyntheticSource
-from .dataset import (SplitPlan, TabularDataset, generate_synthetic, load_csv, make_split,
-                      random_means, sample_reference_subset, write_columns)
+from .dataset import (MIN_SPLIT_SAMPLES, SplitPlan, TabularDataset, generate_synthetic, load_csv,
+                      make_split, random_means, sample_reference_subset, write_columns)
 from .seeding import derive_seed
 from .signals import ScoreTable, perturbed_queries, signal_batch
 
@@ -184,6 +184,9 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
             data = shared[key] = resolve_dataset(source, master, label)
             if isinstance(source, CsvSource) and data.feature_dim == 0:
                 raise ConfigError(f"[{section}] path: {source.path} has no column besides 'label'")
+            if isinstance(source, CsvSource) and len(data) < MIN_SPLIT_SAMPLES:
+                raise ConfigError(f"[{section}] path: {source.path} has {len(data)} data rows; "
+                                  f"the split needs at least {MIN_SPLIT_SAMPLES}")
             if isinstance(source, CsvSource) and (data.labels == data.labels[0]).all():
                 raise ConfigError(f"[{section}] path: every label in {source.path} is "
                                   f"{data.labels[0]}; a classifier needs at least two classes")
@@ -465,59 +468,41 @@ def _write_json(path, payload: dict) -> None:
 
 
 def write_artifacts(result: RunResult, outdir) -> list[str]:
-    """Persist every artifact of a run, after deleting the artifacts that the
-    directory's manifest lists; returns the artifact file names. A write that
-    fails deletes the files written so far before the error propagates."""
-    os.makedirs(outdir, exist_ok=True)
-    _remove_listed_artifacts(outdir)
-    digest = result.config.digest()
-    written: list[str] = []
+    """Persist every artifact of a run; returns the artifact file names.
 
-    def record(name: str) -> str:
-        written.append(name)
-        return os.path.join(outdir, name)
+    The file list is fixed first: _replace_manifest leaves a manifest that
+    lists the whole set with `status: writing`, then the files are written,
+    then the same manifest with `status: ok`. So `read_metrics` accepts only
+    a finished run, and a run cut anywhere leaves no file its manifest omits.
+    """
+    config, digest = result.config, result.config.digest()
+    files = {"config.json": (_write_json, {"config_digest": digest,
+                                            "config": config.canonical_dict()})}
+    for name, plan in (("split.json", result.target_plan),
+                       ("attacker_split.json", result.attacker_plan)):
+        if plan is not None:
+            files[name] = (_write_json, {**plan.to_dict(), "config_digest": digest})
+    files["target_scores.csv"] = (result.target_table.to_csv, digest)
+    if result.shadow_table is not None:
+        files["shadow_scores.csv"] = (result.shadow_table.to_csv, digest)
+    for name, curve in result.curves.items():
+        files[f"scores_{name}.csv"] = (write_columns, atk.SCORES_HEADER,
+                                       [result.target_table.ids, result.scores[name]], digest)
+        files[f"roc_{name}.csv"] = (curve.to_csv, digest)
+        files[f"metrics_{name}.json"] = (_write_json, {"attack": name, "config_digest": digest,
+                                                       **result.metrics[name].to_dict()})
+    if result.bucket_report is not None:
+        files["loss_buckets_raw.csv"] = (result.bucket_report.write_raw_csv, digest)
+        files["loss_buckets_calibrated.csv"] = (result.bucket_report.write_calibrated_csv, digest)
 
-    try:
-        _write_json(record("config.json"),
-                    {"config_digest": digest, "config": result.config.canonical_dict()})
-
-        _write_json(record("split.json"),
-                    {**result.target_plan.to_dict(), "config_digest": digest})
-        if result.attacker_plan is not None:
-            _write_json(record("attacker_split.json"),
-                        {**result.attacker_plan.to_dict(), "config_digest": digest})
-
-        result.target_table.to_csv(record("target_scores.csv"), digest)
-        if result.shadow_table is not None:
-            result.shadow_table.to_csv(record("shadow_scores.csv"), digest)
-
-        for name, curve in result.curves.items():
-            write_columns(record(f"scores_{name}.csv"), atk.SCORES_HEADER,
-                          [result.target_table.ids, result.scores[name]], digest)
-            _write_json(record(f"scores_{name}.json"), {
-                "attack": name, "config_digest": digest, "seed": result.config.master_seed})
-            curve.to_csv(record(f"roc_{name}.csv"), digest)
-            _write_json(record(f"metrics_{name}.json"), {
-                "attack": name, "config_digest": digest, **result.metrics[name].to_dict()})
-
-        if result.bucket_report is not None:
-            result.bucket_report.write_raw_csv(record("loss_buckets_raw.csv"), digest)
-            result.bucket_report.write_calibrated_csv(record("loss_buckets_calibrated.csv"),
-                                                      digest)
-
-        _write_json(os.path.join(outdir, "manifest.json"), {
-            "config_digest": digest,
-            "master_seed": result.config.master_seed,
-            "attacks": list(result.config.attacks),
-            "target_accuracy": result.target_accuracy,
-            "artifacts": sorted(written) + ["manifest.json"],
-            "status": "ok",
-        })
-    except BaseException:
-        _remove_artifacts(outdir, written)
-        raise
-    written.append("manifest.json")
-    return written
+    manifest = {"config_digest": digest, "master_seed": config.master_seed,
+                "attacks": list(config.attacks), "target_accuracy": result.target_accuracy,
+                "artifacts": sorted(files) + ["manifest.json"]}
+    _replace_manifest(outdir, {**manifest, "status": "writing"})
+    for name, (write, *args) in files.items():
+        write(os.path.join(outdir, name), *args)
+    _write_manifest(outdir, {**manifest, "status": "ok"})
+    return [*files, "manifest.json"]
 
 
 def read_manifest(outdir) -> dict:
@@ -541,19 +526,24 @@ def read_manifest(outdir) -> dict:
 
 def read_metrics(outdir) -> dict:
     """{attack: MetricsReport} of the finished run in a run directory, read
-    through its manifest: it must record `status: ok` and a nonempty list of
-    known attacks, and exactly metrics_<attack>.json of each is read. Raises
-    ValueError naming the file that is missing, does not parse, names another
-    attack, or carries a config digest other than the manifest's."""
+    through its manifest: it must record `status: ok`, a nonempty config
+    digest and a nonempty list of known attacks, and exactly
+    metrics_<attack>.json of each is read. Raises ValueError naming the file
+    that is missing, does not parse, names another attack, or carries a
+    config digest other than the manifest's."""
     manifest = read_manifest(outdir)
     if manifest.get("status") != "ok":
         raise ValueError(f"last run in {outdir} did not finish: manifest status "
                          f"{manifest.get('status')!r} ({manifest.get('error', 'no error recorded')})")
+    manifest_path = os.path.join(outdir, "manifest.json")
     attacks = manifest.get("attacks")
     if not (isinstance(attacks, list) and attacks and all(a in KNOWN_ATTACKS for a in attacks)):
-        raise ValueError(f"{os.path.join(outdir, 'manifest.json')}: attacks must be a nonempty "
-                         f"list of names from {KNOWN_ATTACKS}, got {attacks!r}")
+        raise ValueError(f"{manifest_path}: attacks must be a nonempty list of names from "
+                         f"{KNOWN_ATTACKS}, got {attacks!r}")
     digest = manifest.get("config_digest")
+    if not (isinstance(digest, str) and digest):  # else no metrics file could be told stale
+        raise ValueError(f"{manifest_path}: config_digest must be a nonempty string, "
+                         f"got {digest!r}")
     reports = {}
     for attack in attacks:
         path = os.path.join(outdir, f"metrics_{attack}.json")
@@ -574,32 +564,36 @@ def read_metrics(outdir) -> dict:
     return reports
 
 
-def _remove_artifacts(outdir, names) -> None:
-    """Delete each named artifact file of outdir; a name that is not a plain
-    file name in outdir, or is manifest.json, is skipped."""
-    for name in names:
-        if (isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name
-                and os.path.isfile(os.path.join(outdir, name))):
-            os.remove(os.path.join(outdir, name))
-
-
-def _remove_listed_artifacts(outdir) -> None:
+def _replace_manifest(outdir, manifest: dict) -> None:
     """Delete the artifacts that the directory's manifest lists, and no other
-    file, so no artifact of an earlier run outlives the next one."""
+    file, and leave `manifest` in its place. During the deletes the manifest
+    already holds the new status but lists the old files too, so a process
+    killed midway leaves no unlisted file and no `ok` manifest over a deleted
+    one. A listed name that is not a plain file name in outdir is skipped."""
+    os.makedirs(outdir, exist_ok=True)
     try:
         listed = read_manifest(outdir).get("artifacts", [])
     except ValueError:  # a missing, truncated or malformed manifest lists nothing
         listed = []
-    _remove_artifacts(outdir, listed if isinstance(listed, list) else [])
+    old = [name for name in (listed if isinstance(listed, list) else [])
+           if isinstance(name, str) and name != "manifest.json" and os.path.basename(name) == name]
+    _write_manifest(outdir, {**manifest,
+                             "artifacts": sorted({*old, *manifest.get("artifacts", [])})})
+    for name in old:
+        if os.path.isfile(os.path.join(outdir, name)):
+            os.remove(os.path.join(outdir, name))
+    _write_manifest(outdir, manifest)
+
+
+def _write_manifest(outdir, manifest: dict) -> None:
+    """Write manifest.json through a rename, so a process killed midway
+    leaves the old manifest whole, not a truncated one that lists nothing."""
+    path = os.path.join(outdir, "manifest.json")
+    _write_json(path + ".tmp", manifest)
+    os.replace(path + ".tmp", path)
 
 
 def mark_failed(outdir, digest: str, error: str) -> None:
-    """Leave a clearly-marked manifest when a stage fails after partial output,
-    first deleting the artifacts the previous manifest lists."""
-    os.makedirs(outdir, exist_ok=True)
-    _remove_listed_artifacts(outdir)
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "config_digest": digest,
-        "status": "failed",
-        "error": error,
-    })
+    """Replace the artifacts of the directory's last run with a clearly-marked
+    manifest when a run fails."""
+    _replace_manifest(outdir, {"config_digest": digest, "status": "failed", "error": error})

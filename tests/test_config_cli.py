@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,15 @@ def attacker_models(trained: dict, config) -> tuple:
     return by_seed.get(derive_seed(master, "shadow")), references
 
 
+def run_python(script: str, *args) -> subprocess.CompletedProcess:
+    """Run `script` with `args` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 SAMPLE_INI = """
 [data]
 source = synthetic
@@ -93,6 +103,8 @@ fpr_levels = 0.1
 [experiment]
 master_seed = 5
 """
+LOSS_ONLY_INI = SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
+                                   "enabled = loss")
 
 
 class TestConfigParsing:
@@ -529,8 +541,7 @@ class TestArtifacts:
         expected = {"config.json", "split.json", "target_scores.csv", "shadow_scores.csv",
                     "manifest.json", "loss_buckets_raw.csv", "loss_buckets_calibrated.csv"}
         for attack in result.config.attacks:
-            expected |= {f"scores_{attack}.csv", f"scores_{attack}.json",
-                         f"roc_{attack}.csv", f"metrics_{attack}.json"}
+            expected |= {f"scores_{attack}.csv", f"roc_{attack}.csv", f"metrics_{attack}.json"}
         assert expected == set(written)
         for name in written:
             assert (outdir / name).exists()
@@ -574,13 +585,6 @@ class TestArtifacts:
             curve = RocCurve.from_csv(outdir / f"roc_{attack}.csv")
             assert curve.auc == result.metrics[attack].auc
 
-    def test_score_sidecars_name_attack_seed_and_digest(self, tmp_path):
-        outdir, result, _ = self.run_to_dir(tmp_path)
-        for attack in result.config.attacks:
-            sidecar = json.loads((outdir / f"scores_{attack}.json").read_text())
-            assert sidecar == {"attack": attack, "config_digest": result.config.digest(),
-                               "seed": result.config.master_seed}
-
     def test_attack_scores_csv_round_trip(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)
         for attack in result.config.attacks:
@@ -622,11 +626,7 @@ class TestCli:
             "assert cli.main(['report', sys.argv[2]]) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "run")],
-                              capture_output=True, text=True, env=env, timeout=300)
+        proc = run_python(script, cfg, tmp_path / "run")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -726,6 +726,19 @@ class TestCli:
         assert main(["report", str(outdir)]) == 1
         assert str(outdir / name) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digest", [{}, {"config_digest": ""}], ids=["missing", "empty"])
+    def test_report_refuses_a_manifest_without_a_digest(self, tmp_path, capsys, digest):
+        # metrics files without a digest would match it, so none could be told stale
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "manifest.json").write_text(json.dumps({"status": "ok", "attacks": ["loss"],
+                                                          **digest}))
+        (outdir / "metrics_loss.json").write_text(json.dumps(
+            {"attack": "loss", "balanced_accuracy": 0.5, "auc": 0.5, "tpr_at_fpr": {}, **digest}))
+        assert main(["report", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert str(outdir / "manifest.json") in err and "config_digest" in err
+
     @pytest.mark.parametrize("manifest", ["[1, 2]", '{"artifacts": [1]}', '{"artifacts": "ab"}'],
                              ids=["list", "int_name", "string_list"])
     def test_failed_run_over_malformed_manifest_marks_failed(self, tmp_path, capsys, manifest):
@@ -802,10 +815,16 @@ class TestCli:
                                     "label\n" + "0\n1\n" * 4)
         assert f"[{section}] path: {path} has no column besides 'label'" in err
 
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_too_few_rows_csv_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                      section):
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section,
+                                    "x0,x1,x2,x3,label\n" + "0.1,0.2,0.3,0.4,0\n0.5,0.6,0.7,0.8,1\n"
+                                    + "0.9,1.0,1.1,1.2,0\n")
+        assert f"[{section}] path: {path} has 3 data rows; the split needs at least 6" in err
+
     def test_sweep_csv_cardinality(self, tmp_path):
-        cfg = self.write_config(tmp_path, SAMPLE_INI.replace(
-            "enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
-            "enabled = loss"))
+        cfg = self.write_config(tmp_path, LOSS_ONLY_INI)
         outdir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--axis", "num_queries", "--values", "1,2",
                      "--seeds", "1,2", "-o", str(outdir)]) == 0
@@ -909,13 +928,69 @@ class TestCli:
         assert main(["report", str(outdir)]) == 0
         assert [row.split()[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["loss"]
 
+    def run_killed(self, tmp_path, outdir, owner: str, attribute: str, call: int) -> None:
+        """Run the default config into outdir in a fresh interpreter that
+        SIGKILLs itself on the call-th call of owner.attribute."""
+        script = (
+            "import json, os, signal, sys\n"
+            "from mia_audit import cli\n"
+            "from mia_audit.evaluation import RocCurve\n"
+            "owner = {'RocCurve': RocCurve, 'os': os, 'json': json}[sys.argv[3]]\n"
+            "attribute, call = sys.argv[4], int(sys.argv[5])\n"
+            "real, calls = getattr(owner, attribute), []\n"
+            "def killed_on_call(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == call:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(*args, **kwargs)\n"
+            "setattr(owner, attribute, killed_on_call)\n"
+            "cli.main(['run', sys.argv[1], '-o', sys.argv[2]])\n"
+        )
+        proc = run_python(script, self.write_config(tmp_path), outdir, owner, attribute, call)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+    @pytest.mark.parametrize("owner, attribute, call, written", [
+        ("RocCurve", "to_csv", 3, {"roc_loss.csv", "roc_calibration.csv"}),
+        ("os", "remove", 2, {"roc_loss.csv"}),
+    ], ids=["third_roc_curve", "second_delete"])
+    def test_killed_write_leaves_a_manifest_listing_every_file(self, tmp_path, capsys, owner,
+                                                               attribute, call, written):
+        # SIGKILL runs no handler, so what a reader and the next run know of the
+        # directory is the manifest written before the deletes and the files
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path, LOSS_ONLY_INI), "-o", str(outdir)]) == 0
+        self.run_killed(tmp_path, outdir, owner, attribute, call)
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        present = {p.name for p in outdir.iterdir()}
+        assert manifest["status"] == "writing"
+        assert written < present <= set(manifest["artifacts"])
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 1
+        assert "did not finish" in capsys.readouterr().err
+        assert main(["run", self.write_config(tmp_path, LOSS_ONLY_INI), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
+
+    def test_killed_manifest_write_leaves_the_old_manifest_whole(self, tmp_path, capsys):
+        # killed inside the run's first JSON write, that of its new manifest: the old
+        # manifest and every file it lists must survive whole, and the next run clean up
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path, LOSS_ONLY_INI), "-o", str(outdir)]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        self.run_killed(tmp_path, outdir, "json", "dump", 1)
+        assert {p.name: p.read_bytes() for p in outdir.iterdir() if p.name in before} == before
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 0
+        assert [row.split()[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["loss"]
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
+
     def test_rerun_removes_the_previous_runs_artifacts(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
         (outdir / "notes.txt").write_text("kept")
-        loss_only = SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
-                                       "enabled = loss")
-        assert main(["run", self.write_config(tmp_path, loss_only), "-o", str(outdir)]) == 0
+        assert main(["run", self.write_config(tmp_path, LOSS_ONLY_INI), "-o", str(outdir)]) == 0
         listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(listed + ["notes.txt"])
         assert (outdir / "notes.txt").read_text() == "kept"

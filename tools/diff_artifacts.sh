@@ -36,7 +36,8 @@
 #     on the written file, which is compared too (it is written to one fixed
 #     path, as the path is part of the run's config digest).
 # Each `run` directory gets its `report` table in a file beside it, so the
-# tables are compared byte for byte too.
+# tables are compared byte for byte too. The script fails at once when a `run`
+# directory's files differ from the `artifacts` list of its manifest.json.
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command. On a difference it then prints, per differing
 # file, how many CSV cells or JSON numbers differ and the largest absolute
@@ -143,6 +144,14 @@ run_side() {  # <src dir> <output dir>
     }
     run() {  # <config name>: `run` into $out/<name>, its `report` into $out/<name>.report
         mia run "$work/$1.ini" -o "$out/$1"
+        python3 - "$out/$1" <<'PY'
+import json, os, sys
+outdir = sys.argv[1]
+with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+    listed = sorted(json.load(fh)["artifacts"])
+if sorted(os.listdir(outdir)) != listed:
+    sys.exit(f"{outdir}: files {sorted(os.listdir(outdir))} differ from the manifest's {listed}")
+PY
         PYTHONPATH="$src" python3 -m mia_audit.cli report "$out/$1" > "$out/$1.report"
     }
     run default
