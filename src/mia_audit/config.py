@@ -154,12 +154,12 @@ class ExperimentConfig:
 _SOURCES = {"synthetic": SyntheticSource, "csv": CsvSource}
 
 
-def _keys(owner, skip=()) -> dict:
-    return {f.name: (owner, f.name) for f in dataclasses.fields(owner) if f.name not in skip}
+def _keys(owner) -> dict:
+    return {f.name: (owner, f.name) for f in dataclasses.fields(owner)}
 
 
 _SOURCE_KEYS = {"source": (None, "source"), **_keys(CsvSource), **_keys(SyntheticSource)}
-_TRAINING_KEYS = _keys(TrainingConfig, skip=("seed", "dp"))
+_TRAINING_KEYS = _keys(TrainingConfig)
 
 # [section] key -> (dataclass, field). The field's annotation gives the key's
 # type; an unset key keeps the value of the dataclass the section is built

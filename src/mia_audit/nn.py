@@ -16,8 +16,8 @@ from each model's own float64 uniforms (see `_box_muller`); no value lies
 beyond 8.57 standard deviations, so the noise is Gaussian up to that
 cut-off and float32 rounding, which a privacy accounting would ignore.
 
-`train_many` is the one training call: it trains K models of one shape on raw
-parameter arrays stacked along a leading model axis, updated in place.
+`train_many` is the one training call: K models of one shape, one seed each,
+train under one config on raw parameter arrays stacked along a model axis.
 `backward` is the validated wrapper over the same kernels for a single model;
 `signals.signal_batch` reads each sample's gradient norm off `_sq_norms` on a
 batch it checked once.
@@ -33,7 +33,6 @@ attacks) computes in float64, and the kernels keep their inputs' dtype.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -67,8 +66,6 @@ class TrainingConfig:
     batch_size: int = 64
     epochs: int = 60
     cosine_schedule: bool = True
-    seed: int = 0
-    dp: DPConfig | None = None
 
     def __post_init__(self):
         for name in ("learning_rate", "momentum", "weight_decay", "batch_size", "epochs"):
@@ -361,25 +358,24 @@ def _box_muller(uniform: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def train_many(xs, ys, configs, layer_sizes) -> list:
+def train_many(xs, ys, seeds, config: TrainingConfig, layer_sizes, dp=None) -> list:
     """Train K models of one shape in one loop over stacked parameter arrays;
-    a pure function of (data, configs, layer sizes).
+    a pure function of (data, seeds, config, layer sizes, DP settings).
 
     The output layer picks the loss: bce on 0/1 labels when layer_sizes ends
-    in 1, ce on integer classes otherwise. Each job runs epochs *
+    in 1, ce on integer classes otherwise. Each job runs config.epochs *
     ceil(n / batch_size) update steps (the last batch of an epoch may be
-    short). Model k equals the model of the one-job call
-    train_many([xs[k]], [ys[k]], [configs[k]], layer_sizes) bit for bit: it
-    keeps its own initialization, batch-order and DP-noise streams, derived
-    from its config's seed. The jobs must share their row count and
-    every TrainingConfig field except seed, so they share one step count and
-    learning-rate schedule. `pipeline.run_pipelines` trains its runs' target,
-    shadow, reference and scoring models in such groups. Weights are stacked
-    to (K, out, in) and biases to (K, 1, out), as views of one flat vector
-    updated in place; the gradients are written in place into views of
-    another. Inputs are checked once here, and each MLPClassifier is built
-    once, at the end. Parameters are checked for finiteness after every
-    epoch, so a diverged run stops early.
+    short), DP-SGD when `dp` (a DPConfig) is set. Model k equals the model of
+    the one-job call train_many([xs[k]], [ys[k]], [seeds[k]], config,
+    layer_sizes, dp) bit for bit: it keeps its own initialization, batch-order
+    and DP-noise streams, derived from seeds[k]. The jobs must share their row
+    count, so they share one step count and learning-rate schedule.
+    `pipeline.run_pipelines` trains its runs' target, shadow, reference and
+    scoring models in such groups. Weights are stacked to (K, out, in) and
+    biases to (K, 1, out), as views of one flat vector updated in place; the
+    gradients are written in place into views of another. Inputs are checked
+    once here, and each MLPClassifier is built once, at the end. Parameters
+    are checked for finiteness after every epoch: a diverged run stops early.
 
     The loop runs in float32 (see the module docstring): data, targets,
     parameters, gradients, velocity and losses, from the float64 initialization
@@ -394,13 +390,10 @@ def train_many(xs, ys, configs, layer_sizes) -> list:
 
     Returns K (model, per-epoch mean loss list) pairs, in job order.
     """
-    configs = list(configs)
-    if not configs or not len(xs) == len(ys) == len(configs):
-        raise ValueError(f"need one x, y and config per job, got {len(xs)}, {len(ys)}, {len(configs)}")
-    config = configs[0]
-    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("stacked jobs must share every TrainingConfig field except seed")
-    inits = [init_classifier(layer_sizes, derive_seed(c.seed, "model-init")) for c in configs]
+    seeds = list(seeds)
+    if not seeds or not len(xs) == len(ys) == len(seeds):
+        raise ValueError(f"need one x, y and seed per job, got {len(xs)}, {len(ys)}, {len(seeds)}")
+    inits = [init_classifier(layer_sizes, derive_seed(seed, "model-init")) for seed in seeds]
     sizes = inits[0].layer_sizes
     xs = [np.asarray(v, dtype=np.float32) for v in xs]
     ys = [_targets(t, sizes[-1], np.float32) for t in ys]
@@ -418,7 +411,7 @@ def train_many(xs, ys, configs, layer_sizes) -> list:
     # every stacked parameter and gradient is a view into one flat vector, so
     # gradients are written in place and the momentum update is a handful of
     # whole-vector operations
-    jobs = len(configs)
+    jobs = len(seeds)
 
     def views(vector: np.ndarray) -> list[np.ndarray]:
         out, offset = [], 0
@@ -435,12 +428,12 @@ def train_many(xs, ys, configs, layer_sizes) -> list:
     flat_grad, velocity = np.empty_like(flat), np.zeros_like(flat)
     # bias gradients as (K, out), the shape of an error summed over the batch
     grads = [g[:, 0] if i % 2 else g for i, g in enumerate(views(flat_grad))]
-    shuffle_rngs = [derive_rng(c.seed, "batch-order") for c in configs]
-    clip_norm = config.dp.clip_norm if config.dp is not None else None
+    shuffle_rngs = [derive_rng(seed, "batch-order") for seed in seeds]
+    clip_norm = dp.clip_norm if dp is not None else None
     # DP-SGD noise on the clipped mean gradient: per-coordinate std
     # noise_multiplier * clip_norm / (rows in the batch); none with sigma 0
-    noise_scale = config.dp.noise_multiplier * clip_norm if clip_norm is not None else 0.0
-    noise_rngs = [derive_rng(c.seed, "dp-noise") for c in configs] if noise_scale > 0 else []
+    noise_scale = dp.noise_multiplier * clip_norm if dp is not None else 0.0
+    noise_rngs = [derive_rng(seed, "dp-noise") for seed in seeds] if noise_scale > 0 else []
     ends = np.cumsum([math.prod(g.shape[1:]) for g in grads])  # each parameter's end in a model
     # one row of uniforms per model, two per Box–Muller pair, refilled each step
     uniform = np.empty((jobs, 2 * math.ceil(ends[-1] / 2)))

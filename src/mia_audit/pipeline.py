@@ -27,26 +27,25 @@ on (sample id, query index), so a run's Q query matrices are the first Q of a
 longer list.
 
 A trained model is a pure function of its training inputs (the training
-slice and targets, its `TrainingConfig` with derived seed and DP, and the
-layer sizes, whose output width picks the loss), so the pipeline takes a
-`trained` dict mapping those inputs to models. Every model, scoring nets
-included, is looked up there before it is trained; the caller decides how
-long the dict lives (one `sweep` call shares one across all its runs).
+slice and targets, its derived seed, its `TrainingConfig`, its DP settings
+and the layer sizes, whose output width picks the loss), so the pipeline
+takes a `trained` dict mapping those inputs to models. Every model, scoring
+nets included, is looked up there before it is trained; the caller decides
+how long the dict lives (one `sweep` call shares one across all its runs).
 
-The missing models train in stacked groups: one `nn.train_many` call per set
-of jobs with the same row count, layer sizes and training config up to the
-seed, across the runs of one master seed. For one default run that is
-target and shadow together, then the reference models, then the two scoring
-nets. DP jobs group by the same rule, so a DP target trains apart from a
-non-DP shadow. Every group trains in float32 (see `nn`), and every model
-comes back widened to float64, the dtype that all later stages compute in. A
-group never spans two master seeds: their models share no training inputs,
-and 20 reference-shape models in one loop trained slower than 5 loops of 4.
+The missing models train in stacked groups: one `nn.train_many` call per row
+count, layer sizes, `TrainingConfig` and DP settings, across the runs of one
+master seed, so within a group only the data and the seeds differ. For one
+default run that is target and shadow together, then the reference models,
+then the two scoring nets; a DP target trains apart from a non-DP shadow.
+Every group trains in float32 (see `nn`), and every model comes back widened
+to float64, the dtype that all later stages compute in. A group never spans
+two master seeds: their models share no training inputs, and 20
+reference-shape models in one loop trained slower than 5 loops of 4.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -57,8 +56,9 @@ import numpy as np
 from . import attacks as atk
 from . import evaluation, nn
 from .config import KNOWN_ATTACKS, ConfigError, CsvSource, ExperimentConfig, SyntheticSource
-from .dataset import (MIN_SPLIT_SAMPLES, SplitPlan, TabularDataset, generate_synthetic, load_csv,
-                      make_split, random_means, sample_reference_subset, write_columns)
+from .dataset import (MIN_SPLIT_SAMPLES, CsvParseError, SplitPlan, TabularDataset,
+                      generate_synthetic, load_csv, make_split, random_means,
+                      sample_reference_subset, write_columns)
 from .seeding import derive_seed
 from .signals import ScoreTable, perturbed_queries, signal_batch
 
@@ -86,42 +86,40 @@ class RunResult:
     target_accuracy: dict
 
 
-def _job(x: np.ndarray, y: np.ndarray, train_cfg: nn.TrainingConfig, layer_sizes) -> tuple:
-    """(key, x, y) of one model to train; the key holds every training input
-    (see the module docstring) and indexes `trained`."""
+def _job(x: np.ndarray, y: np.ndarray, seed: int, train_cfg, layer_sizes, dp=None) -> tuple:
+    """(key, x, y) of one model to train. The key, (group, data digest, seed),
+    indexes `trained`; its group, (rows, train_cfg, dp, layer sizes), is what
+    one nn.train_many call shares (see the module docstring)."""
     digest = hashlib.sha256(x.tobytes() + y.tobytes()).digest()
-    return (x.shape, digest, train_cfg, tuple(layer_sizes)), x, y
+    return ((len(x), train_cfg, dp, tuple(layer_sizes)), digest, seed), x, y
 
 
 def _training_job(dataset: TabularDataset, indices, cfg: ExperimentConfig, role: str,
                   seed_parts: tuple) -> tuple:
     """The job of one target, shadow or reference model."""
     x, y = dataset.subset(indices)
-    base = {"target": cfg.target_train, "shadow": cfg.shadow_train,
-            "reference": cfg.reference_train}[role]
-    dp = cfg.dp if (cfg.dp is not None and role in cfg.dp_apply_to) else None
-    train_cfg = dataclasses.replace(base, seed=derive_seed(cfg.master_seed, *seed_parts), dp=dp)
-    return _job(x, y, train_cfg, (dataset.feature_dim, *cfg.hidden_sizes, dataset.num_classes))
+    train_cfg = {"target": cfg.target_train, "shadow": cfg.shadow_train,
+                 "reference": cfg.reference_train}[role]
+    return _job(x, y, derive_seed(cfg.master_seed, *seed_parts), train_cfg,
+                (dataset.feature_dim, *cfg.hidden_sizes, dataset.num_classes),
+                cfg.dp if role in cfg.dp_apply_to else None)
 
 
 def _train_missing(jobs, trained: dict) -> None:
     """Train every job whose key is not in `trained` and add it there.
 
-    Jobs that share a row count, layer sizes and every TrainingConfig
-    field but the seed train in one stacked nn.train_many call, which gives
-    each model bit for bit what training it alone would.
+    Jobs of one group (see _job) train in one stacked nn.train_many call, in
+    order of first appearance, which gives each model bit for bit what
+    training it alone would.
     """
     groups: dict = {}
     for key, x, y in jobs:
-        if key in trained:
-            continue
-        shape, _, train_cfg, layer_sizes = key
-        group = (shape[0], layer_sizes, dataclasses.replace(train_cfg, seed=0))
-        groups.setdefault(group, {})[key] = (x, y)
-    for members in groups.values():
+        if key not in trained:
+            groups.setdefault(key[0], {})[key] = (x, y)
+    for (_, train_cfg, dp, layer_sizes), members in groups.items():
         keys = list(members)
         pairs = nn.train_many([members[k][0] for k in keys], [members[k][1] for k in keys],
-                              [k[2] for k in keys], keys[0][3])
+                              [k[2] for k in keys], train_cfg, layer_sizes, dp)
         trained.update((key, model) for key, (model, _) in zip(keys, pairs))
 
 
@@ -181,7 +179,10 @@ def _plan(config: ExperimentConfig, shared: dict) -> _Run:
     def dataset(source, label: str, section: str) -> TabularDataset:
         key = ("dataset", source, master, label)
         if key not in shared:
-            data = shared[key] = resolve_dataset(source, master, label)
+            try:
+                data = shared[key] = resolve_dataset(source, master, label)
+            except (OSError, CsvParseError) as exc:
+                raise ConfigError(f"[{section}] path: {exc}") from None
             if isinstance(source, CsvSource) and data.feature_dim == 0:
                 raise ConfigError(f"[{section}] path: {source.path} has no column besides 'label'")
             if isinstance(source, CsvSource) and len(data) < MIN_SPLIT_SAMPLES:
@@ -301,9 +302,8 @@ def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> l
     out = []
     for name in run.scoring:
         z, mean, std = atk.scoring_features(_pairs(shadow_scores, name), shadow_table.is_member)
-        train_cfg = dataclasses.replace(cfg.scoring_train,
-                                        seed=derive_seed(cfg.master_seed, "scoring", name))
-        out.append((name, _job(z, member, train_cfg, (2, *cfg.scoring_hidden_sizes, 1)),
+        out.append((name, _job(z, member, derive_seed(cfg.master_seed, "scoring", name),
+                               cfg.scoring_train, (2, *cfg.scoring_hidden_sizes, 1)),
                     mean, std))
     return out
 

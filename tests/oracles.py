@@ -118,30 +118,30 @@ def sgd_step(model, gradients, config: TrainingConfig, velocity=None, step: int 
     return model.with_parameters(params), velocity
 
 
-def train(x, y, config, layer_sizes):
+def train(x, y, seed, config, layer_sizes, dp=None):
     """The model of the one-job nn.train_many call, without its loss history."""
-    return train_many([x], [y], [config], layer_sizes)[0][0]
+    return train_many([x], [y], [seed], config, layer_sizes, dp)[0][0]
 
 
-def reference_train(x, y, config, layer_sizes):
+def reference_train(x, y, seed, config, layer_sizes, dp=None):
     """The training loop spelled out step by step, one model, in float32.
 
     It keeps float32 parameters, gradients and velocity: gradients come from
-    backward's kernel `_gradients`, clipped when the config sets DP, then
+    backward's kernel `_gradients`, clipped when `dp` is set, then
     the step's DP-SGD noise, drawn by its own Box-Muller steps from the
     model's uniforms, is added to them in place, and sgd_step's update is
     applied to the float32 arrays in place. The model returned is widened to
     float64.
     """
-    model = init_classifier(layer_sizes, derive_seed(config.seed, "model-init"))
+    model = init_classifier(layer_sizes, derive_seed(seed, "model-init"))
     params = [p.astype(np.float32) for p in model.parameters()]
     velocity = [np.zeros_like(p) for p in params]
     x32 = np.asarray(x, dtype=np.float32)
     n = len(x)
     total_steps = config.epochs * math.ceil(n / config.batch_size)
-    shuffle_rng = derive_rng(config.seed, "batch-order")
-    noise_rng = derive_rng(config.seed, "dp-noise")
-    clip_norm = config.dp.clip_norm if config.dp is not None else None
+    shuffle_rng = derive_rng(seed, "batch-order")
+    noise_rng = derive_rng(seed, "dp-noise")
+    clip_norm = dp.clip_norm if dp is not None else None
     num_params = sum(p.size for p in params)
     history, step = [], 0
     for _ in range(config.epochs):
@@ -152,11 +152,11 @@ def reference_train(x, y, config, layer_sizes):
             grads = [np.empty_like(p) for p in params]
             targets = _targets(y[idx], layer_sizes[-1], np.float32)
             batch_loss = _gradients(params[0::2], params[1::2], x32[idx], targets, clip_norm, grads)
-            if config.dp is not None and config.dp.noise_multiplier > 0:
+            if dp is not None and dp.noise_multiplier > 0:
                 # Box-Muller in float32 on 2 * ceil(P / 2) uniforms: radii from the
                 # first half, angles from the second; the cosines, then the sines,
                 # go to the parameters in order, the last value unused for an odd P
-                std = np.float32(config.dp.noise_multiplier * config.dp.clip_norm / len(idx))
+                std = np.float32(dp.noise_multiplier * dp.clip_norm / len(idx))
                 u = noise_rng.random(2 * math.ceil(num_params / 2))
                 half = len(u) // 2
                 log = np.log((1.0 - u[:half]).astype(np.float32))
@@ -179,11 +179,11 @@ def reference_train(x, y, config, layer_sizes):
     return model.with_parameters([p.astype(np.float64) for p in params]), history
 
 
-def train_scoring_models(features, is_member, configs, hidden_sizes) -> list[ScoringModel]:
+def train_scoring_models(features, is_member, seeds, config, hidden_sizes) -> list[ScoringModel]:
     """One scoring net per (n, 2) shadow feature matrix against the shared
     shadow membership, with BCE loss (one output unit), all in one train_many
-    loop; configs[k] goes with features[k]."""
+    loop under `config`; seeds[k] goes with features[k]."""
     inputs = [scoring_features(feats, is_member) for feats in features]
     targets = [np.asarray(is_member, dtype=np.float64)] * len(inputs)
-    pairs = train_many([z for z, _, _ in inputs], targets, configs, (2, *hidden_sizes, 1))
+    pairs = train_many([z for z, _, _ in inputs], targets, seeds, config, (2, *hidden_sizes, 1))
     return [ScoringModel(mlp, mean, std) for (mlp, _), (_, mean, std) in zip(pairs, inputs)]

@@ -229,7 +229,7 @@ def toy_shadow(n=200, member_at=(0.0, 3.0), non_at=(-3.0, 0.0), jitter=0.1, seed
 
 def scoring_config(**kw):
     defaults = dict(learning_rate=0.05, momentum=0.9, weight_decay=0.0, batch_size=64,
-                    epochs=60, cosine_schedule=True, seed=0)
+                    epochs=60, cosine_schedule=True)
     defaults.update(kw)
     return TrainingConfig(**defaults)
 
@@ -237,7 +237,7 @@ def scoring_config(**kw):
 class TestScoringModel:
     def test_separable_shadow_reaches_full_accuracy(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
+        model = train_scoring_models([feats], member, [0], scoring_config(), SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.mean((scores > 0.5) == member) == 1.0
         assert roc(scores, member).best_balanced_accuracy() == 1.0
@@ -251,7 +251,7 @@ class TestScoringModel:
             n = 400
             member = np.array([True] * (n // 2) + [False] * (n // 2))
             feats = np.column_stack([rng.normal(-1.0, 0.7, n), rng.normal(0.5, 0.7, n)])
-            model = train_scoring_models([feats], member, [scoring_config(epochs=0, seed=seed)],
+            model = train_scoring_models([feats], member, [seed], scoring_config(epochs=0),
                                          SCORING_SIZES)[0]
             scores = model.score(feats)
             assert np.all((scores > 0) & (scores < 1))
@@ -260,17 +260,17 @@ class TestScoringModel:
 
     def test_deterministic(self):
         feats, member = toy_shadow()
-        a = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
-        b = train_scoring_models([feats], member, [scoring_config()], SCORING_SIZES)[0]
+        a = train_scoring_models([feats], member, [0], scoring_config(), SCORING_SIZES)[0]
+        b = train_scoring_models([feats], member, [0], scoring_config(), SCORING_SIZES)[0]
         for wa, wb in zip(a.mlp.parameters(), b.mlp.parameters()):
             assert np.array_equal(wa, wb)
 
     def test_stacked_nets_equal_nets_trained_alone(self):
         (first, member), (second, _) = toy_shadow(), toy_shadow(seed=9)
-        configs = [scoring_config(epochs=3, seed=1), scoring_config(epochs=3, seed=2)]
-        stacked = train_scoring_models([first, second], member, configs, SCORING_SIZES)
-        for feats, config, model in zip([first, second], configs, stacked):
-            alone = train_scoring_models([feats], member, [config], SCORING_SIZES)[0]
+        config = scoring_config(epochs=3)
+        stacked = train_scoring_models([first, second], member, [1, 2], config, SCORING_SIZES)
+        for feats, seed, model in zip([first, second], [1, 2], stacked):
+            alone = train_scoring_models([feats], member, [seed], config, SCORING_SIZES)[0]
             assert np.array_equal(model.feature_mean, alone.feature_mean)
             assert np.array_equal(model.feature_std, alone.feature_std)
             for a, b in zip(model.mlp.parameters(), alone.mlp.parameters()):
@@ -280,20 +280,20 @@ class TestScoringModel:
         feats, member = toy_shadow()
         for one_class in (np.ones_like(member), np.zeros_like(member)):
             with pytest.raises(ValueError, match="both members and non-members"):
-                train_scoring_models([feats], one_class, [scoring_config()], SCORING_SIZES)
+                train_scoring_models([feats], one_class, [0], scoring_config(), SCORING_SIZES)
 
     def test_missing_calibrated_rejected(self):
         # the feature matrix must be (n, 2): the raw score and a second feature
         feats, member = toy_shadow()
         for bad in (feats[:, :1], feats[:, 0], np.column_stack([feats, feats[:, :1]]), feats[1:]):
             with pytest.raises(ValueError, match="scoring features have shape"):
-                train_scoring_models([bad], member, [scoring_config()], SCORING_SIZES)
+                train_scoring_models([bad], member, [0], scoring_config(), SCORING_SIZES)
 
 
 class TestAttackRapid:
     def test_outputs_in_unit_interval(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
+        model = train_scoring_models([feats], member, [0], scoring_config(epochs=5), SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.all((scores > 0) & (scores < 1))
 
@@ -307,7 +307,7 @@ class TestAttackRapid:
         cal = np.concatenate([rng.normal(2.0, 0.5, n),
                               rng.normal(2.0, 0.5, n)])      # calibration fooled for both
         member = np.array([True] * n + [False] * n)
-        model = train_scoring_models([np.column_stack([raw, cal])], member, [scoring_config()],
+        model = train_scoring_models([np.column_stack([raw, cal])], member, [0], scoring_config(),
                                      SCORING_SIZES)[0]
         fooled_nonmember = model.score(np.array([[-3.0, 2.0]]))[0]
         true_member = model.score(np.array([[-0.01, 2.0]]))[0]
@@ -317,23 +317,23 @@ class TestAttackRapid:
         # power-of-two rescaling of both shadow and target inputs is exact
         shadow, member = toy_shadow()
         target, _ = toy_shadow(seed=9)
-        model = train_scoring_models([shadow], member, [scoring_config(epochs=10)], SCORING_SIZES)[0]
+        model = train_scoring_models([shadow], member, [0], scoring_config(epochs=10), SCORING_SIZES)[0]
         base = model.score(target)
 
-        scaled_model = train_scoring_models([4.0 * shadow], member, [scoring_config(epochs=10)],
+        scaled_model = train_scoring_models([4.0 * shadow], member, [0], scoring_config(epochs=10),
                                             SCORING_SIZES)[0]
         scaled = scaled_model.score(4.0 * target)
         assert np.array_equal(base, scaled)
 
     def test_missing_columns_rejected(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=2)], SCORING_SIZES)[0]
+        model = train_scoring_models([feats], member, [0], scoring_config(epochs=2), SCORING_SIZES)[0]
         with pytest.raises(ValueError):
             model.score(np.array([[0.0]]))
 
     def test_open_interval_holds_even_for_saturating_inputs(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
+        model = train_scoring_models([feats], member, [0], scoring_config(epochs=5), SCORING_SIZES)[0]
         extreme = np.array([[1e12, 1e12], [-1e12, -1e12], [1e12, -1e12]])
         scores = model.score(extreme)
         assert np.all((scores > 0.0) & (scores < 1.0))
@@ -342,7 +342,7 @@ class TestAttackRapid:
 class TestAttackShortcutLira:
     def test_outputs_in_unit_interval(self):
         feats, member = toy_shadow()
-        model = train_scoring_models([feats], member, [scoring_config(epochs=5)], SCORING_SIZES)[0]
+        model = train_scoring_models([feats], member, [0], scoring_config(epochs=5), SCORING_SIZES)[0]
         scores = model.score(feats)
         assert np.all((scores > 0) & (scores < 1))
 
@@ -352,7 +352,7 @@ class TestAttackShortcutLira:
         raw = np.concatenate([rng.normal(-0.2, 0.2, n), rng.normal(-2.0, 0.5, n)])
         member = np.array([True] * n + [False] * n)
         shadow = np.column_stack([raw, np.full(2 * n, 0.7)])
-        model = train_scoring_models([shadow], member, [scoring_config()], SCORING_SIZES)[0]
+        model = train_scoring_models([shadow], member, [0], scoring_config(), SCORING_SIZES)[0]
         target_raw = rng.normal(-1.0, 1.0, 100)
         scores = model.score(np.column_stack([target_raw, np.full(100, 0.7)]))
         member_t = target_raw > np.median(target_raw)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -22,6 +23,9 @@ from mia_audit.signals import SignalKind
 
 from oracles import reference_train
 
+# one model of a recorded nn.train_many call; `loss` is the one the output width picks
+StackedJob = collections.namedtuple("StackedJob", "x y seed config layer_sizes dp loss model")
+
 FAST_TRAIN = TrainingConfig(epochs=3, batch_size=32)
 FAST_SCORING = TrainingConfig(learning_rate=0.05, weight_decay=0.0, epochs=10)
 
@@ -43,7 +47,7 @@ def fast_config(**kw):
 def attacker_models(trained: dict, config) -> tuple:
     """(shadow model or None, reference models) of a run, picked out of the
     `trained` dict it ran with by their derived seeds."""
-    by_seed = {key[2].seed: model for key, model in trained.items()}
+    by_seed = {key[2]: model for key, model in trained.items()}
     master = config.master_seed
     references = [by_seed[seed] for seed in (derive_seed(master, "ref", i)
                                              for i in range(config.num_reference_models))
@@ -202,7 +206,7 @@ class TestConfigParsing:
         nested = {"data", "attacker_data", "target_train", "shadow_train", "reference_train",
                   "dp", "scoring_train"}  # built from whole sections, not from one key
         for owner, skip in ((ExperimentConfig, nested), (SyntheticSource, ()), (CsvSource, ()),
-                            (DPConfig, ()), (TrainingConfig, ("seed", "dp"))):
+                            (DPConfig, ()), (TrainingConfig, ())):
             wanted = sorted(f.name for f in dataclasses.fields(owner) if f.name not in skip)
             per_section = [sorted(name for target, name in table.values() if target is owner)
                            for table in SECTIONS.values()]
@@ -331,18 +335,17 @@ class TestPipeline:
 
     @staticmethod
     def record_train_many(monkeypatch):
-        """Patch nn.train_many to record each call as a list of (x, y, config,
-        layer sizes, loss, model), one entry per stacked model; the loss is
-        the one the output width picks."""
+        """Patch nn.train_many to record each call as a list of StackedJob,
+        one per stacked model."""
         from mia_audit import nn
         calls = []
         real_train_many = nn.train_many
 
-        def recording(xs, ys, configs, layer_sizes):
-            pairs = real_train_many(xs, ys, configs, layer_sizes)
+        def recording(xs, ys, seeds, config, layer_sizes, dp=None):
+            pairs = real_train_many(xs, ys, seeds, config, layer_sizes, dp)
             loss = "bce" if layer_sizes[-1] == 1 else "ce"
-            calls.append([(x, y, c, layer_sizes, loss, m)
-                          for x, y, c, (m, _) in zip(xs, ys, configs, pairs)])
+            calls.append([StackedJob(x, y, seed, config, layer_sizes, dp, loss, m)
+                          for x, y, seed, (m, _) in zip(xs, ys, seeds, pairs)])
             return pairs
 
         monkeypatch.setattr(nn, "train_many", recording)
@@ -352,8 +355,8 @@ class TestPipeline:
     def assert_equal_to_training_alone(monkeypatch, calls):
         from mia_audit import nn
         monkeypatch.undo()
-        for x, y, cfg, layer_sizes, _, model in (job for call in calls for job in call):
-            [(alone, _)] = nn.train_many([x], [y], [cfg], layer_sizes)
+        for x, y, seed, cfg, layer_sizes, dp, _, model in (job for call in calls for job in call):
+            [(alone, _)] = nn.train_many([x], [y], [seed], cfg, layer_sizes, dp)
             for a, b in zip(alone.parameters(), model.parameters()):
                 assert a.tobytes() == b.tobytes()
 
@@ -368,8 +371,8 @@ class TestPipeline:
         calls = self.record_train_many(monkeypatch)
         cfg = fast_config(shadow_train=dataclasses.replace(FAST_TRAIN, epochs=4))
         run_pipeline(cfg)
-        epochs_by_call = [sorted(job[2].epochs for job in call) for call in calls
-                          if call[0][4] == "ce"]
+        epochs_by_call = [sorted(job.config.epochs for job in call) for call in calls
+                          if call[0].loss == "ce"]
         assert sorted(epochs_by_call) == [[3], [3, 3], [4]]  # target, 2 references, shadow
         self.assert_equal_to_training_alone(monkeypatch, calls)
 
@@ -377,7 +380,7 @@ class TestPipeline:
         calls = self.record_train_many(monkeypatch)
         run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
                                  dp_apply_to=("target", "reference")))
-        dp_calls = [call for call in calls if any(job[2].dp is not None for job in call)]
+        dp_calls = [call for call in calls if any(job.dp is not None for job in call)]
         # the target apart from its non-DP shadow, the 2 references together
         assert [len(call) for call in dp_calls] == [1, 2]
         self.assert_equal_to_training_alone(monkeypatch, calls)
@@ -385,7 +388,7 @@ class TestPipeline:
     def test_non_dp_models_train_in_float32(self, monkeypatch):
         calls = self.record_train_many(monkeypatch)
         run_pipeline(fast_config())
-        models = [job[5] for call in calls for job in call]
+        models = [job.model for call in calls for job in call]
         assert len(models) == 6  # target, shadow, 2 references, 2 scoring nets
         for p in (p for m in models for p in m.parameters()):
             assert p.dtype == np.float64
@@ -395,10 +398,10 @@ class TestPipeline:
         calls = self.record_train_many(monkeypatch)
         run_pipeline(fast_config(dp=DPConfig(clip_norm=1.0, noise_multiplier=0.5),
                                  dp_apply_to=("target", "reference")))
-        dp_jobs = [job for call in calls for job in call if job[2].dp is not None]
+        dp_jobs = [job for call in calls for job in call if job.dp is not None]
         assert len(dp_jobs) == 3
-        for x, y, cfg, layer_sizes, _, model in dp_jobs:
-            oracle, _ = reference_train(x, y, cfg, layer_sizes)
+        for x, y, seed, cfg, layer_sizes, dp, _, model in dp_jobs:
+            oracle, _ = reference_train(x, y, seed, cfg, layer_sizes, dp)
             for a, b in zip(oracle.parameters(), model.parameters()):
                 assert a.tobytes() == b.tobytes()
 
@@ -406,7 +409,7 @@ class TestPipeline:
         calls = self.record_train_many(monkeypatch)
         sweep(fast_config(attacks=("rapid",)), "num_queries", [1, 2, 3])
         # one rapid net per query count, all in one loop
-        assert [len(call) for call in calls if call[0][4] == "bce"] == [3]
+        assert [len(call) for call in calls if call[0].loss == "bce"] == [3]
         self.assert_equal_to_training_alone(monkeypatch, calls)
 
     def test_reference_sweep_builds_queries_once(self, monkeypatch):
@@ -430,7 +433,7 @@ class TestPipeline:
                   ("scoring", "rapid"), ("scoring", "shortcut_lira")]
         seeds_of = {master: {derive_seed(master, *label) for label in labels} for master in (5, 6)}
         for call in calls:
-            assert any({job[2].seed for job in call} <= seeds for seeds in seeds_of.values())
+            assert any({job.seed for job in call} <= seeds for seeds in seeds_of.values())
         # per seed: target + shadow, the 2 references, the 4 scoring nets
         assert sorted(len(call) for call in calls) == [2, 2, 2, 2, 4, 4]
         self.assert_equal_to_training_alone(monkeypatch, calls)
@@ -446,7 +449,7 @@ class TestPipeline:
                   ("scoring", "rapid"), ("scoring", "shortcut_lira")]
         seeds_of = [{derive_seed(master, *label) for label in labels} for master in (5, 6)]
         for call in calls:
-            assert any({job[2].seed for job in call} <= seeds for seeds in seeds_of)
+            assert any({job.seed for job in call} <= seeds for seeds in seeds_of)
         monkeypatch.undo()
         assert [r.config for r in results] == configs
         for config, result in zip(configs, results):
@@ -782,7 +785,7 @@ class TestCli:
 
     def run_on_csv(self, tmp_path, capsys, monkeypatch, section, text) -> tuple:
         """(path, stderr) of a run whose [section] reads a CSV file holding
-        `text`, which must fail before any model trains."""
+        `text` (no file when None), which must fail before any model trains."""
         from mia_audit import nn
 
         def no_training(*args, **kwargs):
@@ -790,7 +793,8 @@ class TestCli:
 
         monkeypatch.setattr(nn, "train_many", no_training)
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
         if section == "data":
             ini = SAMPLE_INI.replace("source = synthetic", f"source = csv\npath = {path}")
         else:
@@ -822,6 +826,18 @@ class TestCli:
                                     "x0,x1,x2,x3,label\n" + "0.1,0.2,0.3,0.4,0\n0.5,0.6,0.7,0.8,1\n"
                                     + "0.9,1.0,1.1,1.2,0\n")
         assert f"[{section}] path: {path} has 3 data rows; the split needs at least 6" in err
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_missing_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section, None)
+        assert f"[{section}] path: [Errno 2] No such file or directory: '{path}'" in err
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_malformed_csv_cell_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        section):
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section,
+                                    "x0,x1,label\n0.1,0.2,0\nabc,0.4,1\n")
+        assert f"[{section}] path: {path}: data row 2 column 'x0': " in err
 
     def test_sweep_csv_cardinality(self, tmp_path):
         cfg = self.write_config(tmp_path, LOSS_ONLY_INI)

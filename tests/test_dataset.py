@@ -59,8 +59,8 @@ class TestGenerateSynthetic:
         # well-separated Gaussians force near-perfect held-out accuracy
         ds = two_class(2000)
         half = len(ds) // 2
-        model = train(ds.features[:half], ds.labels[:half],
-                      TrainingConfig(epochs=10, seed=0), (2, 16, 2))
+        model = train(ds.features[:half], ds.labels[:half], 0,
+                      TrainingConfig(epochs=10), (2, 16, 2))
         assert accuracy(model, ds.features[half:], ds.labels[half:]) >= 0.99
 
     def test_distinct_means_required(self):

@@ -58,8 +58,8 @@ class TestSignal:
 
     def test_gradnorm_vanishes_at_convergence(self):
         ds = generate_synthetic([[-3, -3], [3, 3]], 0.3, 64, 5)
-        trained = train(ds.features, ds.labels,
-                        TrainingConfig(epochs=200, weight_decay=0.0, seed=1), (2, 8, 2))
+        trained = train(ds.features, ds.labels, 1,
+                        TrainingConfig(epochs=200, weight_decay=0.0), (2, 8, 2))
         fresh = init_classifier((2, 8, 2), 99)
         x, y = ds.features[:1], ds.labels[:1]
         converged = signal_batch(trained, x, y, SignalKind.GRADNORM)[0][0]
@@ -141,7 +141,7 @@ class TestAveragedSignal:
         trained = {}
         results = run_pipelines(configs, trained)
         target_seed = derive_seed(configs[0].master_seed, "target")
-        target = next(model for key, model in trained.items() if key[2].seed == target_seed)
+        target = next(model for key, model in trained.items() if key[2] == target_seed)
         for cfg, result in zip(configs, results):
             table = result.target_table
             x, y = resolve_dataset(cfg.data, cfg.master_seed, "data").subset(table.ids)
@@ -196,7 +196,7 @@ class TestTargetOnItsEvalSet:
         trained = {}
         results = run_pipelines(configs, trained)
         target_seed = derive_seed(configs[0].master_seed, "target")
-        target = next(model for key, model in trained.items() if key[2].seed == target_seed)
+        target = next(model for key, model in trained.items() if key[2] == target_seed)
         for cfg, result in zip(configs, results):
             table = result.target_table
             ds = resolve_dataset(cfg.data, cfg.master_seed, "data")
@@ -257,8 +257,8 @@ class TestQueryNoise:
 class TestScoreTable:
     def overfit_setup(self):
         ds = generate_synthetic(np.random.default_rng(0).normal(0, 0.4, (2, 8)), 1.0, 200, 3)
-        model = train(ds.features[:100], ds.labels[:100],
-                      TrainingConfig(epochs=80, seed=2), (8, 64, 2))
+        model = train(ds.features[:100], ds.labels[:100], 2,
+                      TrainingConfig(epochs=80), (8, 64, 2))
         return ds, model
 
     def test_build_fills_raw_only(self):

@@ -41,7 +41,10 @@
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command. On a difference it then prints, per differing
 # file, how many CSV cells or JSON numbers differ and the largest absolute
-# difference among them, so a change in the last bits reads as one.
+# difference among them, so a change in the last bits reads as one. The
+# listing ends with the count of differing files that match once the config
+# digest is removed (a CSV's `# config_digest=` line, a JSON file's top-level
+# `config_digest`), and names the other differing files.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -231,8 +234,20 @@ def csv_pairs(a, b):
     return pairs, unmatched
 
 
+def without_digest(path):
+    """The file's content without its config digest (see the script's header)."""
+    with open(path, encoding="utf-8") as fh:
+        if not path.endswith(".json"):
+            return [line for line in fh if not line.startswith("# config_digest=")]
+        value = json.load(fh)
+    if isinstance(value, dict):
+        value.pop("config_digest", None)
+    return value
+
+
 rev, tree = sys.argv[1:]
 names = set()
+digest_only, others = 0, []
 for top in (rev, tree):
     for folder, _, files in os.walk(top):
         names.update(os.path.relpath(os.path.join(folder, f), top) for f in files)
@@ -242,9 +257,14 @@ for name in sorted(names):
     if not all(map(os.path.isfile, paths)):
         side = "working tree" if os.path.isfile(paths[1]) else "revision"
         print(f"  {name}: only in the {side}")
+        others.append(name)
         continue
     if filecmp.cmp(*paths, shallow=False):
         continue
+    if without_digest(paths[0]) == without_digest(paths[1]):
+        digest_only += 1
+    else:
+        others.append(name)
     is_json = name.endswith(".json")
     pairs, unmatched = (json_pairs if is_json else csv_pairs)(*paths)
     differ = [(x, y) for x, y in pairs if x != y]
@@ -256,6 +276,8 @@ for name in sorted(names):
     if unmatched:
         text += f"; in one file only: {unmatched} {'JSON values' if is_json else 'CSV rows'}"
     print(f"  {name}: {text}")
+print(f"{digest_only} of {digest_only + len(others)} differing files match once the config "
+      "digest is removed" + (f"; the others: {', '.join(others)}" if others else ""))
 PY
     echo "artifacts differ from $rev" >&2
     exit 1
