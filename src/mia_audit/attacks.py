@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import finite_float, read_rows
 
 VARIANCE_FLOOR = 1e-8
-SCORES_HEADER = ("id", "score")
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
@@ -40,12 +38,6 @@ SCORING_FEATURES = {
     "rapid": lambda scores: scores["calibration"],
     "shortcut_lira": lambda scores: normal_cdf(scores["lira_offline"]),
 }
-
-
-def read_attack_scores_csv(path) -> tuple[list[str], np.ndarray]:
-    """(ids, scores) from an attack-output CSV, skipping digest comments."""
-    rows = read_rows(path, SCORES_HEADER, (str, finite_float))
-    return [r[0] for r in rows], np.array([r[1] for r in rows], dtype=np.float64)
 
 
 def _raw_and_matrix(raw, matrix, name: str) -> tuple[np.ndarray, np.ndarray]:

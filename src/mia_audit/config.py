@@ -197,10 +197,7 @@ def _scalar(kind: type, text: str):
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     if issubclass(kind, enum.Enum) and text not in {m.value for m in kind}:
         raise ValueError(f"expected one of {[m.value for m in kind]}")
-    value = kind(text)
-    if kind is float and not math.isfinite(value):
-        raise ValueError("not finite")
-    return value
+    return kind(text)
 
 
 def _convert(where: str, raw: str, kind):

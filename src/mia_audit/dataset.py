@@ -194,9 +194,12 @@ def nonnegative_int(cell: str) -> int:
 
 
 def _tokens(path) -> list[list[str]]:
-    """Every row of a CSV file, `#` lines skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    """Every row of a UTF-8 CSV file, `#` lines skipped."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 ({exc})") from None
 
 
 def _typed_rows(path, header, types, rows) -> list[list]:

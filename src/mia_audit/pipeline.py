@@ -1,5 +1,5 @@
 """End-to-end attack pipeline: split, train victim/shadow/reference models,
-build score tables, train scoring models, run the selected attacks, persist
+score them, train scoring models, run the selected attacks, persist
 artifacts and read them back through the manifest, and sweep one ablation axis.
 
 `run_pipelines` takes a list of configs and, for each master seed among them
@@ -11,11 +11,13 @@ before the next:
      queries any run asks of it and dropped before the next set's; each
      distinct model is scored on them once per query index, in query order,
      and one running sum per model gives the mean over every count the runs
-     ask for; each run then reads its score tables off those means; the
-     pass over the first, unperturbed matrix also keeps its log-probabilities;
-  3. the scoring nets of every run, as training jobs like those of stage 1;
-  4. per run, the attack scores, ROC curves, metrics, and the loss buckets
-     and target accuracy, read off the target's stage 2 log-probabilities.
+     ask for; the pass over the first, unperturbed matrix also keeps its
+     log-probabilities;
+  3. per run with a scoring attack, its shadow score table, read off those
+     means, and its scoring nets, as training jobs like those of stage 1;
+  4. per run, the target's score table (threshold and scoring attacks), ROC
+     curves, metrics, and the loss buckets and target accuracy, read off the
+     target's stage 2 log-probabilities.
 `run_pipeline` is its one-config case, so a single run takes the same path,
 and a `sweep` is one call on all of its configs.
 
@@ -79,7 +81,7 @@ class RunResult:
     attacker_plan: SplitPlan | None
     target_table: ScoreTable
     shadow_table: ScoreTable | None
-    scores: dict  # attack name -> its per-sample scores of the target eval set
+    scores: dict  # each selected attack -> its column of target_table
     curves: dict
     metrics: dict
     bucket_report: evaluation.LossBucketReport | None
@@ -273,8 +275,8 @@ def _signals(runs: list[_Run], trained: dict) -> tuple[dict, dict]:
     return signals, logps
 
 
-def _score_table(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> tuple:
-    """(ScoreTable, threshold scores) of one eval set, read off its raw scores
+def _threshold_scores(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> dict:
+    """The threshold attacks' scores of one eval set, read off its raw scores
     and reference matrix (only "loss" when the run has none)."""
     def signal(key):
         return signals[(run.signal_key(eval_set, key), run.config.num_queries)]
@@ -282,11 +284,8 @@ def _score_table(run: _Run, eval_set: _EvalSet, model_key, signals: dict) -> tup
     raw = signal(model_key)
     refs = (np.column_stack([signal(job[0]) for job in run.reference_jobs])
             if run.reference_jobs else None)
-    scores = {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
-              if refs is not None or name == "loss"}
-    table = ScoreTable(ids=eval_set.ids, is_member=eval_set.member, raw=raw,
-                       calibrated=scores.get("calibration"))
-    return table, scores
+    return {name: score(raw, refs) for name, score in atk.THRESHOLD_SCORES.items()
+            if refs is not None or name == "loss"}
 
 
 def _pairs(scores: dict, name: str) -> np.ndarray:
@@ -294,45 +293,48 @@ def _pairs(scores: dict, name: str) -> np.ndarray:
     return np.column_stack([scores["loss"], atk.SCORING_FEATURES[name](scores)])
 
 
-def _scoring_jobs(run: _Run, shadow_table: ScoreTable, shadow_scores: dict) -> list:
-    """(name, job, feature mean, feature std) of each scoring net of a run,
-    trained on its shadow scores against the shadow membership."""
+def _shadow_stage(run: _Run, signals: dict) -> tuple:
+    """Stage 3 of one run: its shadow ScoreTable, whose scores are all in,
+    and (name, job, feature mean, feature std) of each of its scoring nets,
+    trained on the table's scores against its membership."""
     cfg = run.config
-    member = shadow_table.is_member.astype(np.float64)
-    out = []
+    shadow_set, model_key = run.eval_sets[1]
+    table = ScoreTable(shadow_set.ids, shadow_set.member,
+                       _threshold_scores(run, shadow_set, model_key, signals))
+    member = table.is_member.astype(np.float64)
+    jobs = []
     for name in run.scoring:
-        z, mean, std = atk.scoring_features(_pairs(shadow_scores, name), shadow_table.is_member)
-        out.append((name, _job(z, member, derive_seed(cfg.master_seed, "scoring", name),
-                               cfg.scoring_train, (2, *cfg.scoring_hidden_sizes, 1)),
-                    mean, std))
-    return out
+        z, mean, std = atk.scoring_features(_pairs(table.scores, name), member)
+        jobs.append((name, _job(z, member, derive_seed(cfg.master_seed, "scoring", name),
+                                cfg.scoring_train, (2, *cfg.scoring_hidden_sizes, 1)),
+                     mean, std))
+    return table, jobs
 
 
-def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict, logp) -> RunResult:
-    """Stage 4: a run's attack scores, ROC curves, metrics, loss buckets and
-    target accuracy; the last two read `logp`, the target's on its eval set."""
+def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_jobs: list,
+            trained: dict, logp) -> RunResult:
+    """Stage 4 of one run (see the module docstring); `logp` holds the
+    target's log-probabilities on its eval set."""
     config = run.config
-    (target_table, target_scores), *shadow = tables
+    target_set, model_key = run.eval_sets[0]
+    target_scores = _threshold_scores(run, target_set, model_key, signals)
     for name, job, mean, std in scoring_jobs:
         net = atk.ScoringModel(trained[job[0]], mean, std)
         target_scores[name] = net.score(_pairs(target_scores, name))
+    target_table = ScoreTable(target_set.ids, target_set.member, target_scores)
 
-    scores = {name: target_scores[name] for name in config.attacks}
-    for name, values in scores.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"attack {name!r} produced non-finite scores")
+    scores = {name: target_table.scores[name] for name in config.attacks}
     # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
     curves = {name: evaluation.roc(values, target_table.is_member)
               for name, values in scores.items()}
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
-    target_set = run.eval_sets[0][0]
     bucket_report = None
-    if target_table.calibrated is not None:
+    if "calibration" in target_table.scores:
         bucket_report = evaluation.loss_bucket_report(
             -logp[np.arange(len(target_set.y)), target_set.y],
-            target_table.calibrated, target_table.is_member)
+            target_table.scores["calibration"], target_table.is_member)
     correct = logp.argmax(axis=1) == target_set.y  # ties go to the lowest class
     target_accuracy = {"train": float(correct[target_set.member].mean()),
                        "test": float(correct[~target_set.member].mean())}
@@ -340,7 +342,7 @@ def _result(run: _Run, tables: list, scoring_jobs: list, trained: dict, logp) ->
     return RunResult(
         config=config,
         target_plan=run.target_plan, attacker_plan=run.attacker_plan,
-        target_table=target_table, shadow_table=shadow[0][0] if shadow else None,
+        target_table=target_table, shadow_table=shadow_table,
         scores=scores, curves=curves, metrics=metrics,
         bucket_report=bucket_report, target_accuracy=target_accuracy,
     )
@@ -368,13 +370,10 @@ def run_pipelines(configs, trained: dict | None = None) -> list[RunResult]:
         runs = [_plan(config, shared) for _, config in batch]
         _train_missing([job for run in runs for job in run.jobs()], trained)
         signals, logps = _signals(runs, trained)
-        tables = [[_score_table(run, eval_set, key, signals) for eval_set, key in run.eval_sets]
-                  for run in runs]
-        scoring_jobs = [_scoring_jobs(run, *run_tables[1]) if run.scoring else []
-                        for run, run_tables in zip(runs, tables)]
-        _train_missing([job for jobs in scoring_jobs for _, job, _, _ in jobs], trained)
-        for (i, _), run, run_tables, jobs in zip(batch, runs, tables, scoring_jobs):
-            results[i] = _result(run, run_tables, jobs, trained,
+        shadows = [_shadow_stage(run, signals) if run.scoring else (None, []) for run in runs]
+        _train_missing([job for _, jobs in shadows for _, job, _, _ in jobs], trained)
+        for (i, _), run, (shadow_table, jobs) in zip(batch, runs, shadows):
+            results[i] = _result(run, signals, shadow_table, jobs, trained,
                                  logps[run.signal_key(*run.eval_sets[0])])
     return results
 
@@ -486,8 +485,6 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     if result.shadow_table is not None:
         files["shadow_scores.csv"] = (result.shadow_table.to_csv, digest)
     for name, curve in result.curves.items():
-        files[f"scores_{name}.csv"] = (write_columns, atk.SCORES_HEADER,
-                                       [result.target_table.ids, result.scores[name]], digest)
         files[f"roc_{name}.csv"] = (curve.to_csv, digest)
         files[f"metrics_{name}.json"] = (_write_json, {"attack": name, "config_digest": digest,
                                                        **result.metrics[name].to_dict()})

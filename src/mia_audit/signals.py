@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import finite_float, read_rows, write_columns
+from .dataset import CsvParseError, _tokens, _typed_rows, finite_float, write_columns
 from .seeding import derive_seed, normal_rows
-
-SCORE_TABLE_HEADER = ("id", "is_member", "raw", "calibrated")
 
 
 class SignalKind(str, enum.Enum):
@@ -86,61 +84,58 @@ def perturbed_queries(x: np.ndarray, ids, num_queries: int, noise_std: float,
 
 @dataclass
 class ScoreTable:
-    """Per-sample scores with membership ground truth.
+    """One eval set's per-sample scores with membership ground truth.
 
-    raw holds the (possibly query-averaged) signal from one model; calibrated
-    is None when the run has no reference models.
+    `scores` maps each score the run computed on the set to its float64
+    column, named after its attack and in attack order (see pipeline); every
+    score is finite.
     """
 
     ids: list
     is_member: np.ndarray
-    raw: np.ndarray
-    calibrated: np.ndarray | None = None
+    scores: dict
 
     def __post_init__(self):
         self.ids = list(self.ids)
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("sample ids must be unique")
         self.is_member = np.asarray(self.is_member, dtype=bool)
-        self.raw = np.asarray(self.raw, dtype=np.float64)
-        if self.calibrated is not None:
-            self.calibrated = np.asarray(self.calibrated, dtype=np.float64)
+        self.scores = {name: np.asarray(col, dtype=np.float64) for name, col in self.scores.items()}
         n = len(self.ids)
-        for name in ("is_member", "raw", "calibrated"):
-            col = getattr(self, name)
-            if col is None:
-                continue
+        for name, col in {"is_member": self.is_member, **self.scores}.items():
             if col.shape != (n,):
                 raise ValueError(f"{name} has shape {col.shape}, expected ({n},)")
             if col.dtype.kind == "f" and not np.isfinite(col).all():
-                raise ValueError(f"{name} contains non-finite scores")
+                raise ValueError(f"attack {name!r} produced non-finite scores")
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
-        """Columns id,is_member,raw,calibrated; empty cells when calibrated is absent."""
-        calibrated = [""] * len(self) if self.calibrated is None else self.calibrated
-        columns = [self.ids, self.is_member.astype(np.int64), self.raw, calibrated]
-        write_columns(path, SCORE_TABLE_HEADER, columns, config_digest)
+        """Columns id,is_member, then one per score, in the table's order."""
+        write_columns(path, ("id", "is_member", *self.scores),
+                      [self.ids, self.is_member.astype(np.int64), *self.scores.values()],
+                      config_digest)
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
-        rows = read_rows(path, SCORE_TABLE_HEADER, (str, _member_flag, finite_float,
-                                                        _optional_float))
-        calibrated = [r[3] for r in rows]
-        if None in calibrated and any(v is not None for v in calibrated):
-            raise ValueError(f"{path}: calibrated is blank in some rows but not all")
-        return cls(ids=[r[0] for r in rows], is_member=[r[1] for r in rows],
-                   raw=[r[2] for r in rows],
-                   calibrated=None if None in calibrated else calibrated)
+        """The table to_csv wrote, its score names taken off the header; a
+        header that does not start with id,is_member, names no score or
+        repeats a name raises CsvParseError naming the path."""
+        rows = _tokens(path)
+        header = rows[0] if rows else []
+        problem = ("does not start with id,is_member" if header[:2] != ["id", "is_member"]
+                   else "names no score" if len(header) == 2
+                   else "repeats a name" if len(set(header)) != len(header) else None)
+        if problem:
+            raise CsvParseError(f"{path}: header {header} {problem}")
+        table = _typed_rows(path, header, [str, _member_flag] + [finite_float] * (len(header) - 2),
+                            rows[1:])
+        columns = list(zip(*table)) if table else [()] * len(header)
+        return cls(ids=columns[0], is_member=columns[1], scores=dict(zip(header[2:], columns[2:])))
 
 
 def _member_flag(cell: str) -> bool:
     if cell not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {cell!r}")
     return cell == "1"
-
-
-def _optional_float(cell: str) -> float | None:
-    return None if cell == "" else finite_float(cell)

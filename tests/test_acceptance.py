@@ -15,7 +15,6 @@ import pytest
 
 from mia_audit import (DPConfig, TrainingConfig, backward, calibrate, init_classifier, roc,
                        run_pipeline, softmax, sweep)
-from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.cli import main as cli_main
 from mia_audit.config import ExperimentConfig, SyntheticSource
 from mia_audit.evaluation import MetricsReport, RocCurve, read_bucket_csv
@@ -257,8 +256,9 @@ master_seed = 3
     round_trip = tmp_path / "rt.csv"
     table.to_csv(round_trip, config_digest=None)
     again = ScoreTable.from_csv(round_trip)
-    assert np.array_equal(table.raw, again.raw)
-    assert np.array_equal(table.calibrated, again.calibrated)
+    assert list(again.scores) == list(table.scores)
+    for name, values in table.scores.items():
+        assert np.array_equal(values, again.scores[name]), name
 
     for metrics_file in sorted(out_a.glob("metrics_*.json")):
         payload = json.loads(metrics_file.read_text())
@@ -274,11 +274,6 @@ master_seed = 3
         assert np.array_equal(curve.thresholds, again.thresholds)
         assert np.array_equal(curve.fpr, again.fpr)
         assert np.array_equal(curve.tpr, again.tpr)
-
-    for scores_file in sorted(out_a.glob("scores_*.csv")):
-        ids, scores = read_attack_scores_csv(scores_file)
-        assert len(ids) == len(scores) > 0
-        assert np.isfinite(scores).all()
 
     for bucket_file in sorted(out_a.glob("loss_buckets_*.csv")):
         rows = read_bucket_csv(bucket_file)

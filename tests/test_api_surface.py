@@ -25,10 +25,9 @@ ALLOWED = {
     "nn.MLPClassifier.num_parameters": "criterion 1 bounds the model size with it",
     "nn.per_sample_loss": "criterion 1's reference loss: it takes finite differences of it",
     "pipeline.SweepResult.metric_by_value": "criterion 7 reads the sweep trends with it",
-    # one reader per artifact format; criterion 8 round-trips the first four
+    # one reader per artifact format; criterion 8 round-trips the first three
     "signals.ScoreTable.from_csv": "reads target_scores.csv and shadow_scores.csv",
     "evaluation.RocCurve.from_csv": "reads roc_<attack>.csv",
-    "attacks.read_attack_scores_csv": "reads scores_<attack>.csv",
     "evaluation.read_bucket_csv": "reads loss_buckets_{raw,calibrated}.csv",
     "dataset.SplitPlan.from_json": "reads split.json",
 }

@@ -6,20 +6,20 @@ import re
 import signal
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
-from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
 from mia_audit.evaluation import RocCurve
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.seeding import derive_seed
-from mia_audit.signals import SignalKind
+from mia_audit.signals import ScoreTable, SignalKind
 
 from oracles import reference_train
 
@@ -246,9 +246,19 @@ class TestConfigParsing:
         (SyntheticSource, "cov_scale", "cov_scale"),
     ], ids=["augmentation_noise_std", "class_separation", "cov_scale"])
     def test_nonfinite_value_refused_at_construction(self, owner, name, key, value):
-        # the INI reader refuses these already; sweeps and tests build configs directly
+        # sweeps and tests build configs directly, past the INI reader
         with pytest.raises(ValueError, match=re.escape(f"{key}: ") + ".*finite"):
             owner(**{name: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, table in SECTIONS.items()
+        for key, (owner, name) in table.items()
+        if owner is not None and typing.get_type_hints(owner)[name] in (float, tuple[float, ...])])
+    def test_nonfinite_float_key_refused(self, tmp_path, section, key, value):
+        # each float key's dataclass refuses it, naming the key
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+            load_config(self.write(tmp_path, f"[{section}]\n{key} = {value}\n"))
 
     def test_digest_changes_with_values(self):
         assert fast_config().digest() != fast_config(master_seed=6).digest()
@@ -262,7 +272,7 @@ class TestPipeline:
         shadow_model, reference_models = attacker_models(trained, config)
         assert shadow_model is None
         assert reference_models == []
-        assert result.target_table.calibrated is None
+        assert list(result.target_table.scores) == ["loss"]
         assert set(result.scores) == {"loss"}
         assert result.bucket_report is None
 
@@ -271,10 +281,8 @@ class TestPipeline:
         assert set(result.scores) == {"loss", "calibration", "lira_offline",
                                        "rapid", "shortcut_lira"}
         assert result.bucket_report is not None
-        assert result.target_table.calibrated is not None
-        assert np.array_equal(result.scores["loss"], result.target_table.raw)
-        assert np.array_equal(result.scores["calibration"],
-                              result.target_table.calibrated)
+        assert list(result.target_table.scores) == list(result.scores)
+        assert list(result.shadow_table.scores) == ["loss", "calibration", "lira_offline"]
 
     def test_eval_set_is_balanced_train_vs_test(self):
         result = run_pipeline(fast_config(attacks=("loss",)))
@@ -462,7 +470,7 @@ class TestPipeline:
         cfg2 = fast_config(num_queries=2)
         r1 = run_pipeline(cfg1.with_overrides(attacks=("loss",)))
         r2 = run_pipeline(cfg2.with_overrides(attacks=("loss",)))
-        assert not np.array_equal(r1.target_table.raw, r2.target_table.raw)
+        assert not np.array_equal(r1.target_table.scores["loss"], r2.target_table.scores["loss"])
 
     def test_reference_models_stable_under_count_increase(self):
         cfg2 = fast_config(num_reference_models=2, attacks=("calibration",))
@@ -526,6 +534,20 @@ class TestPipeline:
         with pytest.raises(ValueError, match="attack 'loss' produced non-finite scores"):
             run_pipeline(fast_config(attacks=("loss",)))
 
+    def test_nonfinite_shadow_score_rejected_before_scoring_nets_train(self, monkeypatch):
+        from mia_audit import attacks, nn
+        monkeypatch.setitem(attacks.THRESHOLD_SCORES, "calibration",
+                            lambda raw, refs: np.full_like(raw, np.nan))
+        real_train_many = nn.train_many
+
+        def no_scoring_nets(xs, ys, seeds, config, layer_sizes, dp=None):
+            assert layer_sizes[-1] != 1, "trained a scoring net on non-finite scores"
+            return real_train_many(xs, ys, seeds, config, layer_sizes, dp)
+
+        monkeypatch.setattr(nn, "train_many", no_scoring_nets)
+        with pytest.raises(ValueError, match="attack 'calibration' produced non-finite scores"):
+            run_pipeline(fast_config(attacks=("rapid",)))
+
     def test_attacker_data_shape_must_match(self):
         cfg = fast_config(attacker_data=SyntheticSource(feature_dim=6, n_samples=300, seed=1))
         with pytest.raises(ConfigError, match=r"\[attacker_data\] feature_dim"):
@@ -544,7 +566,7 @@ class TestArtifacts:
         expected = {"config.json", "split.json", "target_scores.csv", "shadow_scores.csv",
                     "manifest.json", "loss_buckets_raw.csv", "loss_buckets_calibrated.csv"}
         for attack in result.config.attacks:
-            expected |= {f"scores_{attack}.csv", f"roc_{attack}.csv", f"metrics_{attack}.json"}
+            expected |= {f"roc_{attack}.csv", f"metrics_{attack}.json"}
         assert expected == set(written)
         for name in written:
             assert (outdir / name).exists()
@@ -552,8 +574,9 @@ class TestArtifacts:
     def test_loss_only_artifacts(self, tmp_path):
         outdir, _, written = self.run_to_dir(tmp_path, attacks=("loss",))
         assert "shadow_scores.csv" not in written
-        assert "scores_rapid.csv" not in written
         assert "loss_buckets_raw.csv" not in written
+        assert sorted(written) == ["config.json", "manifest.json", "metrics_loss.json",
+                                   "roc_loss.csv", "split.json", "target_scores.csv"]
 
     def test_every_artifact_carries_digest(self, tmp_path):
         outdir, result, written = self.run_to_dir(tmp_path)
@@ -590,10 +613,13 @@ class TestArtifacts:
 
     def test_attack_scores_csv_round_trip(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)
+        table = ScoreTable.from_csv(outdir / "target_scores.csv")
+        assert table.ids == [str(i) for i in result.target_table.ids]
+        assert list(table.scores) == list(result.target_table.scores)
+        for name, values in result.target_table.scores.items():
+            assert table.scores[name].tobytes() == values.tobytes(), name
         for attack in result.config.attacks:
-            ids, scores = read_attack_scores_csv(outdir / f"scores_{attack}.csv")
-            assert ids == [str(i) for i in result.target_table.ids]
-            assert scores.tobytes() == result.scores[attack].tobytes()
+            assert table.scores[attack].tobytes() == result.scores[attack].tobytes(), attack
 
     def test_manifest_reports_ok(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)
@@ -785,7 +811,8 @@ class TestCli:
 
     def run_on_csv(self, tmp_path, capsys, monkeypatch, section, text) -> tuple:
         """(path, stderr) of a run whose [section] reads a CSV file holding
-        `text` (no file when None), which must fail before any model trains."""
+        `text` (bytes as they are; no file when None), which must fail before
+        any model trains."""
         from mia_audit import nn
 
         def no_training(*args, **kwargs):
@@ -793,7 +820,9 @@ class TestCli:
 
         monkeypatch.setattr(nn, "train_many", no_training)
         path = tmp_path / "bad.csv"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         if section == "data":
             ini = SAMPLE_INI.replace("source = synthetic", f"source = csv\npath = {path}")
@@ -831,6 +860,12 @@ class TestCli:
     def test_missing_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
         path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section, None)
         assert f"[{section}] path: [Errno 2] No such file or directory: '{path}'" in err
+
+    @pytest.mark.parametrize("section", ["data", "attacker_data"])
+    def test_non_utf8_csv_refused_before_training(self, tmp_path, capsys, monkeypatch, section):
+        path, err = self.run_on_csv(tmp_path, capsys, monkeypatch, section,
+                                    b"x0,label\n\xff\xfe,0\n")
+        assert f"[{section}] path: {path}: not UTF-8 (" in err
 
     @pytest.mark.parametrize("section", ["data", "attacker_data"])
     def test_malformed_csv_cell_refused_before_training(self, tmp_path, capsys, monkeypatch,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mia_audit import compute_metrics, loss_bucket_report, roc
-from mia_audit.attacks import read_attack_scores_csv
 from mia_audit.evaluation import RocCurve, read_bucket_csv
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.seeding import derive_rng
@@ -102,11 +101,9 @@ BAD_CELLS = {
                         ("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,nan,0.5\n-inf,1.0,1.0\n", 2, "fpr"),
                         ("threshold,fpr,tpr\ninf,0.0,0.0\nnan,0.5,0.5\n-inf,1.0,1.0\n", 2,
                          "threshold")],
-    ScoreTable.from_csv: [("id,is_member,raw,calibrated\na,1,abc,\n", 1, "raw"),
-                          ("id,is_member,raw,calibrated\na,1,-0.5,1.0\nb,0,-1.0,inf\n", 2,
-                           "calibrated"),
-                          ("id,is_member,raw,calibrated\na,1,-0.5,\nb,2,-1.0,\n", 2, "is_member")],
-    read_attack_scores_csv: [("id,score\na,zz\n", 1, "score"), ("id,score\na,nan\n", 1, "score")],
+    ScoreTable.from_csv: [("id,is_member,loss,rapid\na,1,-0.5,0.5\nb,0,-1.0,abc\n", 2, "rapid"),
+                          ("id,is_member,loss,calibration\na,1,nan,1.0\n", 1, "loss"),
+                          ("id,is_member,loss\na,1,-0.5\nb,2,-1.0\n", 2, "is_member")],
     read_bucket_csv: [("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
                        "small,0.0,0.002,two,1\n", 1, "member_count"),
                       ("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
@@ -114,19 +111,32 @@ BAD_CELLS = {
 }
 
 
-@pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv,
-                                    read_attack_scores_csv, read_bucket_csv],
-                         ids=["roc", "score_table", "attack_scores", "buckets"])
-@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n", None],
-                         ids=["empty", "digest_only", "wrong_header", "bad_cell"])
+@pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv, read_bucket_csv],
+                         ids=["roc", "score_table", "buckets"])
+@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n",
+                                  b"id,\xff\xfe\n", None],
+                         ids=["empty", "digest_only", "wrong_header", "not_utf8", "bad_cell"])
 def test_csv_loaders_reject_truncated_or_foreign_files(tmp_path, loader, text):
     path = tmp_path / "artifact.csv"
-    cases = [(text, "")] if text is not None else [
+    cases = [(text, ": not UTF-8" if isinstance(text, bytes) else "")] if text is not None else [
         (bad, f": data row {row} column '{column}': ") for bad, row, column in BAD_CELLS[loader]]
     for content, where in cases:
-        path.write_text(content, encoding="utf-8")
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         with pytest.raises(ValueError, match=re.escape(str(path) + where)):
             loader(path)
+
+
+@pytest.mark.parametrize("header, problem", [
+    ("is_member,id,loss", "does not start with id,is_member"),
+    ("id,is_member", "names no score"),
+    ("id,is_member,loss,loss", "repeats a name"),
+    ("id,is_member,id", "repeats a name"),
+], ids=["no_prefix", "no_score", "repeated_score", "repeated_id"])
+def test_score_table_header_rules(tmp_path, header, problem):
+    path = tmp_path / "target_scores.csv"
+    path.write_text(f"# config_digest=abc\n{header}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header ") + f".* {problem}$"):
+        ScoreTable.from_csv(path)
 
 
 class TestTprAtFpr:

@@ -150,8 +150,8 @@ class TestAveragedSignal:
             raw = averaged(target, x, y, cfg.signal_kind, q, ids=table.ids)
             refs = np.column_stack([averaged(ref, x, y, cfg.signal_kind, q, ids=table.ids)
                                     for ref in attacker_models(trained, cfg)[1]])
-            assert table.raw.tobytes() == raw.tobytes()
-            assert table.calibrated.tobytes() == calibrate(raw, refs).tobytes()
+            assert table.scores["loss"].tobytes() == raw.tobytes()
+            assert table.scores["calibration"].tobytes() == calibrate(raw, refs).tobytes()
 
     def test_zero_noise_gives_every_query_count_the_one_matrix(self):
         # with zero noise there is one query matrix, so 8 queries score as 1
@@ -201,7 +201,7 @@ class TestTargetOnItsEvalSet:
             table = result.target_table
             ds = resolve_dataset(cfg.data, cfg.master_seed, "data")
             losses = per_sample_loss(target, *ds.subset(table.ids))
-            expected = loss_bucket_report(losses, table.calibrated, table.is_member)
+            expected = loss_bucket_report(losses, table.scores["calibration"], table.is_member)
             assert histograms(result.bucket_report) == histograms(expected)
             for half, rows in (("train", result.target_plan.target_train),
                                ("test", result.target_plan.target_test)):
@@ -264,10 +264,11 @@ class TestScoreTable:
     def test_build_fills_raw_only(self):
         ds = generate_synthetic([[-1, -1], [1, 1]], 1.0, 4, 4)
         raw = averaged(zero_model(), ds.features, ds.labels, SignalKind.LOSS, ONE_QUERY)
-        table = ScoreTable(ids=range(4), is_member=[True, True, False, False], raw=raw)
+        table = ScoreTable(ids=range(4), is_member=[True, True, False, False],
+                           scores={"loss": raw})
         assert len(table) == 4
-        assert np.all(np.isfinite(table.raw))
-        assert table.calibrated is None
+        assert np.all(np.isfinite(table.scores["loss"]))
+        assert list(table.scores) == ["loss"]
 
     def test_deterministic(self):
         ds = generate_synthetic([[-1, -1], [1, 1]], 1.0, 10, 4)
@@ -296,34 +297,39 @@ class TestScoreTable:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            ScoreTable(ids=[1, 1], is_member=[True, False], raw=[0.0, 1.0])
+            ScoreTable(ids=[1, 1], is_member=[True, False], scores={"loss": [0.0, 1.0]})
 
-    def test_csv_round_trip_with_empty_cells(self, tmp_path):
-        table = ScoreTable(ids=["a", "b"], is_member=[True, False], raw=[-0.25, -3.5])
+    def test_csv_round_trip_loss_only(self, tmp_path):
+        table = ScoreTable(ids=["a", "b"], is_member=[True, False], scores={"loss": [-0.25, -3.5]})
         path = tmp_path / "scores.csv"
         table.to_csv(path, config_digest="deadbeef")
+        assert path.read_text().splitlines()[1:] == ["id,is_member,loss", "a,1,-0.25", "b,0,-3.5"]
         back = ScoreTable.from_csv(path)
         assert back.ids == ["a", "b"]
-        assert np.array_equal(back.raw, table.raw)
-        assert back.calibrated is None
+        assert list(back.scores) == ["loss"]
+        assert np.array_equal(back.scores["loss"], table.scores["loss"])
 
     def test_csv_round_trip_full_columns(self, tmp_path):
-        table = ScoreTable(ids=[0, 1], is_member=[True, False], raw=[-0.1, -2.0],
-                           calibrated=[0.4, -1.5])
+        # the columns keep their order, whatever it is
+        scores = {"loss": [-0.1, -2.0], "rapid": [0.75, 0.25], "calibration": [0.4, -1.5]}
+        table = ScoreTable(ids=[0, 1], is_member=[True, False], scores=scores)
         path = tmp_path / "scores.csv"
         table.to_csv(path)
         back = ScoreTable.from_csv(path)
-        assert np.array_equal(back.calibrated, table.calibrated)
+        assert list(back.scores) == list(scores)
+        for name, values in scores.items():
+            assert np.array_equal(back.scores[name], values)
 
     def test_csv_partly_blank_calibrated_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_text("id,is_member,raw,calibrated\na,1,-0.1,0.4\nb,0,-2.0,\n",
+        path.write_text("id,is_member,loss,calibration\na,1,-0.1,0.4\nb,0,-2.0,\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: calibrated")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: data row 2 column 'calibration'")):
             ScoreTable.from_csv(path)
 
     def test_list_calibrated_becomes_float64_array(self):
-        table = ScoreTable(ids=[0, 1], is_member=[True, False], raw=[-0.1, -2.0],
-                           calibrated=[0.4, -1.5])
-        assert isinstance(table.calibrated, np.ndarray)
-        assert table.calibrated.dtype == np.float64
+        table = ScoreTable(ids=[0, 1], is_member=[True, False],
+                           scores={"loss": [-0.1, -2.0], "calibration": [0.4, -1.5]})
+        assert isinstance(table.scores["calibration"], np.ndarray)
+        assert table.scores["calibration"].dtype == np.float64

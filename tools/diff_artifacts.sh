@@ -41,7 +41,9 @@
 # Ends with `diff -r` of the two output trees; exits non-zero on any
 # difference or failed command. On a difference it then prints, per differing
 # file, how many CSV cells or JSON numbers differ and the largest absolute
-# difference among them, so a change in the last bits reads as one. The
+# difference among them, so a change in the last bits reads as one; two CSV
+# files whose headers differ are compared on the columns both name, paired by
+# name, and the columns in one file only are listed. The
 # listing ends with the count of differing files that match once the config
 # digest is removed (a CSV's `# config_digest=` line, a JSON file's top-level
 # `config_digest`), and names the other differing files.
@@ -209,21 +211,38 @@ def json_pairs(a, b):
         with open(path, encoding="utf-8") as fh:
             return flat(json.load(fh))
     old, new = load(a), load(b)
-    return [(old[k], new[k]) for k in old.keys() & new.keys()], len(old.keys() ^ new.keys())
+    return [(old[k], new[k]) for k in old.keys() & new.keys()], len(old.keys() ^ new.keys()), ""
 
 
 def csv_pairs(a, b):
-    """(old, new) cell pairs of aligned rows, and the count of rows in one file only.
+    """(old, new) cell pairs of aligned rows, the count of rows in one file
+    only, and a note naming the columns in one file only.
 
-    Rows are aligned on their cells rounded to 10 significant digits, so a
-    ROC curve that gains or loses a threshold row still pairs the rows below it.
+    When the headers differ, only the columns both name are compared, each
+    cell paired with the one under the same name. Rows are aligned on their
+    cells rounded to 10 significant digits, so a ROC curve that gains or
+    loses a threshold row still pairs the rows below it.
     """
     def rows(path):
         with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
     def key(row):
         return tuple(cell if number(cell) is None else f"{number(cell):.10g}" for cell in row)
+    def header(table):
+        return next((row for row in table if row and not row[0].startswith("#")), [])
     old, new = rows(a), rows(b)
+    note = ""
+    if header(old) != header(new):
+        shared = [name for name in header(old) if name in header(new)]
+        sides = [(side, [n for n in header(x) if n not in header(y)])
+                 for side, x, y in (("the revision", old, new), ("the working tree", new, old))]
+        note = "; ".join(f"columns only in {side}: {', '.join(names)}"
+                         for side, names in sides if names)
+        def shared_cells(table):
+            at = [header(table).index(name) for name in shared]
+            return [row if not row or row[0].startswith("#") else [row[i] for i in at]
+                    for row in table]
+        old, new = shared_cells(old), shared_cells(new)
     matcher = difflib.SequenceMatcher(None, list(map(key, old)), list(map(key, new)), autojunk=False)
     pairs, unmatched = [], 0
     for _, i1, i2, j1, j2 in matcher.get_opcodes():
@@ -231,7 +250,7 @@ def csv_pairs(a, b):
             pairs += [cells for x, y in zip(old[i1:i2], new[j1:j2]) for cells in zip(x, y)]
         else:
             unmatched += (i2 - i1) + (j2 - j1)
-    return pairs, unmatched
+    return pairs, unmatched, note
 
 
 def without_digest(path):
@@ -266,7 +285,7 @@ for name in sorted(names):
     else:
         others.append(name)
     is_json = name.endswith(".json")
-    pairs, unmatched = (json_pairs if is_json else csv_pairs)(*paths)
+    pairs, unmatched, note = (json_pairs if is_json else csv_pairs)(*paths)
     differ = [(x, y) for x, y in pairs if x != y]
     gaps = [abs(number(x) - number(y)) for x, y in differ
             if number(x) is not None and number(y) is not None]
@@ -275,6 +294,8 @@ for name in sorted(names):
         text += f", {len(gaps)} numeric (largest absolute difference {max(gaps):.3g})"
     if unmatched:
         text += f"; in one file only: {unmatched} {'JSON values' if is_json else 'CSV rows'}"
+    if note:
+        text += f"; {note}"
     print(f"  {name}: {text}")
 print(f"{digest_only} of {digest_only + len(others)} differing files match once the config "
       "digest is removed" + (f"; the others: {', '.join(others)}" if others else ""))
