@@ -10,8 +10,7 @@ from .attacks import ScoringModel, calibrate
 from .config import ConfigError, CsvSource, ExperimentConfig, SyntheticSource, load_config
 from .dataset import (CsvParseError, SplitPlan, TabularDataset, generate_synthetic, load_csv,
                       make_split, random_means, sample_reference_subset, write_csv)
-from .evaluation import (LossBucketReport, MetricsReport, RocCurve, TprAtFpr, compute_metrics,
-                         loss_bucket_report, roc)
+from .evaluation import MetricsReport, RocCurve, TprAtFpr, compute_metrics, loss_buckets, roc
 from .nn import (DPConfig, MLPClassifier, TrainingConfig, backward, forward, init_classifier,
                  per_sample_loss, softmax, train_many)
 from .pipeline import RunResult, run_pipeline, run_pipelines, sweep, write_artifacts

@@ -59,12 +59,12 @@ def cmd_sweep(args) -> int:
     path = os.path.join(args.output, "sweep.csv")
     try:
         result = pipeline.sweep(cfg, args.axis, values, seeds=seeds)
+        result.write_csv(path, cfg.digest())
     except Exception as exc:
-        if os.path.isfile(path):  # an earlier config's table must not outlive this failure
+        if os.path.isfile(path):  # neither an earlier config's table nor a cut one may stay
             os.remove(path)
         print(f"error: sweep failed: {exc}", file=sys.stderr)
         return 1
-    result.write_csv(path, cfg.digest())
     print(f"wrote {path} ({len(result.rows)} rows, config {cfg.digest()})")
     return 0
 
@@ -117,6 +117,8 @@ def cmd_gen_data(args) -> int:
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         write_csv(args.output, dataset)
     except OSError as exc:
+        if os.path.isfile(args.output):  # a CSV cut at a row boundary loads with fewer rows
+            os.remove(args.output)
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(dataset)} samples to {args.output}")

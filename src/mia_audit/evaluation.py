@@ -16,9 +16,9 @@ from .dataset import (finite_float, nonnegative_int, not_nan_float, read_rows,
                       write_columns)
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
-NUM_BINS = 20  # histogram bins per score type in a loss-bucket report
+NUM_BINS = 20  # histogram bins per score and loss bucket in loss_buckets.csv
 ROC_HEADER = ("threshold", "fpr", "tpr")
-BUCKET_HEADER = ("bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
+BUCKET_HEADER = ("score", "bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
 
 
 @dataclass(frozen=True)
@@ -100,75 +100,35 @@ def roc(scores, is_member) -> RocCurve:
                     _share_above(scores[member], thresholds))
 
 
-@dataclass(frozen=True)
-class BucketHistogram:
-    edges: np.ndarray
-    member_counts: np.ndarray
-    nonmember_counts: np.ndarray
-
-
-@dataclass(frozen=True)
-class LossBucket:
-    name: str
-    member_count: int
-    nonmember_count: int
-    raw_hist: BucketHistogram
-    calibrated_hist: BucketHistogram
-
-
-@dataclass(frozen=True)
-class LossBucketReport:
-    buckets: tuple[LossBucket, ...]
-
-    def _write(self, path, which: str, config_digest: str | None) -> None:
-        hists = [getattr(bucket, which) for bucket in self.buckets]
-        write_columns(path, BUCKET_HEADER, [
-            [b.name for b, h in zip(self.buckets, hists) for _ in h.member_counts],
-            np.concatenate([h.edges[:-1] for h in hists]),
-            np.concatenate([h.edges[1:] for h in hists]),
-            np.concatenate([h.member_counts for h in hists]),
-            np.concatenate([h.nonmember_counts for h in hists]),
-        ], config_digest)
-
-    def write_raw_csv(self, path, config_digest=None) -> None:
-        self._write(path, "raw_hist", config_digest)
-
-    def write_calibrated_csv(self, path, config_digest=None) -> None:
-        self._write(path, "calibrated_hist", config_digest)
-
-
 def read_bucket_csv(path) -> list[dict]:
-    """Rows of a loss-bucket histogram CSV as dicts."""
-    rows = read_rows(path, BUCKET_HEADER,
-                     (str, finite_float, finite_float, nonnegative_int, nonnegative_int))
+    """Rows of loss_buckets.csv as dicts."""
+    rows = read_rows(path, BUCKET_HEADER, (str, str, finite_float, finite_float,
+                                           nonnegative_int, nonnegative_int))
     return [dict(zip(BUCKET_HEADER, r)) for r in rows]
 
 
-def loss_bucket_report(losses, calibrated, is_member) -> LossBucketReport:
-    """Partition samples by raw cross-entropy into small/medium/large loss
-    buckets and histogram raw losses and calibrated scores per bucket.
+def loss_buckets(losses, calibrated, is_member) -> dict:
+    """The columns of loss_buckets.csv, {header name: array}.
 
-    Bin edges, NUM_BINS per score type, are computed once over all samples so
-    bucket histograms share a common axis.
+    Samples fall into the small/medium/large LOSS_BUCKETS by raw cross-entropy.
+    Each score, `loss` (that raw loss) then `calibration` (`calibrated`), gets
+    NUM_BINS rows per bucket, in bucket order: its histogram over the bucket's
+    members and over its non-members. Bin edges are computed once per score
+    over all samples, so the buckets' histograms share a common axis.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    calibrated = np.asarray(calibrated, dtype=np.float64)
     member = np.asarray(is_member, dtype=bool)
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative cross-entropy values")
-    raw_edges = np.histogram_bin_edges(losses, bins=NUM_BINS)
-    cal_edges = np.histogram_bin_edges(calibrated, bins=NUM_BINS)
-    buckets = []
-    for name, lo, hi in LOSS_BUCKETS:
-        mask = (losses >= lo) & (losses < hi)
-        hists = []
-        for values, edges in ((losses, raw_edges), (calibrated, cal_edges)):
-            m_counts, _ = np.histogram(values[mask & member], bins=edges)
-            n_counts, _ = np.histogram(values[mask & ~member], bins=edges)
-            hists.append(BucketHistogram(edges, m_counts, n_counts))
-        buckets.append(LossBucket(name, int((mask & member).sum()),
-                                  int((mask & ~member).sum()), *hists))
-    return LossBucketReport(tuple(buckets))
+    parts = []
+    for score, values in (("loss", losses), ("calibration", np.asarray(calibrated, np.float64))):
+        edges = np.histogram_bin_edges(values, bins=NUM_BINS)
+        for name, lo, hi in LOSS_BUCKETS:
+            mask = (losses >= lo) & (losses < hi)
+            parts.append(([score] * NUM_BINS, [name] * NUM_BINS, edges[:-1], edges[1:],
+                          np.histogram(values[mask & member], bins=edges)[0],
+                          np.histogram(values[mask & ~member], bins=edges)[0]))
+    return {key: np.concatenate(column) for key, column in zip(BUCKET_HEADER, zip(*parts))}
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ class RunResult:
     scores: dict  # each selected attack -> its column of target_table
     curves: dict
     metrics: dict
-    bucket_report: evaluation.LossBucketReport | None
+    loss_buckets: dict | None  # the columns of loss_buckets.csv
     target_accuracy: dict
 
 
@@ -330,9 +330,9 @@ def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_j
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
-    bucket_report = None
+    loss_buckets = None
     if "calibration" in target_table.scores:
-        bucket_report = evaluation.loss_bucket_report(
+        loss_buckets = evaluation.loss_buckets(
             -logp[np.arange(len(target_set.y)), target_set.y],
             target_table.scores["calibration"], target_table.is_member)
     correct = logp.argmax(axis=1) == target_set.y  # ties go to the lowest class
@@ -344,7 +344,7 @@ def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_j
         target_plan=run.target_plan, attacker_plan=run.attacker_plan,
         target_table=target_table, shadow_table=shadow_table,
         scores=scores, curves=curves, metrics=metrics,
-        bucket_report=bucket_report, target_accuracy=target_accuracy,
+        loss_buckets=loss_buckets, target_accuracy=target_accuracy,
     )
 
 
@@ -488,9 +488,9 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
         files[f"roc_{name}.csv"] = (curve.to_csv, digest)
         files[f"metrics_{name}.json"] = (_write_json, {"attack": name, "config_digest": digest,
                                                        **result.metrics[name].to_dict()})
-    if result.bucket_report is not None:
-        files["loss_buckets_raw.csv"] = (result.bucket_report.write_raw_csv, digest)
-        files["loss_buckets_calibrated.csv"] = (result.bucket_report.write_calibrated_csv, digest)
+    if result.loss_buckets is not None:
+        files["loss_buckets.csv"] = (write_columns, evaluation.BUCKET_HEADER,
+                                     list(result.loss_buckets.values()), digest)
 
     manifest = {"config_digest": digest, "master_seed": config.master_seed,
                 "attacks": list(config.attacks), "target_accuracy": result.target_accuracy,

@@ -266,8 +266,12 @@ master_seed = 3
         assert reloaded.to_dict() == {k: payload[k] for k in
                                       ("balanced_accuracy", "auc", "tpr_at_fpr")}
 
-    for roc_file in sorted(out_a.glob("roc_*.csv")):
-        curve = RocCurve.from_csv(roc_file)
+    # the files the manifest lists, so a renamed artifact cannot skip its check
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    roc_files = [name for name in manifest["artifacts"] if name.startswith("roc_")]
+    assert roc_files == sorted(f"roc_{attack}.csv" for attack in manifest["attacks"])
+    for roc_file in roc_files:
+        curve = RocCurve.from_csv(out_a / roc_file)
         rt = tmp_path / "roc_rt.csv"
         curve.to_csv(rt)
         again = RocCurve.from_csv(rt)
@@ -275,9 +279,9 @@ master_seed = 3
         assert np.array_equal(curve.fpr, again.fpr)
         assert np.array_equal(curve.tpr, again.tpr)
 
-    for bucket_file in sorted(out_a.glob("loss_buckets_*.csv")):
-        rows = read_bucket_csv(bucket_file)
-        assert rows and all(r["bin_lo"] <= r["bin_hi"] for r in rows)
+    assert "loss_buckets.csv" in manifest["artifacts"]
+    rows = read_bucket_csv(out_a / "loss_buckets.csv")
+    assert rows and all(r["bin_lo"] <= r["bin_hi"] for r in rows)
 
     assert time.time() - started < 300
     report("8 determinism-and-formats", started)

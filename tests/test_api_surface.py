@@ -28,7 +28,7 @@ ALLOWED = {
     # one reader per artifact format; criterion 8 round-trips the first three
     "signals.ScoreTable.from_csv": "reads target_scores.csv and shadow_scores.csv",
     "evaluation.RocCurve.from_csv": "reads roc_<attack>.csv",
-    "evaluation.read_bucket_csv": "reads loss_buckets_{raw,calibrated}.csv",
+    "evaluation.read_bucket_csv": "reads loss_buckets.csv",
     "dataset.SplitPlan.from_json": "reads split.json",
 }
 

@@ -274,13 +274,13 @@ class TestPipeline:
         assert reference_models == []
         assert list(result.target_table.scores) == ["loss"]
         assert set(result.scores) == {"loss"}
-        assert result.bucket_report is None
+        assert result.loss_buckets is None
 
     def test_full_run_produces_all_outputs(self):
         result = run_pipeline(fast_config())
         assert set(result.scores) == {"loss", "calibration", "lira_offline",
                                        "rapid", "shortcut_lira"}
-        assert result.bucket_report is not None
+        assert result.loss_buckets is not None
         assert list(result.target_table.scores) == list(result.scores)
         assert list(result.shadow_table.scores) == ["loss", "calibration", "lira_offline"]
 
@@ -564,7 +564,7 @@ class TestArtifacts:
     def test_expected_files_present(self, tmp_path):
         outdir, result, written = self.run_to_dir(tmp_path)
         expected = {"config.json", "split.json", "target_scores.csv", "shadow_scores.csv",
-                    "manifest.json", "loss_buckets_raw.csv", "loss_buckets_calibrated.csv"}
+                    "manifest.json", "loss_buckets.csv"}
         for attack in result.config.attacks:
             expected |= {f"roc_{attack}.csv", f"metrics_{attack}.json"}
         assert expected == set(written)
@@ -574,7 +574,7 @@ class TestArtifacts:
     def test_loss_only_artifacts(self, tmp_path):
         outdir, _, written = self.run_to_dir(tmp_path, attacks=("loss",))
         assert "shadow_scores.csv" not in written
-        assert "loss_buckets_raw.csv" not in written
+        assert "loss_buckets.csv" not in written
         assert sorted(written) == ["config.json", "manifest.json", "metrics_loss.json",
                                    "roc_loss.csv", "split.json", "target_scores.csv"]
 
@@ -898,6 +898,23 @@ class TestCli:
         assert "sweep failed" in capsys.readouterr().err
         assert sorted(p.name for p in outdir.iterdir()) == ["notes.txt"]
 
+    def test_failed_sweep_write_leaves_no_sweep_csv(self, tmp_path, capsys, monkeypatch):
+        # a disk that fills up inside sweep.csv: the cut table must not stay behind
+        from mia_audit import pipeline
+
+        def full_disk(path, header, *args):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(",".join(header) + "\nnum_queries,1,5,loss.auc,0.5\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "write_columns", full_disk)
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", self.write_config(tmp_path, LOSS_ONLY_INI), "--axis",
+                     "num_queries", "--values", "1", "-o", str(outdir)]) == 1
+        assert ("error: sweep failed: [Errno 28] No space left on device"
+                in capsys.readouterr().err)
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--seeds", "--values"])
     def test_sweep_non_integer_list_names_flag(self, tmp_path, capsys, flag):
         for bad in ("a", ","):  # a non-integer, and an empty list
@@ -1037,6 +1054,25 @@ class TestCli:
         listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
 
+    def test_rerun_over_two_bucket_files_removes_both(self, tmp_path, capsys):
+        # a directory from when the loss buckets took two files, which its
+        # manifest lists: the rerun deletes both and leaves its own files alone
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        old = ["loss_buckets_calibrated.csv", "loss_buckets_raw.csv"]
+        for name in old:
+            (outdir / name).write_bytes((outdir / "loss_buckets.csv").read_bytes())
+        (outdir / "loss_buckets.csv").unlink()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest["artifacts"] = sorted({*manifest["artifacts"], *old} - {"loss_buckets.csv"})
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
+        assert "loss_buckets.csv" in listed and not set(old) & set(listed)
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 0
+
     def test_rerun_removes_the_previous_runs_artifacts(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
@@ -1069,6 +1105,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: cannot write {out}:" in err
         assert blocker.read_text() == "kept"
+
+    def test_failed_gen_data_write_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        # a disk that fills up at a row boundary: the rows written would load
+        # as a smaller dataset
+        from mia_audit import cli
+
+        def full_disk(path, dataset):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("x0,x1,x2,x3,label\n0.5,0.25,-1.0,2.0,1\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full_disk)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", self.write_config(tmp_path), "-o", str(out)]) == 1
+        assert (f"error: cannot write {out}: [Errno 28] No space left on device"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, below_file", [
         ("run", False), ("sweep", False), ("run", True), ("sweep", True),

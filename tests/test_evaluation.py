@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from mia_audit import compute_metrics, loss_bucket_report, roc
-from mia_audit.evaluation import RocCurve, read_bucket_csv
+from mia_audit import compute_metrics, loss_buckets, roc
+from mia_audit.dataset import write_columns
+from mia_audit.evaluation import BUCKET_HEADER, LOSS_BUCKETS, NUM_BINS, RocCurve, read_bucket_csv
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
@@ -104,10 +105,10 @@ BAD_CELLS = {
     ScoreTable.from_csv: [("id,is_member,loss,rapid\na,1,-0.5,0.5\nb,0,-1.0,abc\n", 2, "rapid"),
                           ("id,is_member,loss,calibration\na,1,nan,1.0\n", 1, "loss"),
                           ("id,is_member,loss\na,1,-0.5\nb,2,-1.0\n", 2, "is_member")],
-    read_bucket_csv: [("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
-                       "small,0.0,0.002,two,1\n", 1, "member_count"),
-                      ("bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
-                       "small,0.0,0.002,-3,1\n", 1, "member_count")],
+    read_bucket_csv: [("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                       "loss,small,0.0,0.002,two,1\n", 1, "member_count"),
+                      ("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                       "loss,small,0.0,0.002,-3,1\n", 1, "member_count")],
 }
 
 
@@ -271,9 +272,10 @@ class TestSecurityGame:
 
 
 def bucket_of_loss(loss: float) -> str:
-    """The bucket loss_bucket_report counts a single member of this loss in."""
-    report = loss_bucket_report([loss, 0.5], [0.0, 0.0], [True, False])
-    return next(b.name for b in report.buckets if b.member_count)
+    """The bucket loss_buckets counts a single member of this loss in."""
+    columns = loss_buckets([loss, 0.5], [0.0, 0.0], [True, False])
+    (name,) = set(columns["bucket"][columns["member_count"] > 0])
+    return name
 
 
 class TestLossBuckets:
@@ -289,31 +291,45 @@ class TestLossBuckets:
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            loss_bucket_report([-0.1], [0.0], [True])
+            loss_buckets([-0.1], [0.0], [True])
 
     def test_counts_and_histograms(self):
         losses = [0.001, 0.5, 3.2, 0.0015]
         calibrated = [0.1, 0.2, 2.0, 0.0]
         member = [True, False, False, False]
-        report = loss_bucket_report(losses, calibrated, member)
-        by_name = {b.name: b for b in report.buckets}
-        assert by_name["small"].member_count == 1
-        assert by_name["small"].nonmember_count == 1
-        assert by_name["medium"].nonmember_count == 1
-        assert by_name["large"].nonmember_count == 1
-        assert by_name["large"].member_count == 0
-        for bucket in report.buckets:
-            assert bucket.raw_hist.member_counts.sum() == bucket.member_count
-            assert bucket.raw_hist.nonmember_counts.sum() == bucket.nonmember_count
+        columns = loss_buckets(losses, calibrated, member)
+        expected = {"small": (1, 1), "medium": (0, 1), "large": (0, 1)}
+        for score in ("loss", "calibration"):  # each score histograms every sample once
+            for bucket, counts in expected.items():
+                rows = (columns["score"] == score) & (columns["bucket"] == bucket)
+                assert (columns["member_count"][rows].sum(),
+                        columns["nonmember_count"][rows].sum()) == counts, (score, bucket)
+
+    def test_row_order(self):
+        columns = loss_buckets([0.001, 0.5, 3.2], [0.1, 0.2, 2.0], [True, False, False])
+        assert list(columns) == list(BUCKET_HEADER)
+        order = [(score, name) for score in ("loss", "calibration")
+                 for name, _, _ in LOSS_BUCKETS for _ in range(NUM_BINS)]
+        assert list(zip(columns["score"], columns["bucket"])) == order
+        for score, values in (("loss", [0.001, 0.5, 3.2]), ("calibration", [0.1, 0.2, 2.0])):
+            edges = np.histogram_bin_edges(values, bins=NUM_BINS)
+            rows = columns["score"] == score
+            for name, _, _ in LOSS_BUCKETS:  # every bucket shares its score's bin edges
+                bucket = rows & (columns["bucket"] == name)
+                assert np.array_equal(columns["bin_lo"][bucket], edges[:-1])
+                assert np.array_equal(columns["bin_hi"][bucket], edges[1:])
 
     def test_csv_format(self, tmp_path):
-        report = loss_bucket_report([0.001, 0.5], [0.1, 0.2], [True, False])
+        columns = loss_buckets([0.001, 0.5], [0.1, 0.2], [True, False])
         path = tmp_path / "buckets.csv"
-        report.write_raw_csv(path, config_digest="beef")
+        write_columns(path, BUCKET_HEADER, list(columns.values()), config_digest="beef")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=beef"
-        assert lines[1] == "bucket,bin_lo,bin_hi,member_count,nonmember_count"
-        assert len(lines) == 2 + 3 * 20  # three buckets x NUM_BINS = 20 bins
+        assert lines[1] == "score,bucket,bin_lo,bin_hi,member_count,nonmember_count"
+        assert len(lines) == 2 + 2 * 3 * 20  # two scores x three buckets x NUM_BINS = 20 bins
+        rows = read_bucket_csv(path)
+        for name, column in columns.items():
+            assert [row[name] for row in rows] == column.tolist(), name
 
 
 class TestMetricsReport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mia_audit import (ScoreTable, SignalKind, TrainingConfig, calibrate, forward,
-                       generate_synthetic, init_classifier, loss_bucket_report, per_sample_loss,
+                       generate_synthetic, init_classifier, loss_buckets, per_sample_loss,
                        run_pipeline, run_pipelines)
 from mia_audit.pipeline import resolve_dataset
 from mia_audit.seeding import derive_rng, derive_seed, normal_rows
@@ -174,12 +174,9 @@ class TestAveragedSignal:
         assert np.var(averaged) <= np.var(single)
 
 
-def histograms(report):
-    """Every bucket's counts and histogram arrays, as bytes."""
-    return [(b.name, b.member_count, b.nonmember_count,
-             *(a.tobytes() for h in (b.raw_hist, b.calibrated_hist)
-               for a in (h.edges, h.member_counts, h.nonmember_counts)))
-            for b in report.buckets]
+def histograms(columns):
+    """Every column of a loss-bucket table, as bytes."""
+    return [(name, column.tobytes()) for name, column in columns.items()]
 
 
 class TestTargetOnItsEvalSet:
@@ -201,8 +198,8 @@ class TestTargetOnItsEvalSet:
             table = result.target_table
             ds = resolve_dataset(cfg.data, cfg.master_seed, "data")
             losses = per_sample_loss(target, *ds.subset(table.ids))
-            expected = loss_bucket_report(losses, table.scores["calibration"], table.is_member)
-            assert histograms(result.bucket_report) == histograms(expected)
+            expected = loss_buckets(losses, table.scores["calibration"], table.is_member)
+            assert histograms(result.loss_buckets) == histograms(expected)
             for half, rows in (("train", result.target_plan.target_train),
                                ("test", result.target_plan.target_test)):
                 x, y = ds.subset(rows)
