@@ -83,19 +83,13 @@ def render_report(outdir: str) -> str:
     rows = []
     for name in [a for a in KNOWN_ATTACKS if a in entries]:
         report = entries[name]
-        cells = [name]
-        for lv in level_list:
-            entry = report.tpr_at_fpr.get(lv)
-            cells.append("-" if entry is None else f"{entry.tpr:.4f}")
-        cells.append(f"{report.auc:.4f}")
-        cells.append(f"{report.balanced_accuracy:.4f}")
-        rows.append(cells)
+        tprs = [report.tpr_at_fpr.get(lv) for lv in level_list]
+        rows.append([name, *("-" if entry is None else f"{entry.tpr:.4f}" for entry in tprs),
+                     f"{report.auc:.4f}", f"{report.balanced_accuracy:.4f}"])
 
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for cells in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+                     for cells in [header, *rows])
 
 
 def cmd_report(args) -> int:

@@ -8,16 +8,16 @@ not exceed the target and report the achieved FPR next to it).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import (finite_float, nonnegative_int, not_nan_float, read_rows,
-                      write_columns)
+from .dataset import CsvParseError, finite_float, nonnegative_int, not_nan_float, read_rows
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
 NUM_BINS = 20  # histogram bins per score and loss bucket in loss_buckets.csv
-ROC_HEADER = ("threshold", "fpr", "tpr")
+ROC_HEADER = ("attack", "threshold", "fpr", "tpr")
 BUCKET_HEADER = ("score", "bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
 
 
@@ -72,14 +72,6 @@ class RocCurve:
         """Balanced accuracy maximized over the threshold set (always >= 0.5)."""
         return float(np.max((self.tpr + 1.0 - self.fpr) / 2.0))
 
-    def to_csv(self, path, config_digest: str | None = None) -> None:
-        write_columns(path, ROC_HEADER, [self.thresholds, self.fpr, self.tpr], config_digest)
-
-    @classmethod
-    def from_csv(cls, path) -> "RocCurve":
-        rows = read_rows(path, ROC_HEADER, (not_nan_float, finite_float, finite_float))
-        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
-
 
 def _share_above(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Share of values strictly greater than each threshold."""
@@ -98,6 +90,29 @@ def roc(scores, is_member) -> RocCurve:
     thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
     return RocCurve(thresholds, _share_above(scores[~member], thresholds),
                     _share_above(scores[member], thresholds))
+
+
+def roc_table(curves: dict) -> dict:
+    """The columns of roc.csv, {header name: array}: each curve's points, in `curves` order."""
+    parts = [([name] * len(c.fpr), c.thresholds, c.fpr, c.tpr) for name, c in curves.items()]
+    return {key: np.concatenate(column) for key, column in zip(ROC_HEADER, zip(*parts))}
+
+
+def read_roc_csv(path) -> dict:
+    """{attack: RocCurve} of roc.csv, in file order. No rows, or an attack whose rows
+    are split or not a valid curve, raise CsvParseError naming the path (and attack)."""
+    rows = read_rows(path, ROC_HEADER, (str, not_nan_float, finite_float, finite_float))
+    if not rows:
+        raise CsvParseError(f"{path}: no curve")
+    curves = {}
+    for attack, block in itertools.groupby(rows, key=lambda row: row[0]):
+        try:
+            if attack in curves:
+                raise ValueError("its rows are not one block")
+            curves[attack] = RocCurve(*np.array([row[1:] for row in block], np.float64).T)
+        except ValueError as exc:
+            raise CsvParseError(f"{path}: attack {attack!r}: {exc}") from None
+    return curves
 
 
 def read_bucket_csv(path) -> list[dict]:
@@ -155,14 +170,9 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetricsReport":
-        return cls(
-            balanced_accuracy=payload["balanced_accuracy"],
-            auc=payload["auc"],
-            tpr_at_fpr={
-                float(level): TprAtFpr(entry["tpr"], entry["threshold"], entry["achieved_fpr"])
-                for level, entry in payload["tpr_at_fpr"].items()
-            },
-        )
+        return cls(payload["balanced_accuracy"], payload["auc"],
+                   {float(level): TprAtFpr(entry["tpr"], entry["threshold"], entry["achieved_fpr"])
+                    for level, entry in payload["tpr_at_fpr"].items()})
 
 
 def compute_metrics(curve: RocCurve, fpr_levels) -> MetricsReport:

@@ -324,7 +324,7 @@ def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_j
     target_table = ScoreTable(target_set.ids, target_set.member, target_scores)
 
     scores = {name: target_table.scores[name] for name in config.attacks}
-    # one ROC curve per attack: its metrics and roc_<attack>.csv are both read off it
+    # one ROC curve per attack: its metrics and its rows of roc.csv are both read off it
     curves = {name: evaluation.roc(values, target_table.is_member)
               for name, values in scores.items()}
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
@@ -484,10 +484,11 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     files["target_scores.csv"] = (result.target_table.to_csv, digest)
     if result.shadow_table is not None:
         files["shadow_scores.csv"] = (result.shadow_table.to_csv, digest)
-    for name, curve in result.curves.items():
-        files[f"roc_{name}.csv"] = (curve.to_csv, digest)
+    files["roc.csv"] = (write_columns, evaluation.ROC_HEADER,
+                        list(evaluation.roc_table(result.curves).values()), digest)
+    for name, report in result.metrics.items():
         files[f"metrics_{name}.json"] = (_write_json, {"attack": name, "config_digest": digest,
-                                                       **result.metrics[name].to_dict()})
+                                                       **report.to_dict()})
     if result.loss_buckets is not None:
         files["loss_buckets.csv"] = (write_columns, evaluation.BUCKET_HEADER,
                                      list(result.loss_buckets.values()), digest)

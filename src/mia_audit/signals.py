@@ -121,7 +121,7 @@ class ScoreTable:
     def from_csv(cls, path) -> "ScoreTable":
         """The table to_csv wrote, its score names taken off the header; a
         header that does not start with id,is_member, names no score or
-        repeats a name raises CsvParseError naming the path."""
+        repeats a name, or a repeated id, raises CsvParseError naming the path."""
         rows = _tokens(path)
         header = rows[0] if rows else []
         problem = ("does not start with id,is_member" if header[:2] != ["id", "is_member"]
@@ -132,7 +132,10 @@ class ScoreTable:
         table = _typed_rows(path, header, [str, _member_flag] + [finite_float] * (len(header) - 2),
                             rows[1:])
         columns = list(zip(*table)) if table else [()] * len(header)
-        return cls(ids=columns[0], is_member=columns[1], scores=dict(zip(header[2:], columns[2:])))
+        try:
+            return cls(columns[0], columns[1], dict(zip(header[2:], columns[2:])))
+        except ValueError as exc:
+            raise CsvParseError(f"{path}: {exc}") from None
 
 
 def _member_flag(cell: str) -> bool:

@@ -17,7 +17,8 @@ from mia_audit import (DPConfig, TrainingConfig, backward, calibrate, init_class
                        run_pipeline, softmax, sweep)
 from mia_audit.cli import main as cli_main
 from mia_audit.config import ExperimentConfig, SyntheticSource
-from mia_audit.evaluation import MetricsReport, RocCurve, read_bucket_csv
+from mia_audit.dataset import write_columns
+from mia_audit.evaluation import ROC_HEADER, MetricsReport, read_bucket_csv, read_roc_csv, roc_table
 from mia_audit.nn import per_sample_loss
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
@@ -260,24 +261,27 @@ master_seed = 3
     for name, values in table.scores.items():
         assert np.array_equal(values, again.scores[name]), name
 
-    for metrics_file in sorted(out_a.glob("metrics_*.json")):
-        payload = json.loads(metrics_file.read_text())
+    # the files the manifest lists, so a renamed artifact cannot skip its check
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    assert manifest["attacks"]
+    for attack in manifest["attacks"]:
+        assert f"metrics_{attack}.json" in manifest["artifacts"]
+        payload = json.loads((out_a / f"metrics_{attack}.json").read_text())
         reloaded = MetricsReport.from_dict(payload)
         assert reloaded.to_dict() == {k: payload[k] for k in
                                       ("balanced_accuracy", "auc", "tpr_at_fpr")}
 
-    # the files the manifest lists, so a renamed artifact cannot skip its check
-    manifest = json.loads((out_a / "manifest.json").read_text())
-    roc_files = [name for name in manifest["artifacts"] if name.startswith("roc_")]
-    assert roc_files == sorted(f"roc_{attack}.csv" for attack in manifest["attacks"])
-    for roc_file in roc_files:
-        curve = RocCurve.from_csv(out_a / roc_file)
-        rt = tmp_path / "roc_rt.csv"
-        curve.to_csv(rt)
-        again = RocCurve.from_csv(rt)
-        assert np.array_equal(curve.thresholds, again.thresholds)
-        assert np.array_equal(curve.fpr, again.fpr)
-        assert np.array_equal(curve.tpr, again.tpr)
+    assert "roc.csv" in manifest["artifacts"]
+    curves = read_roc_csv(out_a / "roc.csv")
+    assert list(curves) == manifest["attacks"]
+    rt = tmp_path / "roc_rt.csv"
+    write_columns(rt, ROC_HEADER, list(roc_table(curves).values()))
+    again = read_roc_csv(rt)
+    assert list(again) == list(curves)
+    for attack, curve in curves.items():
+        assert np.array_equal(curve.thresholds, again[attack].thresholds)
+        assert np.array_equal(curve.fpr, again[attack].fpr)
+        assert np.array_equal(curve.tpr, again[attack].tpr)
 
     assert "loss_buckets.csv" in manifest["artifacts"]
     rows = read_bucket_csv(out_a / "loss_buckets.csv")

@@ -27,7 +27,7 @@ ALLOWED = {
     "pipeline.SweepResult.metric_by_value": "criterion 7 reads the sweep trends with it",
     # one reader per artifact format; criterion 8 round-trips the first three
     "signals.ScoreTable.from_csv": "reads target_scores.csv and shadow_scores.csv",
-    "evaluation.RocCurve.from_csv": "reads roc_<attack>.csv",
+    "evaluation.read_roc_csv": "reads roc.csv",
     "evaluation.read_bucket_csv": "reads loss_buckets.csv",
     "dataset.SplitPlan.from_json": "reads split.json",
 }

@@ -15,7 +15,7 @@ import pytest
 from mia_audit import ConfigError, load_config, run_pipeline, write_artifacts
 from mia_audit.cli import main, render_report
 from mia_audit.config import SECTIONS, CsvSource, ExperimentConfig, SyntheticSource
-from mia_audit.evaluation import RocCurve
+from mia_audit.evaluation import read_roc_csv
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.nn import DPConfig, TrainingConfig
 from mia_audit.seeding import derive_seed
@@ -564,9 +564,9 @@ class TestArtifacts:
     def test_expected_files_present(self, tmp_path):
         outdir, result, written = self.run_to_dir(tmp_path)
         expected = {"config.json", "split.json", "target_scores.csv", "shadow_scores.csv",
-                    "manifest.json", "loss_buckets.csv"}
+                    "manifest.json", "loss_buckets.csv", "roc.csv"}
         for attack in result.config.attacks:
-            expected |= {f"roc_{attack}.csv", f"metrics_{attack}.json"}
+            expected.add(f"metrics_{attack}.json")
         assert expected == set(written)
         for name in written:
             assert (outdir / name).exists()
@@ -576,7 +576,7 @@ class TestArtifacts:
         assert "shadow_scores.csv" not in written
         assert "loss_buckets.csv" not in written
         assert sorted(written) == ["config.json", "manifest.json", "metrics_loss.json",
-                                   "roc_loss.csv", "split.json", "target_scores.csv"]
+                                   "roc.csv", "split.json", "target_scores.csv"]
 
     def test_every_artifact_carries_digest(self, tmp_path):
         outdir, result, written = self.run_to_dir(tmp_path)
@@ -595,7 +595,7 @@ class TestArtifacts:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_one_roc_curve_per_attack(self, tmp_path, monkeypatch):
-        # each attack's metrics and roc_<attack>.csv are read off one curve
+        # each attack's metrics and its rows of roc.csv are read off one curve
         from mia_audit import evaluation
         calls = []
         real_roc = evaluation.roc
@@ -607,8 +607,9 @@ class TestArtifacts:
         monkeypatch.setattr(evaluation, "roc", counting_roc)
         outdir, result, _ = self.run_to_dir(tmp_path)
         assert len(calls) == len(result.config.attacks)
-        for attack in result.config.attacks:
-            curve = RocCurve.from_csv(outdir / f"roc_{attack}.csv")
+        curves = read_roc_csv(outdir / "roc.csv")
+        assert list(curves) == list(result.config.attacks)
+        for attack, curve in curves.items():
             assert curve.auc == result.metrics[attack].auc
 
     def test_attack_scores_csv_round_trip(self, tmp_path):
@@ -973,22 +974,24 @@ class TestCli:
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
 
     def test_failed_write_leaves_only_its_manifest(self, tmp_path, capsys, monkeypatch):
-        # a disk that fills up on the third ROC curve: the run's earlier files go
-        # with it, so none outlives the run and trips a later report
-        to_csv, calls = RocCurve.to_csv, []
+        # a disk that fills up on the second metrics file, the sixth JSON write
+        # after two of the manifest, config.json, split.json and metrics_loss.json:
+        # the run's earlier files go with it, so none outlives the run and trips
+        # a later report
+        dump, calls = json.dump, []
 
-        def third_call_fails(self, *args):
+        def sixth_call_fails(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) == 6:
                 raise OSError(28, "No space left on device")
-            return to_csv(self, *args)
+            return dump(*args, **kwargs)
 
-        monkeypatch.setattr(RocCurve, "to_csv", third_call_fails)
+        monkeypatch.setattr(json, "dump", sixth_call_fails)
         outdir = tmp_path / "out"
         assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 1
         assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "failed"
-        monkeypatch.setattr(RocCurve, "to_csv", to_csv)
+        monkeypatch.setattr(json, "dump", dump)
         loss_only = SAMPLE_INI.replace("enabled = loss,calibration,lira_offline,rapid,shortcut_lira",
                                        "enabled = loss")
         assert main(["run", self.write_config(tmp_path, loss_only), "-o", str(outdir)]) == 0
@@ -1002,8 +1005,7 @@ class TestCli:
         script = (
             "import json, os, signal, sys\n"
             "from mia_audit import cli\n"
-            "from mia_audit.evaluation import RocCurve\n"
-            "owner = {'RocCurve': RocCurve, 'os': os, 'json': json}[sys.argv[3]]\n"
+            "owner = {'os': os, 'json': json}[sys.argv[3]]\n"
             "attribute, call = sys.argv[4], int(sys.argv[5])\n"
             "real, calls = getattr(owner, attribute), []\n"
             "def killed_on_call(*args, **kwargs):\n"
@@ -1018,9 +1020,11 @@ class TestCli:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
 
     @pytest.mark.parametrize("owner, attribute, call, written", [
-        ("RocCurve", "to_csv", 3, {"roc_loss.csv", "roc_calibration.csv"}),
-        ("os", "remove", 2, {"roc_loss.csv"}),
-    ], ids=["third_roc_curve", "second_delete"])
+        # the sixth JSON write is the second metrics file (see
+        # test_failed_write_leaves_only_its_manifest)
+        ("json", "dump", 6, {"roc.csv", "metrics_loss.json"}),
+        ("os", "remove", 2, {"roc.csv"}),
+    ], ids=["second_metrics_file", "second_delete"])
     def test_killed_write_leaves_a_manifest_listing_every_file(self, tmp_path, capsys, owner,
                                                                attribute, call, written):
         # SIGKILL runs no handler, so what a reader and the next run know of the
@@ -1070,6 +1074,26 @@ class TestCli:
         listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
         assert "loss_buckets.csv" in listed and not set(old) & set(listed)
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == 0
+
+    def test_rerun_over_five_roc_files_removes_them(self, tmp_path, capsys):
+        # a directory from when each attack's ROC curve took its own file, which
+        # its manifest lists: the rerun deletes all five and leaves its own files
+        outdir = tmp_path / "out"
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        old = [f"roc_{attack}.csv" for attack in manifest["attacks"]]
+        assert len(old) == 5
+        for name in old:
+            (outdir / name).write_text("threshold,fpr,tpr\ninf,0.0,0.0\n-inf,1.0,1.0\n")
+        (outdir / "roc.csv").unlink()
+        manifest["artifacts"] = sorted({*manifest["artifacts"], *old} - {"roc.csv"})
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run", self.write_config(tmp_path), "-o", str(outdir)]) == 0
+        listed = json.loads((outdir / "manifest.json").read_text())["artifacts"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(listed)
+        assert "roc.csv" in listed and not set(old) & set(listed)
         capsys.readouterr()
         assert main(["report", str(outdir)]) == 0
 

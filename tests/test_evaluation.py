@@ -5,7 +5,8 @@ import pytest
 
 from mia_audit import compute_metrics, loss_buckets, roc
 from mia_audit.dataset import write_columns
-from mia_audit.evaluation import BUCKET_HEADER, LOSS_BUCKETS, NUM_BINS, RocCurve, read_bucket_csv
+from mia_audit.evaluation import (BUCKET_HEADER, LOSS_BUCKETS, NUM_BINS, ROC_HEADER,
+                                  read_bucket_csv, read_roc_csv, roc_table)
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
@@ -76,32 +77,41 @@ class TestRoc:
             roc([1.0, 2.0], [True, True])
 
     def test_csv_export(self, tmp_path):
-        curve = roc([0.2, 0.8], [False, True])
+        # one block of rows per attack, in the dict's order, read back bit for bit
+        curves = {"rapid": roc([0.2, 0.8, 0.5], [False, True, True]),
+                  "loss": roc([0.2, 0.8], [False, True])}
         path = tmp_path / "roc.csv"
-        curve.to_csv(path, config_digest="cafe")
+        write_columns(path, ROC_HEADER, list(roc_table(curves).values()), config_digest="cafe")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=cafe"
-        assert lines[1] == "threshold,fpr,tpr"
-        assert len(lines) == 2 + len(curve.thresholds)
-        assert RocCurve.from_csv(path).auc == curve.auc
+        assert lines[1] == "attack,threshold,fpr,tpr"
+        assert [line.split(",")[0] for line in lines[2:]] == ["rapid"] * 5 + ["loss"] * 4
+        back = read_roc_csv(path)
+        assert list(back) == ["rapid", "loss"]
+        for name, curve in curves.items():
+            for field in ("thresholds", "fpr", "tpr"):
+                assert getattr(back[name], field).tobytes() == getattr(curve, field).tobytes()
 
-    @pytest.mark.parametrize("rows", ["", "1.0,0.5,0.5\n0.0,1.0,1.0\n",
-                                      "1.0,0.0,0.0\n0.0,0.5,1.0\n"],
-                             ids=["no_points", "no_origin", "no_end"])
-    def test_csv_curve_without_sentinel_endpoints_rejected(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, problem", [
+        ("", "no curve"),
+        ("loss,1.0,0.5,0.5\nloss,0.0,1.0,1.0\n", "attack 'loss': curve must run from"),
+        ("loss,1.0,0.0,0.0\nloss,0.0,0.5,1.0\n", "attack 'loss': curve must run from"),
+    ], ids=["no_points", "no_origin", "no_end"])
+    def test_csv_curve_without_sentinel_endpoints_rejected(self, tmp_path, rows, problem):
         # tpr_at_fpr relies on the (0, 0) point being admissible for every level
         path = tmp_path / "roc.csv"
-        path.write_text("threshold,fpr,tpr\n" + rows, encoding="utf-8")
-        with pytest.raises(ValueError, match="curve must run from"):
-            RocCurve.from_csv(path)
+        path.write_text("attack,threshold,fpr,tpr\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+            read_roc_csv(path)
 
 
 # per loader, (file text, data row, column) of files with one unreadable cell
 BAD_CELLS = {
-    RocCurve.from_csv: [("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,x,0.5\n", 2, "fpr"),
-                        ("threshold,fpr,tpr\ninf,0.0,0.0\n1.0,nan,0.5\n-inf,1.0,1.0\n", 2, "fpr"),
-                        ("threshold,fpr,tpr\ninf,0.0,0.0\nnan,0.5,0.5\n-inf,1.0,1.0\n", 2,
-                         "threshold")],
+    read_roc_csv: [("attack,threshold,fpr,tpr\nloss,inf,0.0,0.0\nloss,1.0,x,0.5\n", 2, "fpr"),
+                   ("attack,threshold,fpr,tpr\nloss,inf,0.0,0.0\nloss,1.0,nan,0.5\n"
+                    "loss,-inf,1.0,1.0\n", 2, "fpr"),
+                   ("attack,threshold,fpr,tpr\nloss,inf,0.0,0.0\nloss,nan,0.5,0.5\n"
+                    "loss,-inf,1.0,1.0\n", 2, "threshold")],
     ScoreTable.from_csv: [("id,is_member,loss,rapid\na,1,-0.5,0.5\nb,0,-1.0,abc\n", 2, "rapid"),
                           ("id,is_member,loss,calibration\na,1,nan,1.0\n", 1, "loss"),
                           ("id,is_member,loss\na,1,-0.5\nb,2,-1.0\n", 2, "is_member")],
@@ -112,15 +122,35 @@ BAD_CELLS = {
 }
 
 
-@pytest.mark.parametrize("loader", [RocCurve.from_csv, ScoreTable.from_csv, read_bucket_csv],
-                         ids=["roc", "score_table", "buckets"])
-@pytest.mark.parametrize("text", ["", "# config_digest=abc\n", "wrong,header\n1,2\n",
-                                  b"id,\xff\xfe\n", None],
-                         ids=["empty", "digest_only", "wrong_header", "not_utf8", "bad_cell"])
+ROC_HEAD = "attack,threshold,fpr,tpr\n"
+LOSS_ROWS = "loss,inf,0.0,0.0\nloss,-inf,1.0,1.0\n"
+# per loader with table rules, (file text, what the error names after the path)
+# of files whose every cell parses but whose table breaks its type's rules
+BAD_TABLES = {
+    read_roc_csv: [(ROC_HEAD, ": no curve"),
+                   (ROC_HEAD + LOSS_ROWS + "rapid,inf,0.0,0.0\nrapid,1.0,0.5,0.5\n"
+                    "rapid,0.5,0.25,0.75\nrapid,-inf,1.0,1.0\n",
+                    ": attack 'rapid': fpr/tpr must be nondecreasing"),
+                   (ROC_HEAD + LOSS_ROWS + "rapid,inf,0.0,0.0\nrapid,-inf,1.0,1.0\n" + LOSS_ROWS,
+                    ": attack 'loss': its rows are not one block")],
+    ScoreTable.from_csv: [("id,is_member,loss\na,1,-0.5\na,0,-1.0\n",
+                           ": sample ids must be unique")],
+}
+LOADERS = {"roc": read_roc_csv, "score_table": ScoreTable.from_csv, "buckets": read_bucket_csv}
+# BAD_CELLS and BAD_TABLES stand for their entries of the loader
+TEXTS = {"empty": "", "digest_only": "# config_digest=abc\n", "wrong_header": "wrong,header\n1,2\n",
+         "not_utf8": b"id,\xff\xfe\n", "bad_cell": BAD_CELLS, "bad_table": BAD_TABLES}
+
+
+@pytest.mark.parametrize("text, loader", [
+    pytest.param(text, loader, id=f"{text_id}-{loader_id}")
+    for text_id, text in TEXTS.items() for loader_id, loader in LOADERS.items()
+    if not isinstance(text, dict) or loader in text])
 def test_csv_loaders_reject_truncated_or_foreign_files(tmp_path, loader, text):
     path = tmp_path / "artifact.csv"
-    cases = [(text, ": not UTF-8" if isinstance(text, bytes) else "")] if text is not None else [
-        (bad, f": data row {row} column '{column}': ") for bad, row, column in BAD_CELLS[loader]]
+    cases = ([(bad, f": data row {row} column '{column}': ") for bad, row, column in text[loader]]
+             if text is BAD_CELLS else text[loader] if text is BAD_TABLES
+             else [(text, ": not UTF-8" if isinstance(text, bytes) else "")])
     for content, where in cases:
         path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         with pytest.raises(ValueError, match=re.escape(str(path) + where)):
