@@ -115,62 +115,107 @@ def generate_synthetic(class_means, cov_scale: float, n: int, seed: int) -> Tabu
 
 
 def load_csv(path) -> TabularDataset:
-    """Load a dataset from a UTF-8 CSV with a header and an integer `label` column.
+    """Load a dataset from a CSV in the write_columns format (see read_columns)
+    with an integer `label` column.
 
-    Blank and `#` lines are skipped. Labels must be nonnegative integers and all
-    other columns finite floats, kept in column order as the feature matrix.
-    num_classes is inferred as max label + 1.
+    Labels must be nonnegative integers and all other columns finite floats,
+    kept in column order as the feature matrix. num_classes is inferred as
+    max label + 1.
     """
-    rows = [row for row in _tokens(path) if row]
-    if not rows:
-        raise CsvParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if "label" not in header:
-        raise CsvParseError(f"{path}: no column named 'label' in header {header}")
-    label_col = header.index("label")
-    types = [nonnegative_int if i == label_col else finite_float for i in range(len(header))]
-    table = _typed_rows(path, header, types, rows[1:])
-    if not table:
+    table = read_columns(path, _dataset_rules)
+    labels = table.pop("label")
+    if not labels:
         raise CsvParseError(f"{path}: no data rows")
-    labels = [row.pop(label_col) for row in table]
-    return TabularDataset(np.array(table), np.array(labels), max(labels) + 1)
+    features = np.array(list(table.values()), np.float64).reshape(len(table), len(labels))
+    return TabularDataset(features.T, np.array(labels), max(labels) + 1)
+
+
+def _dataset_rules(header) -> dict:
+    if "label" not in header:
+        raise ValueError("names no column 'label'")
+    return {name: nonnegative_int if name == "label" else finite_float for name in header}
 
 
 def write_csv(path, dataset: TabularDataset) -> None:
     """Emit a dataset in the load_csv format with round-trip float formatting."""
-    header = [f"x{i}" for i in range(dataset.feature_dim)] + ["label"]
-    write_columns(path, header, [*dataset.features.T, dataset.labels])
+    table = {f"x{i}": column for i, column in enumerate(dataset.features.T)}
+    write_columns(path, {**table, "label": dataset.labels})
 
 
-def write_columns(path, header, columns, config_digest: str | None = None) -> None:
-    """Write the one CSV format of every file this package emits.
+def write_columns(path, table: dict, config_digest: str | None = None) -> None:
+    """Write the one CSV format of every file this package emits; `table` maps
+    each column's name, in order, to its values.
 
     An optional comment line naming the config digest, the header, then one
-    row per index of the equal-length columns, LF line endings. A float column
-    is rendered in round-trip repr, once per column; any other cell as str,
-    which must not hold a comma, a quote or a line break.
+    row per index of the equal-length columns, LF line endings. A float cell
+    is rendered in round-trip repr, any other cell as str, which must not hold
+    a comma, a quote or a line break. Every column is checked before the file
+    is opened; the rows are then rendered and written one at a time.
     """
-    if len(columns) != len(header):
-        raise ValueError(f"{path}: {len(columns)} columns for header {list(header)}")
-    cells = []
-    for name, column in zip(header, columns):
-        column = np.asarray(column)
+    columns = [np.asarray(values) for values in table.values()]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"{path}: columns differ in length: {[len(c) for c in columns]}")
+    render = []
+    for name, column in zip(table, columns):
         is_float = column.dtype.kind == "f"
-        rendered = list(map(repr if is_float else str, column.tolist()))
-        joined = "" if is_float else "".join(rendered)
-        if any(c in joined for c in ',"\r\n'):
+        text = "" if is_float else "".join(map(str, column.tolist()))
+        if any(c in text for c in ',"\r\n'):
             raise ValueError(f"{path}: column {name!r} holds a comma, quote or line break")
-        cells.append(rendered)
-    if len({len(c) for c in cells}) > 1:
-        raise ValueError(f"{path}: columns differ in length: {[len(c) for c in cells]}")
-    lines = [] if config_digest is None else [f"# config_digest={config_digest}"]
-    lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*cells)))
+        render.append(_float_cell if is_float else str)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if config_digest is not None:
+            fh.write(f"# config_digest={config_digest}\n")
+        fh.write(",".join(table) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join([cell(value) for cell, value in zip(render, row)]) + "\n")
 
 
-# The cell rules of read_rows and load_csv: each converts one cell or raises ValueError.
+def _float_cell(value) -> str:
+    return repr(float(value))
+
+
+def read_columns(path, rules) -> dict:
+    """The inverse of write_columns: {column name: list of cells} of a UTF-8
+    CSV, `#` and blank lines skipped and the header's names stripped.
+
+    `rules` maps each column name, in header order, to the rule that converts
+    its cells (raising ValueError on a bad one); for a header that depends on
+    the file, it is a function of the header that returns that dict, or raises
+    ValueError saying what is wrong with the header. A missing header, a
+    repeated name, a header other than the rules', a row with the wrong cell
+    count or a cell its rule rejects raises CsvParseError naming the path, and
+    for a cell the data row and the column.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 ({exc})") from None
+    if not rows:
+        raise CsvParseError(f"{path}: no header (empty file)")
+    header = [name.strip() for name in rows[0]]
+    try:
+        if len(set(header)) != len(header):
+            raise ValueError("repeats a name")
+        rules = rules(header) if callable(rules) else rules
+        if list(rules) != header:
+            raise ValueError(f"is not {list(rules)}")
+    except ValueError as exc:
+        raise CsvParseError(f"{path}: header {header} {exc}") from None
+    columns = {name: [] for name in header}
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise CsvParseError(f"{path}: data row {i} has {len(row)} cells, "
+                                f"expected {len(header)}")
+        for (name, convert), cell in zip(rules.items(), row):
+            try:
+                columns[name].append(convert(cell))
+            except ValueError as exc:
+                raise CsvParseError(f"{path}: data row {i} column {name!r}: {exc}") from None
+    return columns
+
+
+# The cell rules of read_columns: each converts one cell or raises ValueError.
 def finite_float(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
@@ -191,46 +236,6 @@ def nonnegative_int(cell: str) -> int:
     if value < 0:
         raise ValueError(f"negative: {cell!r}")
     return value
-
-
-def _tokens(path) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file, `#` lines skipped."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(ln for ln in fh if not ln.startswith("#")))
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"{path}: not UTF-8 ({exc})") from None
-
-
-def _typed_rows(path, header, types, rows) -> list[list]:
-    """`rows` (data row 1 follows the header), each cell converted by its column's
-    rule in `types`; a wrong cell count or a cell the rule rejects raises
-    CsvParseError naming the path, the data row and the column."""
-    out = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise CsvParseError(f"{path}: data row {i} has {len(row)} cells, "
-                                f"expected {len(header)}")
-        cells = []
-        for name, convert, cell in zip(header, types, row, strict=True):
-            try:
-                cells.append(convert(cell))
-            except ValueError as exc:
-                raise CsvParseError(f"{path}: data row {i} column {name!r}: {exc}") from None
-        out.append(cells)
-    return out
-
-
-def read_rows(path, header, types) -> list[list]:
-    """Data rows of a CSV in the write_columns format, `#` lines skipped, each
-    cell converted by its column's rule in `types` (see _typed_rows); a header
-    other than `header` raises CsvParseError naming the path."""
-    header = list(header)
-    rows = _tokens(path)
-    if not rows or rows[0] != header:
-        found = rows[0] if rows else "none"
-        raise CsvParseError(f"{path}: unexpected header {found}, expected {header}")
-    return _typed_rows(path, header, types, rows[1:])
 
 
 _INDEX_FIELDS = ("target_train", "target_test", "shadow_train", "shadow_test", "reference_pool")

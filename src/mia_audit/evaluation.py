@@ -13,12 +13,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import CsvParseError, finite_float, nonnegative_int, not_nan_float, read_rows
+from .dataset import CsvParseError, finite_float, nonnegative_int, not_nan_float, read_columns
 
 LOSS_BUCKETS = (("small", 0.0, 0.002), ("medium", 0.002, 1.0), ("large", 1.0, float("inf")))
 NUM_BINS = 20  # histogram bins per score and loss bucket in loss_buckets.csv
-ROC_HEADER = ("attack", "threshold", "fpr", "tpr")
-BUCKET_HEADER = ("score", "bucket", "bin_lo", "bin_hi", "member_count", "nonmember_count")
+# the columns of roc.csv and of loss_buckets.csv, each with the rule that reads its cells
+ROC_HEADER = {"attack": str, "threshold": not_nan_float, "fpr": finite_float, "tpr": finite_float}
+BUCKET_HEADER = {"score": str, "bucket": str, "bin_lo": finite_float, "bin_hi": finite_float,
+                 "member_count": nonnegative_int, "nonmember_count": nonnegative_int}
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,11 @@ def roc_table(curves: dict) -> dict:
 def read_roc_csv(path) -> dict:
     """{attack: RocCurve} of roc.csv, in file order. No rows, or an attack whose rows
     are split or not a valid curve, raise CsvParseError naming the path (and attack)."""
-    rows = read_rows(path, ROC_HEADER, (str, not_nan_float, finite_float, finite_float))
-    if not rows:
+    table = read_columns(path, ROC_HEADER)
+    if not table["attack"]:
         raise CsvParseError(f"{path}: no curve")
     curves = {}
-    for attack, block in itertools.groupby(rows, key=lambda row: row[0]):
+    for attack, block in itertools.groupby(zip(*table.values()), key=lambda row: row[0]):
         try:
             if attack in curves:
                 raise ValueError("its rows are not one block")
@@ -113,13 +115,6 @@ def read_roc_csv(path) -> dict:
         except ValueError as exc:
             raise CsvParseError(f"{path}: attack {attack!r}: {exc}") from None
     return curves
-
-
-def read_bucket_csv(path) -> list[dict]:
-    """Rows of loss_buckets.csv as dicts."""
-    rows = read_rows(path, BUCKET_HEADER, (str, str, finite_float, finite_float,
-                                           nonnegative_int, nonnegative_int))
-    return [dict(zip(BUCKET_HEADER, r)) for r in rows]
 
 
 def loss_buckets(losses, calibrated, is_member) -> dict:

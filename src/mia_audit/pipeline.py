@@ -81,7 +81,6 @@ class RunResult:
     attacker_plan: SplitPlan | None
     target_table: ScoreTable
     shadow_table: ScoreTable | None
-    scores: dict  # each selected attack -> its column of target_table
     curves: dict
     metrics: dict
     loss_buckets: dict | None  # the columns of loss_buckets.csv
@@ -323,10 +322,9 @@ def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_j
         target_scores[name] = net.score(_pairs(target_scores, name))
     target_table = ScoreTable(target_set.ids, target_set.member, target_scores)
 
-    scores = {name: target_table.scores[name] for name in config.attacks}
     # one ROC curve per attack: its metrics and its rows of roc.csv are both read off it
-    curves = {name: evaluation.roc(values, target_table.is_member)
-              for name, values in scores.items()}
+    curves = {name: evaluation.roc(target_table.scores[name], target_table.is_member)
+              for name in config.attacks}
     metrics = {name: evaluation.compute_metrics(curve, config.fpr_levels)
                for name, curve in curves.items()}
 
@@ -343,7 +341,7 @@ def _result(run: _Run, signals: dict, shadow_table: ScoreTable | None, scoring_j
         config=config,
         target_plan=run.target_plan, attacker_plan=run.attacker_plan,
         target_table=target_table, shadow_table=shadow_table,
-        scores=scores, curves=curves, metrics=metrics,
+        curves=curves, metrics=metrics,
         loss_buckets=loss_buckets, target_accuracy=target_accuracy,
     )
 
@@ -395,7 +393,7 @@ class SweepResult:
 
     def write_csv(self, path, config_digest: str | None = None) -> None:
         header = ("axis", "value", "seed", "metric", "result")
-        write_columns(path, header, [[row[key] for row in self.rows] for key in header],
+        write_columns(path, {key: [row[key] for row in self.rows] for key in header},
                       config_digest)
 
     def metric_by_value(self, metric: str) -> dict:
@@ -484,14 +482,12 @@ def write_artifacts(result: RunResult, outdir) -> list[str]:
     files["target_scores.csv"] = (result.target_table.to_csv, digest)
     if result.shadow_table is not None:
         files["shadow_scores.csv"] = (result.shadow_table.to_csv, digest)
-    files["roc.csv"] = (write_columns, evaluation.ROC_HEADER,
-                        list(evaluation.roc_table(result.curves).values()), digest)
+    files["roc.csv"] = (write_columns, evaluation.roc_table(result.curves), digest)
     for name, report in result.metrics.items():
         files[f"metrics_{name}.json"] = (_write_json, {"attack": name, "config_digest": digest,
                                                        **report.to_dict()})
     if result.loss_buckets is not None:
-        files["loss_buckets.csv"] = (write_columns, evaluation.BUCKET_HEADER,
-                                     list(result.loss_buckets.values()), digest)
+        files["loss_buckets.csv"] = (write_columns, result.loss_buckets, digest)
 
     manifest = {"config_digest": digest, "master_seed": config.master_seed,
                 "attacks": list(config.attacks), "target_accuracy": result.target_accuracy,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import CsvParseError, _tokens, _typed_rows, finite_float, write_columns
+from .dataset import CsvParseError, finite_float, read_columns, write_columns
 from .seeding import derive_seed, normal_rows
 
 
@@ -113,29 +113,27 @@ class ScoreTable:
 
     def to_csv(self, path, config_digest: str | None = None) -> None:
         """Columns id,is_member, then one per score, in the table's order."""
-        write_columns(path, ("id", "is_member", *self.scores),
-                      [self.ids, self.is_member.astype(np.int64), *self.scores.values()],
-                      config_digest)
+        write_columns(path, {"id": self.ids, "is_member": self.is_member.astype(np.int64),
+                             **self.scores}, config_digest)
 
     @classmethod
     def from_csv(cls, path) -> "ScoreTable":
         """The table to_csv wrote, its score names taken off the header; a
         header that does not start with id,is_member, names no score or
         repeats a name, or a repeated id, raises CsvParseError naming the path."""
-        rows = _tokens(path)
-        header = rows[0] if rows else []
-        problem = ("does not start with id,is_member" if header[:2] != ["id", "is_member"]
-                   else "names no score" if len(header) == 2
-                   else "repeats a name" if len(set(header)) != len(header) else None)
-        if problem:
-            raise CsvParseError(f"{path}: header {header} {problem}")
-        table = _typed_rows(path, header, [str, _member_flag] + [finite_float] * (len(header) - 2),
-                            rows[1:])
-        columns = list(zip(*table)) if table else [()] * len(header)
+        table = read_columns(path, _score_rules)
         try:
-            return cls(columns[0], columns[1], dict(zip(header[2:], columns[2:])))
+            return cls(table.pop("id"), table.pop("is_member"), table)
         except ValueError as exc:
             raise CsvParseError(f"{path}: {exc}") from None
+
+
+def _score_rules(header) -> dict:
+    if header[:2] != ["id", "is_member"]:
+        raise ValueError("does not start with id,is_member")
+    if len(header) == 2:
+        raise ValueError("names no score")
+    return {"id": str, "is_member": _member_flag, **dict.fromkeys(header[2:], finite_float)}
 
 
 def _member_flag(cell: str) -> bool:

@@ -17,8 +17,8 @@ from mia_audit import (DPConfig, TrainingConfig, backward, calibrate, init_class
                        run_pipeline, softmax, sweep)
 from mia_audit.cli import main as cli_main
 from mia_audit.config import ExperimentConfig, SyntheticSource
-from mia_audit.dataset import write_columns
-from mia_audit.evaluation import ROC_HEADER, MetricsReport, read_bucket_csv, read_roc_csv, roc_table
+from mia_audit.dataset import read_columns, write_columns
+from mia_audit.evaluation import BUCKET_HEADER, MetricsReport, read_roc_csv, roc_table
 from mia_audit.nn import per_sample_loss
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
@@ -143,7 +143,8 @@ def test_criterion_3_null_attack_sanity():
     result = run_pipeline(cfg)
     for name, metrics in result.metrics.items():
         assert 0.45 <= metrics.auc <= 0.55, f"{name} auc {metrics.auc}"
-    for name, scores in result.scores.items():
+    for name in cfg.attacks:
+        scores = result.target_table.scores[name]
         threshold = float(np.median(scores))
         _, acc = run_security_game(scores, result.target_table.is_member,
                                    threshold, 10_000, seed=11)
@@ -275,7 +276,7 @@ master_seed = 3
     curves = read_roc_csv(out_a / "roc.csv")
     assert list(curves) == manifest["attacks"]
     rt = tmp_path / "roc_rt.csv"
-    write_columns(rt, ROC_HEADER, list(roc_table(curves).values()))
+    write_columns(rt, roc_table(curves))
     again = read_roc_csv(rt)
     assert list(again) == list(curves)
     for attack, curve in curves.items():
@@ -283,9 +284,21 @@ master_seed = 3
         assert np.array_equal(curve.fpr, again[attack].fpr)
         assert np.array_equal(curve.tpr, again[attack].tpr)
 
-    assert "loss_buckets.csv" in manifest["artifacts"]
-    rows = read_bucket_csv(out_a / "loss_buckets.csv")
-    assert rows and all(r["bin_lo"] <= r["bin_hi"] for r in rows)
+    # every CSV the manifest lists, read through its one reader and written back
+    # through write_columns with the manifest's digest, gives the same bytes
+    digest = manifest["config_digest"]
+    round_trips = {
+        "target_scores.csv": lambda src, dst: ScoreTable.from_csv(src).to_csv(dst, digest),
+        "shadow_scores.csv": lambda src, dst: ScoreTable.from_csv(src).to_csv(dst, digest),
+        "roc.csv": lambda src, dst: write_columns(dst, roc_table(read_roc_csv(src)), digest),
+        "loss_buckets.csv": lambda src, dst: write_columns(dst, read_columns(src, BUCKET_HEADER),
+                                                           digest),
+    }
+    assert sorted(n for n in manifest["artifacts"] if n.endswith(".csv")) == sorted(round_trips)
+    for name, round_trip in round_trips.items():
+        copy = tmp_path / f"rt_{name}"
+        round_trip(out_a / name, copy)
+        assert copy.read_bytes() == (out_a / name).read_bytes(), name
 
     assert time.time() - started < 300
     report("8 determinism-and-formats", started)

@@ -273,15 +273,15 @@ class TestPipeline:
         assert shadow_model is None
         assert reference_models == []
         assert list(result.target_table.scores) == ["loss"]
-        assert set(result.scores) == {"loss"}
+        assert set(result.metrics) == {"loss"}
         assert result.loss_buckets is None
 
     def test_full_run_produces_all_outputs(self):
         result = run_pipeline(fast_config())
-        assert set(result.scores) == {"loss", "calibration", "lira_offline",
-                                       "rapid", "shortcut_lira"}
+        assert set(result.metrics) == {"loss", "calibration", "lira_offline",
+                                        "rapid", "shortcut_lira"}
         assert result.loss_buckets is not None
-        assert list(result.target_table.scores) == list(result.scores)
+        assert list(result.target_table.scores) == list(result.metrics)
         assert list(result.shadow_table.scores) == ["loss", "calibration", "lira_offline"]
 
     def test_eval_set_is_balanced_train_vs_test(self):
@@ -494,9 +494,10 @@ class TestPipeline:
         config, trained = fast_config(attacks=("shortcut_lira",)), {}
         result = run_pipeline(config, trained)
         shadow_model, _ = attacker_models(trained, config)
-        assert set(result.scores) == {"shortcut_lira"}
+        assert set(result.metrics) == {"shortcut_lira"}
         assert shadow_model is not None
-        assert np.all((result.scores["shortcut_lira"] > 0) & (result.scores["shortcut_lira"] < 1))
+        scores = result.target_table.scores["shortcut_lira"]
+        assert np.all((scores > 0) & (scores < 1))
 
     def test_split_json_keeps_interface_fields(self, tmp_path):
         from mia_audit import SplitPlan
@@ -511,7 +512,7 @@ class TestPipeline:
             n_samples=300, seed=123))
         result = run_pipeline(cfg)
         assert result.attacker_plan is not None
-        assert set(result.scores) == set(cfg.attacks)
+        assert set(result.metrics) == set(cfg.attacks)
 
     def test_dp_applies_to_target_only_by_default(self):
         from mia_audit.nn import DPConfig
@@ -620,7 +621,8 @@ class TestArtifacts:
         for name, values in result.target_table.scores.items():
             assert table.scores[name].tobytes() == values.tobytes(), name
         for attack in result.config.attacks:
-            assert table.scores[attack].tobytes() == result.scores[attack].tobytes(), attack
+            assert (table.scores[attack].tobytes()
+                    == result.target_table.scores[attack].tobytes()), attack
 
     def test_manifest_reports_ok(self, tmp_path):
         outdir, result, _ = self.run_to_dir(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mia_audit import (CsvParseError, SplitPlan, TabularDataset,
                        TrainingConfig, generate_synthetic, load_csv,
                        make_split, random_means, sample_reference_subset, write_csv)
-from mia_audit.dataset import read_rows, write_columns
+from mia_audit.dataset import read_columns, write_columns
 
 from oracles import train
 from test_nn import accuracy
@@ -100,6 +101,11 @@ class TestLoadCsv(object):
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.num_classes == 2
 
+    def test_spaces_around_header_names_and_cells(self, tmp_path):
+        ds = load_csv(self.write(tmp_path, "x0, x1, label\n1, 2, 0\n3, 4, 1\n"))
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
     def test_num_classes_inferred_from_max_label(self, tmp_path):
         ds = load_csv(self.write(tmp_path, "x0,label\n1,5\n2,0\n"))
         assert ds.num_classes == 6
@@ -124,6 +130,13 @@ class TestLoadCsv(object):
         with pytest.raises(CsvParseError, match="no data rows"):
             load_csv(self.write(tmp_path, "x0,label\n"))
 
+    def test_repeated_header_name(self, tmp_path):
+        # a second `label` column must not load as a feature
+        path = self.write(tmp_path, "x0,label,label\n1,0,1\n2,1,0\n")
+        with pytest.raises(CsvParseError, match=re.escape(
+                f"{path}: header ['x0', 'label', 'label'] repeats a name")):
+            load_csv(path)
+
     def test_write_round_trip(self, tmp_path):
         ds = two_class(20)
         path = tmp_path / "out.csv"
@@ -137,30 +150,32 @@ class TestCsvFormat:
     def test_columns_round_trip_bit_exact_with_lf_lines(self, tmp_path):
         floats = np.array([0.1, -0.0, 1e-300, np.inf, -np.inf, 2.0 / 3.0])
         path = tmp_path / "t.csv"
-        write_columns(path, ("id", "x"), [["a", 7, "c", 8, "e", 9], floats], "d1")
+        write_columns(path, {"id": ["a", 7, "c", 8, "e", 9], "x": floats}, "d1")
         data = path.read_bytes()
         assert data.startswith(b"# config_digest=d1\nid,x\na,0.1\n")
         assert b"\r" not in data
-        rows = read_rows(path, ("id", "x"), (str, float))
-        assert [r[0] for r in rows] == ["a", "7", "c", "8", "e", "9"]
-        back = np.array([r[1] for r in rows])
+        table = read_columns(path, {"id": str, "x": float})
+        assert table["id"] == ["a", "7", "c", "8", "e", "9"]
+        back = np.array(table["x"])
         assert np.array_equal(back, floats)
         assert np.array_equal(np.signbit(back), np.signbit(floats))
 
-    @pytest.mark.parametrize("columns, match", [
-        ([["a,b"], [1.0]], "comma"),
-        ([["a"], [1.0, 2.0]], "differ in length"),
-        ([["a"]], "1 columns"),
-    ], ids=["separator_in_cell", "ragged", "missing_column"])
-    def test_writer_rejects_what_the_format_cannot_hold(self, tmp_path, columns, match):
+    @pytest.mark.parametrize("ids, xs, match", [
+        (["a,b"], [1.0], "comma"),
+        (["a"], [1.0, 2.0], "differ in length"),
+        (["a\nb"], [1.0], "line break"),
+    ], ids=["separator_in_cell", "ragged", "line_break_in_cell"])
+    def test_writer_rejects_what_the_format_cannot_hold(self, tmp_path, ids, xs, match):
+        path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match=match):
-            write_columns(tmp_path / "t.csv", ("id", "x"), columns)
+            write_columns(path, {"id": ids, "x": xs})
+        assert not path.exists()  # every column is checked before the file is opened
 
     def test_reader_rejects_short_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,x\na,1.0\nb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="data row 2 has 1 cells"):
-            read_rows(path, ("id", "x"), (str, float))
+            read_columns(path, {"id": str, "x": float})
 
 
 class TestMakeSplit:

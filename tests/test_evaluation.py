@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mia_audit import compute_metrics, loss_buckets, roc
-from mia_audit.dataset import write_columns
-from mia_audit.evaluation import (BUCKET_HEADER, LOSS_BUCKETS, NUM_BINS, ROC_HEADER,
-                                  read_bucket_csv, read_roc_csv, roc_table)
+from mia_audit.dataset import read_columns, write_columns
+from mia_audit.evaluation import BUCKET_HEADER, LOSS_BUCKETS, NUM_BINS, read_roc_csv, roc_table
 from mia_audit.pipeline import SWEEP_AXES, sweep
 from mia_audit.seeding import derive_rng
 from mia_audit.signals import ScoreTable
@@ -81,7 +80,7 @@ class TestRoc:
         curves = {"rapid": roc([0.2, 0.8, 0.5], [False, True, True]),
                   "loss": roc([0.2, 0.8], [False, True])}
         path = tmp_path / "roc.csv"
-        write_columns(path, ROC_HEADER, list(roc_table(curves).values()), config_digest="cafe")
+        write_columns(path, roc_table(curves), config_digest="cafe")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=cafe"
         assert lines[1] == "attack,threshold,fpr,tpr"
@@ -105,6 +104,10 @@ class TestRoc:
             read_roc_csv(path)
 
 
+def read_buckets(path) -> dict:
+    return read_columns(path, BUCKET_HEADER)
+
+
 # per loader, (file text, data row, column) of files with one unreadable cell
 BAD_CELLS = {
     read_roc_csv: [("attack,threshold,fpr,tpr\nloss,inf,0.0,0.0\nloss,1.0,x,0.5\n", 2, "fpr"),
@@ -115,10 +118,10 @@ BAD_CELLS = {
     ScoreTable.from_csv: [("id,is_member,loss,rapid\na,1,-0.5,0.5\nb,0,-1.0,abc\n", 2, "rapid"),
                           ("id,is_member,loss,calibration\na,1,nan,1.0\n", 1, "loss"),
                           ("id,is_member,loss\na,1,-0.5\nb,2,-1.0\n", 2, "is_member")],
-    read_bucket_csv: [("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
-                       "loss,small,0.0,0.002,two,1\n", 1, "member_count"),
-                      ("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
-                       "loss,small,0.0,0.002,-3,1\n", 1, "member_count")],
+    read_buckets: [("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                    "loss,small,0.0,0.002,two,1\n", 1, "member_count"),
+                   ("score,bucket,bin_lo,bin_hi,member_count,nonmember_count\n"
+                    "loss,small,0.0,0.002,-3,1\n", 1, "member_count")],
 }
 
 
@@ -136,7 +139,7 @@ BAD_TABLES = {
     ScoreTable.from_csv: [("id,is_member,loss\na,1,-0.5\na,0,-1.0\n",
                            ": sample ids must be unique")],
 }
-LOADERS = {"roc": read_roc_csv, "score_table": ScoreTable.from_csv, "buckets": read_bucket_csv}
+LOADERS = {"roc": read_roc_csv, "score_table": ScoreTable.from_csv, "buckets": read_buckets}
 # BAD_CELLS and BAD_TABLES stand for their entries of the loader
 TEXTS = {"empty": "", "digest_only": "# config_digest=abc\n", "wrong_header": "wrong,header\n1,2\n",
          "not_utf8": b"id,\xff\xfe\n", "bad_cell": BAD_CELLS, "bad_table": BAD_TABLES}
@@ -352,14 +355,15 @@ class TestLossBuckets:
     def test_csv_format(self, tmp_path):
         columns = loss_buckets([0.001, 0.5], [0.1, 0.2], [True, False])
         path = tmp_path / "buckets.csv"
-        write_columns(path, BUCKET_HEADER, list(columns.values()), config_digest="beef")
+        write_columns(path, columns, config_digest="beef")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=beef"
         assert lines[1] == "score,bucket,bin_lo,bin_hi,member_count,nonmember_count"
         assert len(lines) == 2 + 2 * 3 * 20  # two scores x three buckets x NUM_BINS = 20 bins
-        rows = read_bucket_csv(path)
+        table = read_buckets(path)
+        assert list(table) == list(columns)
         for name, column in columns.items():
-            assert [row[name] for row in rows] == column.tolist(), name
+            assert table[name] == column.tolist(), name
 
 
 class TestMetricsReport:

@@ -156,10 +156,10 @@ class TestAveragedSignal:
     def test_zero_noise_gives_every_query_count_the_one_matrix(self):
         # with zero noise there is one query matrix, so 8 queries score as 1
         one, eight = (fast_config(augmentation_noise_std=0.0, num_queries=q) for q in (1, 8))
-        base = run_pipeline(one).scores
+        base = run_pipeline(one).target_table.scores
         for result in [*run_pipelines([eight, one]), run_pipeline(eight)]:
-            assert result.scores.keys() == base.keys()
-            for name, scores in result.scores.items():
+            assert result.target_table.scores.keys() == base.keys()
+            for name, scores in result.target_table.scores.items():
                 assert scores.tobytes() == base[name].tobytes(), name
 
     def test_averaging_does_not_increase_variance(self):
